@@ -200,11 +200,17 @@ class JacobiReport:
         return self.violations[0] if self.violations else None
 
 
-def _jacobi_scan(btable, n: int, start: int, step: int,
-                 limit: int) -> tuple[int, list[tuple[int, int, int]]]:
+def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
+    """Exhaustively verify the Jacobi identity over all unordered basis triples.
+
+    Failure is reported as data, never raised.  The sweep runs in-process:
+    it takes less time than starting a worker pool would.
+    """
+    btable = sc._btable
+    n = len(sc.basis)
     checked = 0
     bad: list[tuple[int, int, int]] = []
-    for i in range(start, n, step):
+    for i in range(n):
         for j in range(i + 1, n):
             ab = btable[(i, j)]
             for k in range(j + 1, n):
@@ -222,31 +228,6 @@ def _jacobi_scan(btable, n: int, start: int, step: int,
                 if any(acc.values()):
                     if len(bad) < limit:
                         bad.append((i, j, k))
-    return checked, bad
-
-
-def check_jacobi(sc: StructureConstants, jobs: int = 1, limit: int = 10) -> JacobiReport:
-    """Exhaustively verify the Jacobi identity over all unordered basis triples.
-
-    Failure is reported as data, never raised.  With jobs > 1 the triples
-    are partitioned by first index across worker processes; the report is
-    identical regardless of job count.
-    """
-    n = len(sc.basis)
-    if jobs <= 1:
-        checked, bad = _jacobi_scan(sc._btable, n, 0, 1, limit)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        checked, bad = 0, []
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_jacobi_scan, sc._btable, n, w, jobs, limit)
-                       for w in range(jobs)]
-            for fut in futures:
-                c, b = fut.result()
-                checked += c
-                bad.extend(b)
-        bad.sort()
-        bad = bad[:limit]
     violations = tuple((sc.basis[i], sc.basis[j], sc.basis[k]) for i, j, k in bad)
     return JacobiReport(triples_checked=checked, violations=violations)
 

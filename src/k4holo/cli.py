@@ -2,13 +2,16 @@
 
 Subcommands
 -----------
-  roots      --type E6            dump a root system
+  roots      --type E6            dump a root system (rank at most 32)
   selftest   [--jobs N]           certification run: Jacobi, Killing, laws
   fixed      --chars SPEC...      fixed subalgebra of the given characters
   classify   --char SPEC          involution class and mu value
   realform   --gamma L1 L2 --theta L [--group G]
   theorem24  [--format F]         one-shot classification, verified
   survey     --theta L            real forms g^sigma for all builtin sigma
+
+selftest accepts --jobs N (N >= 1) for compatibility; it has no effect,
+because the Jacobi sweep takes less time than starting worker processes.
 
 Character grammar (one shell argument per character):
 
@@ -17,6 +20,8 @@ Character grammar (one shell argument per character):
       alpha1, alpha3, alpha4, alpha5, alpha6 and then alpha2 last.
   su6sp1 [m=M] d=[d1,d2,d3,d4,d5,d6] y=Y
       diagonal special-unitary exponents plus the sp(1) exponent.
+
+A bracketed vector is one token even when it contains spaces.
 
 M defaults to the configured modulus (4, overridable through the
 K4HOLO_MODULUS environment variable; builtin groups need 4 | M).
@@ -32,16 +37,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys as _sys
 
 from . import chevalley, pipeline
 from .errors import EngineError, UsageError, VerificationError
-from .realform import center_of_fixed, identify_real_form
+from .realform import identify_real_form
 from .reductive import classify_involution, fixed_subalgebra, mu
-from .rootsys import build_root_system
+from .rootsys import MAX_RANK, build_root_system
 from .toral import TorusCharacter, UnitaryPairData, character_from_simple_values, embed_su6_sp1
 
 _FORMATS = ("json", "markdown", "plain")
+
+# A whitespace-free word, or one with a bracketed part that may hold spaces.
+_SPEC_TOKEN = re.compile(r"[^\s\[]*\[[^\]]*\]\S*|\S+")
 
 
 def _configured_modulus() -> int:
@@ -73,7 +82,7 @@ def _parse_vector(token: str, expect: int) -> tuple[int, ...]:
 
 def parse_char_spec(spec: str, default_modulus: int) -> TorusCharacter:
     """Parse one character spec; see the module docstring for the grammar."""
-    tokens = spec.split()
+    tokens = _SPEC_TOKEN.findall(spec)
     if not tokens:
         raise UsageError("empty character spec")
     kind, rest = tokens[0], tokens[1:]
@@ -156,9 +165,13 @@ def _resolve_group_element(label: str, groups, group_hint: str | None):
 
 def _cmd_roots(args) -> int:
     token = args.type.upper()
-    if len(token) < 2 or token[0] not in "ADE" or not token[1:].isdigit():
+    family, digits = token[:1], token[1:]
+    if family not in ("A", "D", "E") or not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"bad type token {args.type!r} (want e.g. E6, A5, D4)")
-    sys = build_root_system(token[0], int(token[1:]))
+    rank = digits.lstrip("0") or "0"
+    if len(rank) > len(str(MAX_RANK)):
+        raise UsageError(f"{args.type} is above the largest supported rank {MAX_RANK}")
+    sys = build_root_system(family, int(rank))
     doc = {
         "type": sys.label,
         "rank": sys.rank,
@@ -188,7 +201,7 @@ def _cmd_selftest(args) -> int:
     anti_ok = all(sc.n_table[(b, a)] == -v for (a, b), v in sc.n_table.items())
     results.append(("antisymmetry", anti_ok, f"{len(sc.n_table)} ordered pairs"))
 
-    jac = chevalley.check_jacobi(sc, jobs=args.jobs)
+    jac = chevalley.check_jacobi(sc)
     results.append(("jacobi", jac.ok,
                     f"{jac.triples_checked} triples, first violation {jac.first_violation}"))
 
@@ -225,10 +238,15 @@ def _cmd_selftest(args) -> int:
             fh.write(chevalley.export_n_table(sc))
         print(f"wrote N table to {args.ntable_out}", file=_sys.stderr)
 
-    ok = True
-    for name, passed, detail in results:
-        ok = ok and passed
-        print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+    ok = all(passed for _, passed, _ in results)
+    doc = {
+        "checks": [{"name": name, "passed": passed, "detail": detail}
+                   for name, passed, detail in results],
+        "passed": ok,
+    }
+    _emit(doc, args.format,
+          [f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})"
+           for name, passed, detail in results])
     return 0 if ok else 1
 
 
@@ -291,15 +309,13 @@ def _cmd_theorem24(args) -> int:
     report = pipeline.classify_all(sys, args.modulus)
     if args.format == "markdown":
         print(pipeline.report_to_markdown(report), end="")
+    elif args.format == "json":
+        print(json.dumps(pipeline.report_to_dict(report, sys, args.modulus), indent=2))
     else:
-        doc = pipeline.report_to_dict(report, sys, args.modulus)
-        if args.format == "json":
-            print(json.dumps(doc, indent=2))
-        else:
-            for pair in report.distinct_pairs:
-                print(pair)
-            print(f"distinct pairs: {len(report.distinct_pairs)}")
-            print(f"verified: {str(report.verified).lower()}")
+        for pair in report.distinct_pairs:
+            print(pair)
+        print(f"distinct pairs: {len(report.distinct_pairs)}")
+        print(f"verified: {str(report.verified).lower()}")
     if not report.verified:
         print(f"MISMATCH missing={list(report.missing)} "
               f"unexpected={list(report.unexpected)}", file=_sys.stderr)
@@ -341,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("selftest", help="structure-constant certification")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--ntable-out", default=None,
                    help="write the deterministic N-table dump here")
     common(p)

@@ -29,7 +29,8 @@ from typing import Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import ReductiveType, Root, RootSystem, decompose_closed_subset
+from .rootsys import (ReductiveType, Root, RootSystem, decompose_closed_subset,
+                      render_multiplicities)
 from .toral import TorusCharacter
 
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2, "su_c": 3, "so_c": 4}
@@ -118,16 +119,7 @@ class RealFormType:
         return ReductiveType(components=tuple(comps), center_dim=len(self.center))
 
     def render(self, style: str = "plain") -> str:
-        names = [l.render(style) for l in self.ideals]
-        parts = []
-        i = 0
-        while i < len(names):
-            j = i
-            while j < len(names) and names[j] == names[i]:
-                j += 1
-            count = j - i
-            parts.append(names[i] if count == 1 else f"{count}{names[i]}")
-            i = j
+        parts = render_multiplicities([l.render(style) for l in self.ideals])
         ncomp = self.center.count("c")
         nsplit = self.center.count("R")
         if ncomp:
@@ -284,10 +276,10 @@ def holomorphic_type_check(sigma: TorusCharacter, theta: TorusCharacter,
 
     The generator lies in the Cartan subalgebra and toral characters act
     trivially there, so for the automorphisms representable in this engine
-    the answer is always True; the point of the operation is to assert the
-    condition explicitly (and fail loudly on bad inputs) rather than assume
-    it.  A non-toral automorphism could fail the condition, but none is
-    representable here.
+    the answer is always True; only the per-theta premise (theta's class
+    and corank) can fail, and that raises.  A non-toral automorphism could
+    fail the condition, but none is representable here, which is why the
+    classification pipeline calls center_of_fixed once per theta instead.
     """
     if sigma.order > 2:
         raise PreconditionError("sigma must be an involution or the identity")

@@ -64,7 +64,7 @@ def _fixed_dim(chi: TorusCharacter, sys: RootSystem) -> int:
 
 
 @lru_cache(maxsize=None)
-def _class_dims(label: str) -> dict[int, ConjClass]:
+def _class_dims() -> dict[int, ConjClass]:
     from .rootsys import build_root_system
     sys = build_root_system("E", 6)
     dims = {_fixed_dim(sigma1_reference(), sys): ConjClass.SIGMA1,
@@ -82,7 +82,7 @@ def classify_involution(chi: TorusCharacter, sys: RootSystem) -> ConjClass:
         raise PreconditionError(f"character has order {chi.order}, not an involution")
     if chi.order == 1:
         return ConjClass.IDENTITY
-    dims = _class_dims(sys.label)
+    dims = _class_dims()
     d = _fixed_dim(chi, sys)
     if d not in dims:
         raise InternalConsistencyError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
@@ -23,6 +24,10 @@ from .errors import ConfigurationError, InternalConsistencyError, PreconditionEr
 Root = tuple[int, ...]
 
 _E6_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6))
+
+# Largest accepted rank: the reflection closure grows faster than rank**3,
+# and D32 already takes about half a second.
+MAX_RANK = 32
 
 # Root counts of the recognisable types, used to cross-check decompositions.
 _ROOT_COUNT = {
@@ -33,6 +38,8 @@ _ROOT_COUNT = {
 
 
 def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    if rank > MAX_RANK:
+        raise ConfigurationError(f"{family}{rank} is above the largest supported rank {MAX_RANK}")
     if family == "A":
         if rank < 1:
             raise ConfigurationError(f"A{rank} is not a valid type (need rank >= 1)")
@@ -55,6 +62,28 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+def _pairing(cartan: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
+    """Bilinear form (a, b) = a.A.b for the Cartan matrix A."""
+    return sum(ai * sum(aij * bj for aij, bj in zip(row, b))
+               for ai, row in zip(a, cartan))
+
+
+def _reflect(cartan: Sequence[Sequence[int]], v: Sequence[int], i: int) -> Root:
+    """Simple reflection s_i of a lattice vector for the Cartan matrix A."""
+    out = list(v)
+    out[i] -= sum(vj * aij for vj, aij in zip(v, cartan[i]))
+    return tuple(out)
+
+
+def render_multiplicities(names: Sequence[str]) -> list[str]:
+    """Collapse runs of equal names: ['su(2)', 'su(2)', 'c'] -> ['2su(2)', 'c']."""
+    parts = []
+    for name, run in groupby(names):
+        count = len(list(run))
+        parts.append(name if count == 1 else f"{count}{name}")
+    return parts
+
+
 @dataclass(frozen=True)
 class RootSystem:
     family: str
@@ -72,8 +101,7 @@ class RootSystem:
 
     def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Bilinear form (a, b) = a.A.b for arbitrary lattice vectors."""
-        return sum(ai * sum(self.cartan[i][j] * b[j] for j in range(self.rank))
-                   for i, ai in enumerate(a))
+        return _pairing(self.cartan, a, b)
 
     def value(self, root: Sequence[int]) -> int:
         """Generic positivity functional; injective on root coordinates."""
@@ -87,10 +115,7 @@ class RootSystem:
 
     def reflect(self, root: Root, i: int) -> Root:
         """Simple reflection s_i applied to a lattice vector."""
-        c = sum(root[j] * self.cartan[i][j] for j in range(self.rank))
-        out = list(root)
-        out[i] -= c
-        return tuple(out)
+        return _reflect(self.cartan, root, i)
 
 
 @lru_cache(maxsize=None)
@@ -104,19 +129,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """
     cartan = _cartan_matrix(family, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
-
-    def reflect(v: Root, i: int) -> Root:
-        c = sum(v[j] * cartan[i][j] for j in range(rank))
-        out = list(v)
-        out[i] -= c
-        return tuple(out)
-
     roots: set[Root] = set(simple)
     frontier = list(simple)
     while frontier:
         v = frontier.pop()
         for i in range(rank):
-            w = reflect(v, i)
+            w = _reflect(cartan, v, i)
             if w not in roots:
                 roots.add(w)
                 frontier.append(w)
@@ -126,13 +144,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise InternalConsistencyError(
             f"{family}{rank}: generated {len(roots)} roots, expected {expected}")
 
-    def pair(a: Root, b: Root) -> int:
-        return sum(ai * sum(cartan[i][j] * b[j] for j in range(rank))
-                   for i, ai in enumerate(a))
-
     for r in roots:
-        if pair(r, r) != 2:
-            raise InternalConsistencyError(f"root {r} has squared length {pair(r, r)}")
+        if _pairing(cartan, r, r) != 2:
+            raise InternalConsistencyError(
+                f"root {r} has squared length {_pairing(cartan, r, r)}")
         if not (all(c >= 0 for c in r) or all(c <= 0 for c in r)):
             raise InternalConsistencyError(f"root {r} has mixed-sign coefficients")
 
@@ -190,15 +205,7 @@ class ReductiveType:
                 names.append(f"so({2 * rank})")
             else:
                 names.append(f"e{rank}")
-        parts = []
-        i = 0
-        while i < len(names):
-            j = i
-            while j < len(names) and names[j] == names[i]:
-                j += 1
-            count = j - i
-            parts.append(names[i] if count == 1 else f"{count}{names[i]}")
-            i = j
+        parts = render_multiplicities(names)
         if self.center_dim == 1:
             parts.append("c")
         elif self.center_dim > 1:

@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k4holo import cli, pipeline
+from k4holo.errors import EngineError
 from k4holo.toral import character_from_simple_values
 
 
@@ -102,6 +105,40 @@ def test_malformed_char_spec_is_usage_error(capsys):
     assert code == 2
 
 
+_BLANKS = st.text(" \t", max_size=2)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=6, max_size=6),
+       st.lists(st.tuples(_BLANKS, _BLANKS), min_size=6, max_size=6))
+def test_spaces_inside_brackets_do_not_change_the_character(vec, pads):
+    vec[-1] = -sum(vec[:-1])  # su6sp1 diagonals must sum to 0
+    tight = ",".join(map(str, vec))
+    loose = ",".join(f"{a}{v}{b}" for v, (a, b) in zip(vec, pads))
+    for template in ("chi m=12 [{}]", "su6sp1 m=12 d=[{}] y=1"):
+        assert (cli.parse_char_spec(template.format(loose), 4)
+                == cli.parse_char_spec(template.format(tight), 4))
+
+
+_SPEC_PIECES = st.sampled_from(
+    ["chi", "su6sp1", " ", "m=", "d=", "y=", "=", "[", "]", ",", "0", "1", "-4", "12"])
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.one_of(_SPEC_PIECES, st.text(max_size=2)), max_size=20)
+                 .map("".join)))
+def test_parse_char_spec_raises_only_engine_errors(spec):
+    try:
+        cli.parse_char_spec(spec, 4)
+    except EngineError:
+        pass
+
+
+def test_spaced_vector_on_the_command_line(capsys):
+    code, out, _ = run_cli(["fixed", "--chars", "chi m=2 [1, 0,0,0,1, 0]"], capsys)
+    assert code == 0
+    assert out.startswith("type: so(10)+c\n")
+
+
 def test_higher_order_char_rejected(capsys):
     code, _, err = run_cli(["classify", "--char", "chi m=4 [1,0,0,0,0,0]"], capsys)
     assert code == 2
@@ -120,6 +157,18 @@ def test_roots_bad_type(capsys):
     assert code == 2
     code, _, err = run_cli(["roots", "--type", "E7"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("token", ["A100000", "D" + "9" * 5000], ids=["A100000", "D99999..."])
+def test_roots_huge_rank_rejected_before_building(token, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("root system build attempted")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    code, out, err = run_cli(["roots", "--type", token], capsys)
+    assert code == 2
+    assert out == ""
+    assert "rank" in err
 
 
 def test_realform_subcommand(capsys):
@@ -166,6 +215,37 @@ def test_selftest_ntable_export(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.splitlines()[0].count(" ") == 2
+
+
+def test_selftest_json_lists_the_checks(capsys):
+    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    names = [c["name"] for c in doc["checks"]]
+    assert names[0] == "root_system" and "jacobi" in names
+    assert all(c["passed"] is True and c["detail"] for c in doc["checks"])
+    code, plain, _ = run_cli(["selftest"], capsys)
+    assert plain.splitlines() == [f"check {c['name']}: PASS ({c['detail']})"
+                                  for c in doc["checks"]]
+
+
+def test_selftest_jobs_starts_no_process_and_changes_nothing(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("selftest started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    serial, jobs = tmp_path / "A", tmp_path / "B"
+    code_a, out_a, _ = run_cli(["selftest", "--ntable-out", str(serial)], capsys)
+    code_b, out_b, _ = run_cli(["selftest", "--jobs", "2", "--ntable-out", str(jobs)], capsys)
+    assert code_a == code_b == 0
+    assert out_a == out_b
+    assert serial.read_bytes() == jobs.read_bytes()
+
+
+def test_selftest_rejects_zero_jobs(capsys):
+    code, out, err = run_cli(["selftest", "--jobs", "0"], capsys)
+    assert code == 2 and out == "" and "--jobs" in err
 
 
 def test_modulus_env_override(capsys, monkeypatch):

@@ -150,6 +150,23 @@ def test_report_deterministic():
     assert report_to_dict(again, E6) == report_to_dict(REPORT, E6)
 
 
+def test_classify_all_checks_each_sigma2_theta_once(monkeypatch):
+    from k4holo import pipeline, realform
+    seen = []
+    original = realform.center_of_fixed
+
+    def counting(theta, sys):
+        seen.append(theta)
+        return original(theta, sys)
+
+    # Patch the name wherever the classification can reach it.
+    monkeypatch.setattr(realform, "center_of_fixed", counting)
+    monkeypatch.setattr(pipeline, "center_of_fixed", counting, raising=False)
+    assert classify_all(E6).distinct_pairs == REPORT.distinct_pairs
+    assert len(seen) == 1 + 3 + 3 + 5
+    assert len(seen) == sum(len(sigma2_elements(GROUPS[n], E6)) for n in GROUP_NAMES)
+
+
 def test_report_dict_schema():
     doc = report_to_dict(REPORT, E6)
     assert set(doc) == {"groups", "candidates", "distinct_pairs",

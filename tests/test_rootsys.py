@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
-from k4holo.rootsys import (build_root_system, decompose_closed_subset,
+from k4holo.rootsys import (MAX_RANK, build_root_system, decompose_closed_subset,
                             identify_subsystem, inner_product, _classify_diagram)
 
 
@@ -82,7 +82,8 @@ def test_inner_product_examples():
     assert inner_product(a1, a2, E6) == 0
 
 
-@pytest.mark.parametrize("family,rank", [("B", 3), ("E", 7), ("E", 8), ("D", 3), ("A", 0), ("F", 4)])
+@pytest.mark.parametrize("family,rank", [("B", 3), ("E", 7), ("E", 8), ("D", 3), ("A", 0), ("F", 4),
+                                         ("A", MAX_RANK + 1), ("D", MAX_RANK + 1)])
 def test_unsupported_types_rejected(family, rank):
     with pytest.raises(ConfigurationError):
         build_root_system(family, rank)
