@@ -27,57 +27,44 @@ def _sub(a: Root, b: Root) -> Root:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _neg(a: Root) -> Root:
     return tuple(-x for x in a)
 
 
 def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
-    """Signs for all special pairs (a, b) of positive roots with a + b a root.
+    """Signs N(a, b) for all pairs of positive roots a, b with a + b a root.
 
-    Pairs are keyed with a strictly before b in the (height, value) order;
-    processing sums by increasing height guarantees every constant the
-    four-term relation refers to is already known.
+    Both orders of each pair are keyed, N(b, a) = -N(a, b).  The special
+    pair of a sum has its first member strictly before the second in the
+    (height, value) order; processing sums by increasing height guarantees
+    every constant the four-term relation refers to is already known.
     """
     pos = sorted(sys.positive_roots, key=lambda r: (sys.height(r), sys.value(r)))
-    posset = set(pos)
     rank = {r: i for i, r in enumerate(pos)}
+    splits: dict[Root, list[tuple[Root, Root]]] = {}
+    for (a, b), gamma in sys.sums.items():
+        if a in rank and b in rank and rank[a] < rank[b]:
+            splits.setdefault(gamma, []).append((a, b))
     table: dict[tuple[Root, Root], int] = {}
-
-    def npos(a: Root, b: Root) -> int:
-        if rank[a] < rank[b]:
-            return table[(a, b)]
-        return -table[(b, a)]
-
     for gamma in pos:
-        pairs = []
-        for a in pos:
-            if rank[a] >= rank[gamma]:
-                break
-            b = _sub(gamma, a)
-            if b in posset and rank[a] < rank[b]:
-                pairs.append((a, b))
+        pairs = sorted(splits.get(gamma, ()), key=lambda p: rank[p[0]])
         if not pairs:
             continue
-        pairs.sort(key=lambda p: rank[p[0]])
         alpha1, beta1 = pairs[0]
-        table[(alpha1, beta1)] = 1
+        table[(alpha1, beta1)], table[(beta1, alpha1)] = 1, -1
         for alpha, beta in pairs[1:]:
             d1 = _sub(beta1, alpha)
             d2 = _sub(beta, alpha1)
-            t2 = npos(alpha, d1) * npos(alpha1, d2) \
-                if d1 in posset and d2 in posset else 0
+            t2 = table[(alpha, d1)] * table[(alpha1, d2)] \
+                if d1 in rank and d2 in rank else 0
             d3 = _sub(alpha, alpha1)
             d4 = _sub(beta1, beta)
-            t3 = -npos(alpha1, d3) * npos(beta, d4) \
-                if d3 in posset and d4 in posset else 0
+            t3 = -table[(alpha1, d3)] * table[(beta, d4)] \
+                if d3 in rank and d4 in rank else 0
             if (t2 == 0) == (t3 == 0):
                 raise InternalConsistencyError(
                     f"four-term relation degenerate at {alpha} + {beta}")
-            table[(alpha, beta)] = t2 + t3
+            table[(alpha, beta)], table[(beta, alpha)] = t2 + t3, -(t2 + t3)
     return tuple(pos), table
 
 
@@ -118,34 +105,24 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     if any(sys.pairing(r, r) != 2 for r in sys.simple_roots):
         raise ConfigurationError("only simply laced systems are supported")
 
-    pos, postable = _positive_pair_table(sys)
+    pos, npos = _positive_pair_table(sys)
     posset = set(pos)
-    prank = {r: i for i, r in enumerate(pos)}
-
-    def npos(a: Root, b: Root) -> int:
-        if prank[a] < prank[b]:
-            return postable[(a, b)]
-        return -postable[(b, a)]
 
     def n_any(a: Root, b: Root) -> int:
         # Rotation rule: for x + y + z = 0, N(x, y) = N(y, z) = N(z, x).
         apos, bpos = a in posset, b in posset
         if apos and bpos:
-            return npos(a, b)
+            return npos[(a, b)]
         if not apos and not bpos:
             return -n_any(_neg(a), _neg(b))
         if not apos:
             return -n_any(b, a)
-        c = _add(a, b)
+        c = sys.sums[(a, b)]
         if c in posset:
-            return -npos(_neg(b), c)
-        return npos(_neg(c), a)
+            return -npos[(_neg(b), c)]
+        return npos[(_neg(c), a)]
 
-    n_table: dict[tuple[Root, Root], int] = {}
-    for a in sys.roots:
-        for b in sys.roots:
-            if _add(a, b) in sys.roots:
-                n_table[(a, b)] = n_any(a, b)
+    n_table = {pair: n_any(*pair) for pair in sys.sums}
     for (a, b), v in n_table.items():
         if v not in (1, -1) or n_table[(b, a)] != -v:
             raise InternalConsistencyError("structure constants fail antisymmetry")
@@ -155,9 +132,7 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     basis += [("x", r) for r in pos]
     basis += [("x", _neg(r)) for r in pos]
     index = {k: i for i, k in enumerate(basis)}
-
-    def pair_with_simple(root: Root, i: int) -> int:
-        return sum(root[j] * sys.cartan[i][j] for j in range(rank))
+    gram = sys.gram
 
     btable: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for i, ki in enumerate(basis):
@@ -165,21 +140,18 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
             if ki[0] == "h" and kj[0] == "h":
                 terms: tuple[tuple[int, int], ...] = ()
             elif ki[0] == "h":
-                c = pair_with_simple(kj[1], ki[1])
+                c = gram[kj[1]][sys.simple_roots[ki[1]]]
                 terms = ((j, c),) if c else ()
             elif kj[0] == "h":
-                c = pair_with_simple(ki[1], kj[1])
+                c = gram[ki[1]][sys.simple_roots[kj[1]]]
                 terms = ((i, -c),) if c else ()
             else:
                 a, b = ki[1], kj[1]
                 if b == _neg(a):
                     terms = tuple((index[("h", t)], a[t]) for t in range(rank) if a[t])
                 else:
-                    s = _add(a, b)
-                    if s in sys.roots:
-                        terms = ((index[("x", s)], n_table[(a, b)]),)
-                    else:
-                        terms = ()
+                    s = sys.sums.get((a, b))
+                    terms = ((index[("x", s)], n_table[(a, b)]),) if s else ()
             btable[(i, j)] = terms
 
     return StructureConstants(sys=sys, pos_order=pos, n_table=n_table,

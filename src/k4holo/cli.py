@@ -29,7 +29,8 @@ Element labels (x1, x2, x4, x5, y1, y3, y4, y5 and their products) resolve
 inside the first builtin group containing them unless qualified as
 "group:label" or pinned with --group.
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error or
+stdout closed before the output was complete (no traceback then).
 stdout carries pure data; diagnostics go to stderr.
 """
 from __future__ import annotations
@@ -142,27 +143,6 @@ def _emit(doc, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _resolve_group_element(label: str, groups, group_hint: str | None):
-    gname = None
-    elem = label
-    if ":" in label:
-        gname, elem = label.split(":", 1)
-    if group_hint:
-        if gname and gname != group_hint:
-            raise UsageError(f"label {label!r} conflicts with --group {group_hint}")
-        gname = group_hint
-    if gname:
-        if gname not in groups:
-            raise UsageError(f"unknown builtin group {gname!r}")
-        if elem not in groups[gname].labels:
-            raise UsageError(f"group {gname} has no element {elem!r}")
-        return gname, elem
-    for name in pipeline.GROUP_NAMES:
-        if elem in groups[name].labels:
-            return name, elem
-    raise UsageError(f"no builtin group has an element labelled {elem!r}")
-
-
 def _cmd_roots(args) -> int:
     token = args.type.upper()
     family, digits = token[:1], token[1:]
@@ -206,7 +186,7 @@ def _cmd_selftest(args) -> int:
                     f"{jac.triples_checked} triples, first violation {jac.first_violation}"))
 
     kappa = chevalley.killing_form(sc, ("h", 0), ("h", 0))
-    direct = sum(sys.pairing(r, sys.simple_roots[0]) ** 2 for r in sys.roots)
+    direct = sum(g * g for g in sys.gram[sys.simple_roots[0]].values())
     results.append(("killing_cartan", kappa == 48 and direct == kappa,
                     f"adjoint trace {kappa}, root-sum {direct}"))
 
@@ -220,12 +200,9 @@ def _cmd_selftest(args) -> int:
     hom_ok = True
     for _ in range(20):
         chi = character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
-        for a in sys.roots:
-            for b in sys.roots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in sys.roots:
-                    if chi.evaluate(s) != (chi.evaluate(a) + chi.evaluate(b)) % chi.modulus:
-                        hom_ok = False
+        value = {r: chi.evaluate(r) for r in sys.roots}
+        hom_ok &= all(value[s] == (value[a] + value[b]) % chi.modulus
+                      for (a, b), s in sys.sums.items())
     results.append(("character_homomorphism", hom_ok, "20 sampled characters"))
 
     groups = pipeline.builtin_groups(args.modulus)
@@ -285,9 +262,9 @@ def _cmd_classify(args) -> int:
 def _cmd_realform(args) -> int:
     sys = build_root_system("E", 6)
     groups = pipeline.builtin_groups(args.modulus)
-    g1name, g1 = _resolve_group_element(args.gamma[0], groups, args.group)
-    g2name, g2 = _resolve_group_element(args.gamma[1], groups, g1name)
-    tname, t = _resolve_group_element(args.theta, groups, g2name)
+    g1name, g1 = pipeline.resolve_label(args.gamma[0], groups, args.group)
+    g2name, g2 = pipeline.resolve_label(args.gamma[1], groups, g1name)
+    tname, t = pipeline.resolve_label(args.theta, groups, g2name)
     group = groups[tname]
     theta = group.element(t)
     gamma = [group.element(g1), group.element(g2)]
@@ -310,7 +287,7 @@ def _cmd_theorem24(args) -> int:
     if args.format == "markdown":
         print(pipeline.report_to_markdown(report), end="")
     elif args.format == "json":
-        print(json.dumps(pipeline.report_to_dict(report, sys, args.modulus), indent=2))
+        print(json.dumps(pipeline.report_to_dict(report), indent=2))
     else:
         for pair in report.distinct_pairs:
             print(pair)
@@ -399,7 +376,14 @@ def main(argv=None) -> int:
         args.modulus = _configured_modulus()
         if args.command in ("selftest",) and args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at the null device so
+        # the interpreter's final flush of what is left stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return 2

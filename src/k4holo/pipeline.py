@@ -6,9 +6,11 @@ names are resolved multiplicatively (in x1x4x5 the datum given is x1*x4, so
 x4 = x1*(x1*x4); in y1y3y4 the data are y1*y3, y1*y4 and y4; in y3y4y5 they
 are y3*y4, y5 and y3).  Candidate pairs (theta, Gamma) with theta a
 Cartan-involution representative outside the Klein four subgroup Gamma are
-enumerated exhaustively, their fixed subalgebras and real forms computed,
-and the deduplicated result checked verbatim against the embedded golden
-list of eight pairs.  The holomorphic-type condition holds by construction
+enumerated exhaustively, their real forms computed, and the deduplicated
+result checked verbatim against the embedded golden list of eight pairs.
+Each fixed subalgebra is computed and decomposed once, per Klein four
+subgroup and per group, and the report keeps the per-group facts its JSON
+view shows.  The holomorphic-type condition holds by construction
 for toral sigma, so only its premise on theta (the so(10)+R class with a
 corank-1 centre) is checked, once per theta.  Deduplication is by real-form
 type equality, not by conjugacy: all raw candidates stay inspectable in the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, PreconditionError, ValidationError, VerificationError
 from .realform import RealFormType, center_of_fixed, identify_real_form
-from .reductive import ConjClass, classify_involution, fixed_subalgebra
+from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
 from .rootsys import ReductiveType, RootSystem, build_root_system
 from .toral import CharacterGroup, TorusCharacter, UnitaryPairData, embed_su6_sp1, generate_group
 
@@ -131,7 +133,17 @@ class K4Candidate:
 
 
 @dataclass(frozen=True)
+class GroupCandidates:
+    """One group's share of the classification, with the facts it rests on."""
+    group: CharacterGroup
+    sigma2_labels: tuple[str, ...]
+    fixed: FixedSubalgebra
+    candidates: tuple[K4Candidate, ...]
+
+
+@dataclass(frozen=True)
 class K4Report:
+    groups: tuple[GroupCandidates, ...]
     candidates: tuple[K4Candidate, ...]
     distinct_pairs: tuple[str, ...]
     counts: dict[str, int]
@@ -140,8 +152,9 @@ class K4Report:
     unexpected: tuple[str, ...]
 
 
-def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> tuple[K4Candidate, ...]:
-    """All (theta, Gamma) pairs of the group passing the four requirements.
+def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandidates:
+    """All (theta, Gamma) pairs of the group passing the four requirements,
+    with the group's sigma2 labels and fixed subalgebra.
 
     theta runs over the Cartan-involution-class elements, Gamma over the
     Klein four subgroups not containing theta; commutation is automatic on
@@ -149,22 +162,29 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> tuple[K4Cand
     theta's fixed subalgebra, because it lies in the Cartan subalgebra that
     toral characters fix pointwise; only the premise on theta (its class
     and the corank-1 centre) can fail, so center_of_fixed checks it once.
+
+    Each Gamma's fixed subalgebra is computed once, however many thetas it
+    pairs with.  Gamma and theta together generate the whole rank-3 group,
+    so every candidate's maximal compact subalgebra is the group's fixed
+    subalgebra, also computed once.
     """
     if group.rank != 3:
         raise PreconditionError(f"group {group.name} has rank {group.rank}, expected 3")
-    out = []
-    subgroups = klein_four_subgroups(group)
-    for theta_label in sigma2_elements(group, sys):
-        theta = group.element(theta_label)
-        center_of_fixed(theta, sys)
-        for sub in subgroups:
-            if theta in sub.chars:
-                continue
+    fixed = fixed_subalgebra([c for _, c in group.nonidentity()], sys)
+    thetas = tuple((label, group.element(label)) for label in sigma2_elements(group, sys))
+    gammas = []
+    for sub in klein_four_subgroups(group):
+        if any(theta not in sub.chars for _, theta in thetas):
             gamma = generate_group(
                 [(l, group.element(l)) for l in sub.gen_pair],
                 name=f"{group.name}<{','.join(sub.gen_pair)}>")
-            fixed_gamma = fixed_subalgebra(sub.chars, sys)
-            fixed_all = fixed_subalgebra(set(sub.chars) | {theta}, sys)
+            gammas.append((sub, gamma, fixed_subalgebra(sub.chars, sys)))
+    out = []
+    for theta_label, theta in thetas:
+        center_of_fixed(theta, sys)
+        for sub, gamma, fixed_gamma in gammas:
+            if theta in sub.chars:
+                continue
             out.append(K4Candidate(
                 group_name=group.name,
                 theta_label=theta_label,
@@ -172,9 +192,10 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> tuple[K4Cand
                 gamma=gamma,
                 compact_dual=fixed_gamma.rtype,
                 real_form=identify_real_form(fixed_gamma, theta, sys),
-                maximal_compact=fixed_all.rtype,
+                maximal_compact=fixed.rtype,
             ))
-    return tuple(out)
+    return GroupCandidates(group=group, sigma2_labels=tuple(l for l, _ in thetas),
+                           fixed=fixed, candidates=tuple(out))
 
 
 def classify_all(sys: RootSystem | None = None,
@@ -183,18 +204,15 @@ def classify_all(sys: RootSystem | None = None,
     if sys is None:
         sys = build_root_system("E", 6)
     groups = builtin_groups(modulus)
-    candidates: list[K4Candidate] = []
-    counts: dict[str, int] = {}
-    for name in GROUP_NAMES:
-        found = enumerate_candidates(groups[name], sys)
-        counts[name] = len(found)
-        candidates.extend(found)
+    found = tuple(enumerate_candidates(groups[name], sys) for name in GROUP_NAMES)
+    candidates = tuple(c for g in found for c in g.candidates)
     distinct = tuple(sorted({c.real_form.render() for c in candidates}))
     golden = set(GOLDEN_PAIRS)
     missing = tuple(sorted(golden - set(distinct)))
     unexpected = tuple(sorted(set(distinct) - golden))
-    return K4Report(candidates=tuple(candidates), distinct_pairs=distinct,
-                    counts=counts, verified=not missing and not unexpected,
+    return K4Report(groups=found, candidates=candidates, distinct_pairs=distinct,
+                    counts={g.group.name: len(g.candidates) for g in found},
+                    verified=not missing and not unexpected,
                     missing=missing, unexpected=unexpected)
 
 
@@ -205,23 +223,28 @@ class SurveyResult:
     values: dict[str, dict[str, RealFormType]]
 
 
-def resolve_theta(theta_label: str, groups: dict[str, CharacterGroup],
-                  sys: RootSystem) -> tuple[str, str, TorusCharacter]:
-    """Resolve "label" or "group:label" to a Cartan-involution element."""
-    gname = None
-    label = theta_label
-    if ":" in theta_label:
-        gname, label = theta_label.split(":", 1)
+def resolve_label(label: str, groups: dict[str, CharacterGroup],
+                  group_hint: str | None = None) -> tuple[str, str]:
+    """Resolve "label" or "group:label" to (group name, element label).
+
+    An unqualified label resolves in group_hint when one is given, else in
+    the first builtin group that has an element of that name.
+    """
+    gname, elem = label.split(":", 1) if ":" in label else (None, label)
+    if group_hint:
+        if gname and gname != group_hint:
+            raise PreconditionError(f"label {label!r} conflicts with group {group_hint}")
+        gname = group_hint
+    if gname:
         if gname not in groups:
             raise PreconditionError(f"unknown builtin group {gname!r}")
-    for name in ([gname] if gname else GROUP_NAMES):
-        group = groups[name]
-        if label in group.labels:
-            char = group.element(label)
-            if classify_involution(char, sys) is ConjClass.SIGMA2:
-                return name, label, char
-    raise PreconditionError(
-        f"{theta_label!r} is not a sigma2-class element of a builtin group")
+        if elem not in groups[gname].labels:
+            raise PreconditionError(f"group {gname} has no element {elem!r}")
+        return gname, elem
+    for name in GROUP_NAMES:
+        if elem in groups[name].labels:
+            return name, elem
+    raise PreconditionError(f"no builtin group has an element labelled {elem!r}")
 
 
 def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None,
@@ -234,7 +257,11 @@ def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None,
     if sys is None:
         sys = build_root_system("E", 6)
     groups = builtin_groups(modulus)
-    gname, label, theta = resolve_theta(theta_label, groups, sys)
+    gname, label = resolve_label(theta_label, groups)
+    theta = groups[gname].element(label)
+    if classify_involution(theta, sys) is not ConjClass.SIGMA2:
+        raise PreconditionError(
+            f"{theta_label!r} is not a sigma2-class element of a builtin group")
     values: dict[str, dict[str, RealFormType]] = {}
     for name in GROUP_NAMES:
         group = groups[name]
@@ -251,25 +278,20 @@ def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None,
     return SurveyResult(theta_group=gname, theta_label=label, values=values)
 
 
-def report_to_dict(report: K4Report, sys: RootSystem | None = None,
-                   modulus: int = DEFAULT_MODULUS) -> dict:
+def report_to_dict(report: K4Report) -> dict:
     """JSON-ready view of a report; key order is part of the output contract."""
-    if sys is None:
-        sys = build_root_system("E", 6)
-    groups = builtin_groups(modulus)
-    group_items = []
-    for name in GROUP_NAMES:
-        group = groups[name]
-        fixed = fixed_subalgebra([c for _, c in group.nonidentity()], sys)
-        group_items.append({
-            "name": name,
-            "order": group.order,
-            "elements": [l for l, _ in group.element_order],
-            "sigma2_elements": list(sigma2_elements(group, sys)),
-            "fixed_subalgebra": fixed.rtype.render(),
-            "fixed_dim": fixed.dim,
-            "candidates": report.counts.get(name, 0),
-        })
+    group_items = [
+        {
+            "name": g.group.name,
+            "order": g.group.order,
+            "elements": [l for l, _ in g.group.element_order],
+            "sigma2_elements": list(g.sigma2_labels),
+            "fixed_subalgebra": g.fixed.rtype.render(),
+            "fixed_dim": g.fixed.dim,
+            "candidates": len(g.candidates),
+        }
+        for g in report.groups
+    ]
     return {
         "groups": group_items,
         "candidates": [

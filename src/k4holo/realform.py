@@ -201,7 +201,7 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
     if theta.order > 2:
         raise PreconditionError("theta must be an involution or the identity")
     ideals = []
-    for comp in decompose_closed_subset(sub.fixed_roots, sys):
+    for comp in sub.components:
         fixed_in = frozenset(r for r in comp.roots if theta.evaluate(r) == 0)
         label = _ideal_label(comp.family, comp.rank, comp.roots, fixed_in, sys)
         if label.compact_part_dim != len(fixed_in) + comp.rank:
@@ -262,7 +262,7 @@ def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, 
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError("center_of_fixed expects an involution of the so(10)+R class")
     fixed = [r for r in sorted(sys.roots) if theta.evaluate(r) == 0]
-    rows = [tuple(sys.pairing(r, s) for s in sys.simple_roots) for r in fixed]
+    rows = [tuple(sys.gram[r][s] for s in sys.simple_roots) for r in fixed]
     basis = _integer_nullspace(rows, sys.rank)
     if len(basis) != 1:
         raise InternalConsistencyError(

@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import InternalConsistencyError, PreconditionError
-from .rootsys import ReductiveType, Root, RootSystem, identify_subsystem
+from .rootsys import (ReductiveType, Root, RootSystem, SubsystemComponent,
+                      decompose_closed_subset, reductive_type)
 from .toral import TorusCharacter, character_from_simple_values
 
 
@@ -41,6 +42,7 @@ def sigma2_reference() -> TorusCharacter:
 @dataclass(frozen=True)
 class FixedSubalgebra:
     fixed_roots: frozenset[Root]
+    components: tuple[SubsystemComponent, ...]
     rtype: ReductiveType
     dim: int
 
@@ -49,14 +51,15 @@ def fixed_subalgebra(chars: Iterable[TorusCharacter], sys: RootSystem) -> FixedS
     """Joint fixed-point subalgebra of a set of toral characters.
 
     The Cartan subalgebra is always fixed (toral characters act trivially
-    on it), so the dimension is the fixed root count plus the rank.
+    on it), so the dimension is the fixed root count plus the rank.  The
+    fixed roots are decomposed here once; callers read the components.
     """
     chars = tuple(chars)
     fixed = frozenset(r for r in sys.roots
                       if all(c.evaluate(r) == 0 for c in chars))
-    rtype = identify_subsystem(fixed, sys)
-    return FixedSubalgebra(fixed_roots=fixed, rtype=rtype,
-                           dim=len(fixed) + sys.rank)
+    comps = decompose_closed_subset(fixed, sys)
+    return FixedSubalgebra(fixed_roots=fixed, components=comps,
+                           rtype=reductive_type(comps, sys), dim=len(fixed) + sys.rank)
 
 
 def _fixed_dim(chi: TorusCharacter, sys: RootSystem) -> int:

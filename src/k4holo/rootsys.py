@@ -7,6 +7,10 @@ are plain integer sums.  Generation is by reflection closure from the
 simple roots, and arbitrary closed subsets are recognised by extracting a
 simple system and matching its diagram against the A/D/E6 catalog.
 
+Pairings and sums of roots come from two tables a RootSystem builds on
+first use and keeps, gram[a][b] and sums[(a, b)] = a + b (over the ordered
+pairs whose sum is a root), so listing roots never pays for |roots|^2 pairs.
+
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
 exchange nodes 1<->6 and 3<->5 while fixing 2 and 4.  No floating point is
@@ -15,7 +19,7 @@ used anywhere in this module (or this package).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -102,6 +106,24 @@ class RootSystem:
     def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Bilinear form (a, b) = a.A.b for arbitrary lattice vectors."""
         return _pairing(self.cartan, a, b)
+
+    @cached_property
+    def gram(self) -> dict[Root, dict[Root, int]]:
+        """(a, b) for every pair of roots, as gram[a][b]; built on first use."""
+        images = {b: tuple(sum(aij * bj for aij, bj in zip(row, b)) for row in self.cartan)
+                  for b in self.roots}
+        return {a: {b: sum(x * y for x, y in zip(a, ab)) for b, ab in images.items()}
+                for a in self.roots}
+
+    @cached_property
+    def sums(self) -> dict[tuple[Root, Root], Root]:
+        """a + b for every ordered pair of roots whose sum is a root.
+
+        All roots have squared length 2, so (a + b, a + b) = 4 + 2(a, b)
+        and a + b is a root exactly when (a, b) = -1.
+        """
+        return {(a, b): tuple(x + y for x, y in zip(a, b))
+                for a, row in self.gram.items() for b, ab in row.items() if ab == -1}
 
     def value(self, root: Sequence[int]) -> int:
         """Generic positivity functional; injective on root coordinates."""
@@ -225,12 +247,10 @@ def _validate_closed(subset: frozenset[Root], sys: RootSystem) -> None:
         neg = tuple(-c for c in r)
         if neg not in subset:
             raise PreconditionError(f"subset is not negation-symmetric at {r}")
-    for a in subset:
-        for b in subset:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in sys.roots and s not in subset:
-                raise PreconditionError(
-                    f"subset is not closed: {a} + {b} = {s} is a root outside it")
+    for (a, b), s in sys.sums.items():
+        if a in subset and b in subset and s not in subset:
+            raise PreconditionError(
+                f"subset is not closed: {a} + {b} = {s} is a root outside it")
 
 
 def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int]:
@@ -239,7 +259,7 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int]:
     if k == 1:
         return ("A", 1)
     adj = [[j for j in range(k)
-            if j != i and sys.pairing(simple[i], simple[j]) != 0]
+            if j != i and sys.gram[simple[i]][simple[j]] != 0]
            for i in range(k)]
     degs = [len(ns) for ns in adj]
     nedges = sum(degs) // 2
@@ -276,52 +296,39 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
     """Split a closed, negation-symmetric subset into irreducible subsystems.
 
     A simple system is extracted as the indecomposable elements among the
-    positives of the generic functional; its diagram components are then
-    classified and every root of the subset is assigned to the unique
-    component it pairs with.
+    positives of the generic functional, i.e. those that are no sum of two
+    positives of the subset; its diagram components are then classified
+    and every root of the subset is assigned to the unique component it
+    pairs with.
     """
     sset = frozenset(subset)
     _validate_closed(sset, sys)
     if not sset:
         return ()
-    pos = sorted((r for r in sset if sys.is_positive(r)), key=sys.value)
-    posset = set(pos)
-    simple = []
-    for s in pos:
-        decomposable = any(tuple(x - y for x, y in zip(s, a)) in posset
-                           for a in pos if a != s and sys.value(a) < sys.value(s))
-        if not decomposable:
-            simple.append(s)
+    pos = {r for r in sset if sys.is_positive(r)}
+    decomposable = {s for (a, b), s in sys.sums.items() if a in pos and b in pos}
+    simple = [s for s in pos if s not in decomposable]
+    gram = sys.gram
 
     for a, b in ((x, y) for i, x in enumerate(simple) for y in simple[i + 1:]):
-        if sys.pairing(a, b) not in (0, -1):
+        if gram[a][b] not in (0, -1):
             raise InternalConsistencyError(
-                f"extracted simple system is not valid: ({a},{b}) = {sys.pairing(a, b)}")
+                f"extracted simple system is not valid: ({a},{b}) = {gram[a][b]}")
 
-    # Connected components of the extracted diagram.
-    unseen = set(range(len(simple)))
-    groups: list[list[int]] = []
-    while unseen:
-        stack = [min(unseen)]
-        unseen.discard(stack[0])
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in list(unseen):
-                if sys.pairing(simple[i], simple[j]) != 0:
-                    unseen.discard(j)
-                    stack.append(j)
-        groups.append(sorted(comp))
+    # Connected components of the extracted diagram: each simple root
+    # merges the components it is joined to.
+    groups: list[list[Root]] = []
+    for s in simple:
+        joined = [g for g in groups if any(gram[s][t] for t in g)]
+        groups = [g for g in groups if g not in joined] + [[s] + sum(joined, [])]
 
     components = []
     for grp in groups:
-        csimple = [simple[i] for i in grp]
-        family, rank = _classify_diagram(csimple, sys)
-        components.append((family, rank, tuple(sorted(csimple)), set()))
+        family, rank = _classify_diagram(grp, sys)
+        components.append((family, rank, tuple(sorted(grp)), set()))
 
     for r in sset:
-        homes = [c for c in components if any(sys.pairing(r, s) != 0 for s in c[2])]
+        homes = [c for c in components if any(gram[r][s] != 0 for s in c[2])]
         if len(homes) != 1:
             raise InternalConsistencyError(
                 f"root {r} pairs with {len(homes)} components of its subsystem")
@@ -340,13 +347,17 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
 
 
 def identify_subsystem(subset: Iterable[Root], sys: RootSystem) -> ReductiveType:
-    """Name the reductive type of a closed root subset.
+    """Name the reductive type of a closed root subset."""
+    return reductive_type(decompose_closed_subset(subset, sys), sys)
+
+
+def reductive_type(comps: Iterable[SubsystemComponent], sys: RootSystem) -> ReductiveType:
+    """Reductive type of a subsystem given by its irreducible components.
 
     The centre dimension is the ambient rank minus the sum of component
     ranks, i.e. the directions of the Cartan subalgebra not spanned by
     the subsystem's coroots.
     """
-    comps = decompose_closed_subset(subset, sys)
     labels = sorted(((c.family, c.rank) for c in comps), key=_component_sort_key)
     center = sys.rank - sum(rank for _, rank in labels)
     if center < 0:

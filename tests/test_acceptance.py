@@ -38,7 +38,7 @@ def test_criterion_1_golden_run():
         assert report.verified
         assert len(report.distinct_pairs) == 8
         assert set(report.distinct_pairs) == set(GOLDEN_PAIRS)
-        doc = report_to_dict(report, E6)
+        doc = report_to_dict(report)
         assert doc["verified_against_theorem24"] is True
         assert elapsed < 5.0, f"classification took {elapsed:.2f}s"
 

@@ -41,7 +41,7 @@ def test_theorem24_markdown(capsys):
 
 
 def test_theorem24_mismatch_exit_code(capsys, monkeypatch):
-    broken = pipeline.K4Report(candidates=(), distinct_pairs=("bogus",),
+    broken = pipeline.K4Report(groups=(), candidates=(), distinct_pairs=("bogus",),
                                counts={}, verified=False,
                                missing=("2su(2,1)+2c",), unexpected=("bogus",))
     monkeypatch.setattr(pipeline, "classify_all", lambda *a, **k: broken)
@@ -261,6 +261,19 @@ def test_bad_modulus_env(capsys, monkeypatch):
     code, _, err = run_cli(["fixed"], capsys, env_modulus="zero",
                            monkeypatch=monkeypatch)
     assert code == 2
+
+
+def test_closed_stdout_ends_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k4holo", "roots", "--type", "E6",
+         "--format", "json", "--verbose"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
 
 
 def test_module_invocation_smoke():

@@ -6,7 +6,7 @@ from k4holo.errors import ConfigurationError, PreconditionError
 from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              builtin_groups, classify_all, enumerate_candidates,
                              klein_four_subgroups, report_to_dict,
-                             report_to_markdown, resolve_theta, sigma2_elements,
+                             report_to_markdown, resolve_label, sigma2_elements,
                              symmetric_pair_survey)
 from k4holo.reductive import fixed_subalgebra
 from k4holo.rootsys import build_root_system
@@ -147,7 +147,7 @@ def test_distinct_pairs_match_golden_list():
 
 def test_report_deterministic():
     again = classify_all(E6)
-    assert report_to_dict(again, E6) == report_to_dict(REPORT, E6)
+    assert report_to_dict(again) == report_to_dict(REPORT)
 
 
 def test_classify_all_checks_each_sigma2_theta_once(monkeypatch):
@@ -167,8 +167,39 @@ def test_classify_all_checks_each_sigma2_theta_once(monkeypatch):
     assert len(seen) == sum(len(sigma2_elements(GROUPS[n], E6)) for n in GROUP_NAMES)
 
 
+def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
+    from k4holo import pipeline
+    seen = []
+
+    def counting(chars, sys):
+        chars = tuple(chars)
+        seen.append(frozenset(chars))
+        return fixed_subalgebra(chars, sys)
+
+    monkeypatch.setattr(pipeline, "fixed_subalgebra", counting)
+    assert classify_all(E6).distinct_pairs == REPORT.distinct_pairs
+    # 24 Klein four subgroups that avoid some theta, plus the 4 whole groups
+    assert len(seen) == 28
+    assert sorted(len(chars) for chars in seen) == [3] * 24 + [7] * 4
+
+
+def test_report_to_dict_reuses_the_report(monkeypatch):
+    from k4holo import pipeline
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report_to_dict recomputed what the report holds")
+
+    expected = report_to_dict(REPORT)
+    monkeypatch.setattr(pipeline, "builtin_groups", forbidden)
+    monkeypatch.setattr(pipeline, "fixed_subalgebra", forbidden)
+    monkeypatch.setattr(pipeline, "sigma2_elements", forbidden)
+    assert report_to_dict(REPORT) == expected
+    assert [g["fixed_subalgebra"] for g in expected["groups"]] == [
+        "2su(2)+4c", "4su(2)+2c", "su(3)+su(2)+3c", "su(4)+3c"]
+
+
 def test_report_dict_schema():
-    doc = report_to_dict(REPORT, E6)
+    doc = report_to_dict(REPORT)
     assert set(doc) == {"groups", "candidates", "distinct_pairs",
                         "verified_against_theorem24"}
     assert doc["verified_against_theorem24"] is True
@@ -197,14 +228,15 @@ def test_enumerate_rejects_wrong_rank():
 
 
 def test_resolve_theta():
-    name, label, char = resolve_theta("x4", GROUPS, E6)
-    assert (name, label) == ("x1x2x4", "x4")
-    name, label, char = resolve_theta("x1x4x5:x4", GROUPS, E6)
-    assert (name, label) == ("x1x4x5", "x4")
+    assert resolve_label("x4", GROUPS) == ("x1x2x4", "x4")
+    assert resolve_label("x1x4x5:x4", GROUPS) == ("x1x4x5", "x4")
+    assert resolve_label("x4", GROUPS, "x1x4x5") == ("x1x4x5", "x4")
     with pytest.raises(PreconditionError):
-        resolve_theta("x1", GROUPS, E6)  # sigma1-class element
+        symmetric_pair_survey("x1", E6)  # sigma1-class element
     with pytest.raises(PreconditionError):
-        resolve_theta("nope", GROUPS, E6)
+        resolve_label("nope", GROUPS)
+    with pytest.raises(PreconditionError):
+        resolve_label("x1x2x4:x4", GROUPS, "x1x4x5")  # conflicts with the hint
 
 
 def test_survey_values_and_coverage():

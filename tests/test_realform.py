@@ -19,6 +19,23 @@ def forms_of(group_name, gamma_labels, theta_label):
     return fs, identify_real_form(fs, g.element(theta_label), E6)
 
 
+def test_identify_real_form_reuses_the_components(monkeypatch):
+    from k4holo import realform
+    seen = []
+    original = realform.decompose_closed_subset
+
+    def recording(subset, sys):
+        subset = frozenset(subset)
+        seen.append(subset)
+        return original(subset, sys)
+
+    g = GROUPS["y3y4y5"]
+    fs = fixed_subalgebra([g.element("y4"), g.element("y5")], E6)
+    monkeypatch.setattr(realform, "decompose_closed_subset", recording)
+    assert identify_real_form(fs, g.element("y3"), E6).render() == "so(6,2)+2c"
+    assert seen and fs.fixed_roots not in seen
+
+
 def test_two_su21_pair():
     fs, form = forms_of("x1x2x4", ("x1", "x2"), "x4")
     assert fs.rtype.render() == "2su(3)+2c"

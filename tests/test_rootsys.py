@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
 from k4holo.rootsys import (MAX_RANK, build_root_system, decompose_closed_subset,
@@ -195,3 +196,46 @@ def test_reductive_type_render():
     assert t.render() == "su(6)+c"
     assert identify_subsystem(set(), E6).render() == "6c"
     assert identify_subsystem(E6.roots, E6).render() == "e6"
+
+
+def test_root_tables_are_built_on_first_use():
+    fresh = build_root_system.__wrapped__("E", 6)
+    assert "gram" not in vars(fresh) and "sums" not in vars(fresh)
+    a1 = fresh.simple_roots[0]
+    assert fresh.gram[a1][a1] == 2
+    assert "gram" in vars(fresh) and "sums" not in vars(fresh)
+    assert len(fresh.sums) == 1440
+    assert "sums" in vars(fresh)
+
+
+def test_root_tables_match_brute_force():
+    for a in E6.roots:
+        for b in E6.roots:
+            assert E6.gram[a][b] == E6.pairing(a, b)
+    brute = {}
+    for a in E6.roots:
+        for b in E6.roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in E6.roots:
+                brute[(a, b)] = s
+    assert len(brute) == 1440
+    assert E6.sums == brute
+
+
+@given(st.lists(st.integers(0, 11), min_size=6, max_size=6),
+       st.sampled_from((2, 3, 4, 6, 12)))
+@settings(max_examples=60, deadline=None)
+def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
+    from k4holo.toral import character_from_simple_values
+    chi = character_from_simple_values(exps, m)
+    subset = frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
+    # Reference: a positive root of the subset is simple when it is not the
+    # sum of two positive roots of the subset.
+    pos = [r for r in subset if E6.is_positive(r)]
+    posset = set(pos)
+    expected = {s for s in pos
+                if not any(tuple(x - y for x, y in zip(s, a)) in posset for a in pos)}
+    comps = decompose_closed_subset(subset, E6)
+    extracted = [r for c in comps for r in c.simple]
+    assert len(extracted) == len(set(extracted))
+    assert set(extracted) == expected
