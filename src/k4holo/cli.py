@@ -31,7 +31,8 @@ inside the first builtin group containing them unless qualified as
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error or
 stdout closed before the output was complete (no traceback then).
-stdout carries pure data; diagnostics go to stderr.
+stdout carries pure data; diagnostics go to stderr, and a closed stderr
+loses them without changing the exit code.
 """
 from __future__ import annotations
 
@@ -143,6 +144,20 @@ def _emit(doc, fmt: str, text_lines) -> None:
             print(line)
 
 
+def _quiet_stream(stream) -> None:
+    """Point a closed-for-reading stream at the null device, so the
+    interpreter's final flush of what is left stays quiet too."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _diagnose(message: str) -> None:
+    """Write a diagnostic to stderr; a closed stderr loses it quietly."""
+    try:
+        print(message, file=_sys.stderr, flush=True)
+    except BrokenPipeError:
+        _quiet_stream(_sys.stderr)
+
+
 def _cmd_roots(args) -> int:
     token = args.type.upper()
     family, digits = token[:1], token[1:]
@@ -213,7 +228,7 @@ def _cmd_selftest(args) -> int:
     if args.ntable_out:
         with open(args.ntable_out, "w") as fh:
             fh.write(chevalley.export_n_table(sc))
-        print(f"wrote N table to {args.ntable_out}", file=_sys.stderr)
+        _diagnose(f"wrote N table to {args.ntable_out}")
 
     ok = all(passed for _, passed, _ in results)
     doc = {
@@ -294,8 +309,8 @@ def _cmd_theorem24(args) -> int:
         print(f"distinct pairs: {len(report.distinct_pairs)}")
         print(f"verified: {str(report.verified).lower()}")
     if not report.verified:
-        print(f"MISMATCH missing={list(report.missing)} "
-              f"unexpected={list(report.unexpected)}", file=_sys.stderr)
+        _diagnose(f"MISMATCH missing={list(report.missing)} "
+                  f"unexpected={list(report.unexpected)}")
         return 1
     return 0
 
@@ -380,18 +395,17 @@ def main(argv=None) -> int:
         _sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout early.  Point stdout at the null device so
-        # the interpreter's final flush of what is left stays quiet too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        # The reader closed stdout early.
+        _quiet_stream(_sys.stdout)
         return 2
     except UsageError as exc:
-        print(f"usage error: {exc}", file=_sys.stderr)
+        _diagnose(f"usage error: {exc}")
         return 2
     except VerificationError as exc:
-        print(f"verification failure: {exc}", file=_sys.stderr)
+        _diagnose(f"verification failure: {exc}")
         return 1
     except EngineError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        _diagnose(f"error: {exc}")
         return 2
 
 

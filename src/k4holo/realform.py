@@ -19,12 +19,15 @@ involutions, so the table deliberately omits split/quaternionic families.
 
 Centre summands of the subalgebra are always compact: toral characters fix
 the Cartan subalgebra pointwise.
+
+theta's fixed roots are read from the root system's kernel of theta, which
+is computed once per character, and the centre of theta's fixed subalgebra
+is found by fraction-free integer elimination: no rational arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
@@ -202,7 +205,7 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
         raise PreconditionError("theta must be an involution or the identity")
     ideals = []
     for comp in sub.components:
-        fixed_in = frozenset(r for r in comp.roots if theta.evaluate(r) == 0)
+        fixed_in = comp.roots & sys.kernel(theta)
         label = _ideal_label(comp.family, comp.rank, comp.roots, fixed_in, sys)
         if label.compact_part_dim != len(fixed_in) + comp.rank:
             raise InternalConsistencyError(
@@ -217,39 +220,48 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
     return out
 
 
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
 def _integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of the right kernel of an integer matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
+    """Primitive integer basis of the right kernel of an integer matrix.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot
+    column by scaling it with the pivot and subtracting a multiple of the
+    pivot row, then divided by the gcd of its entries; duplicate rows and
+    zero rows are dropped.  There is one basis vector per free column f,
+    with entry 1 scaled to positive at f and 0 at the other free columns,
+    divided by the gcd of its entries: the same basis that reduced row
+    echelon form over the rationals gives.
+    """
+    pending = list(dict.fromkeys(_primitive(row) for row in rows if any(row)))
+    echelon: list[tuple[int, tuple[int, ...]]] = []
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        pivot = next((row for row in pending if row[c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+        p = pivot[c]
+
+        def clear(row):
+            f = row[c]
+            return _primitive([x * p - f * y for x, y in zip(row, pivot)]) if f else row
+
+        echelon = [(pc, clear(row)) for pc, row in echelon]
+        echelon.append((c, pivot))
+        pending = list(dict.fromkeys(r for r in map(clear, pending) if any(r)))
+    pivots = {pc for pc, _ in echelon}
+    scale = lcm(*(row[pc] for pc, row in echelon))
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        basis.append(tuple(x // g for x in ints))
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
+        for pc, row in echelon:
+            vec[pc] = -scale * row[fc] // row[pc]
+        basis.append(_primitive(vec))
     return tuple(basis)
 
 
@@ -261,7 +273,7 @@ def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, 
     """
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError("center_of_fixed expects an involution of the so(10)+R class")
-    fixed = [r for r in sorted(sys.roots) if theta.evaluate(r) == 0]
+    fixed = sorted(sys.kernel(theta))
     rows = [tuple(sys.gram[r][s] for s in sys.simple_roots) for r in fixed]
     basis = _integer_nullspace(rows, sys.rank)
     if len(basis) != 1:

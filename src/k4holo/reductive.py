@@ -52,18 +52,17 @@ def fixed_subalgebra(chars: Iterable[TorusCharacter], sys: RootSystem) -> FixedS
 
     The Cartan subalgebra is always fixed (toral characters act trivially
     on it), so the dimension is the fixed root count plus the rank.  The
-    fixed roots are decomposed here once; callers read the components.
+    fixed roots are the intersection of the characters' kernels, and they
+    are decomposed here once; callers read the components.
     """
-    chars = tuple(chars)
-    fixed = frozenset(r for r in sys.roots
-                      if all(c.evaluate(r) == 0 for c in chars))
+    fixed = sys.roots.intersection(*(sys.kernel(c) for c in chars))
     comps = decompose_closed_subset(fixed, sys)
     return FixedSubalgebra(fixed_roots=fixed, components=comps,
                            rtype=reductive_type(comps, sys), dim=len(fixed) + sys.rank)
 
 
 def _fixed_dim(chi: TorusCharacter, sys: RootSystem) -> int:
-    return sys.rank + sum(1 for r in sys.roots if chi.evaluate(r) == 0)
+    return sys.rank + len(sys.kernel(chi))
 
 
 @lru_cache(maxsize=None)

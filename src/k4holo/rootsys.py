@@ -10,6 +10,10 @@ simple system and matching its diagram against the A/D/E6 catalog.
 Pairings and sums of roots come from two tables a RootSystem builds on
 first use and keeps, gram[a][b] and sums[(a, b)] = a + b (over the ordered
 pairs whose sum is a root), so listing roots never pays for |roots|^2 pairs.
+sums_from indexes sums by its first root, so a scan over a subset S costs
+about |S| * 20 pairs in E6 instead of all 1,440.  The system also keeps,
+per character, its kernel (the roots it fixes) and, per closed subset, its
+decomposition, so the classification derives each of them once.
 
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
@@ -21,9 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
-from typing import Iterable, Sequence
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
+
+if TYPE_CHECKING:
+    from .toral import TorusCharacter
 
 Root = tuple[int, ...]
 
@@ -110,9 +118,8 @@ class RootSystem:
     @cached_property
     def gram(self) -> dict[Root, dict[Root, int]]:
         """(a, b) for every pair of roots, as gram[a][b]; built on first use."""
-        images = {b: tuple(sum(aij * bj for aij, bj in zip(row, b)) for row in self.cartan)
-                  for b in self.roots}
-        return {a: {b: sum(x * y for x, y in zip(a, ab)) for b, ab in images.items()}
+        images = {b: tuple(sum(map(mul, row, b)) for row in self.cartan) for b in self.roots}
+        return {a: {b: sum(map(mul, a, ab)) for b, ab in images.items()}
                 for a in self.roots}
 
     @cached_property
@@ -124,6 +131,33 @@ class RootSystem:
         """
         return {(a, b): tuple(x + y for x, y in zip(a, b))
                 for a, row in self.gram.items() for b, ab in row.items() if ab == -1}
+
+    @cached_property
+    def sums_from(self) -> dict[Root, list[tuple[Root, Root]]]:
+        """sums indexed by its first root: sums_from[a] = [(b, a + b), ...]."""
+        index: dict[Root, list[tuple[Root, Root]]] = {a: [] for a in self.roots}
+        for (a, b), s in self.sums.items():
+            index[a].append((b, s))
+        return index
+
+    @cached_property
+    def _kernels(self) -> dict[TorusCharacter, frozenset[Root]]:
+        return {}
+
+    @cached_property
+    def _decompositions(self) -> dict[frozenset[Root], tuple[SubsystemComponent, ...]]:
+        return {}
+
+    def kernel(self, chi: TorusCharacter) -> frozenset[Root]:
+        """Roots fixed by a torus character (where chi.evaluate is 0).
+
+        Computed on first use for each character and kept.
+        """
+        fixed = self._kernels.get(chi)
+        if fixed is None:
+            fixed = self._kernels[chi] = frozenset(r for r in self.roots
+                                                   if chi.evaluate(r) == 0)
+        return fixed
 
     def value(self, root: Sequence[int]) -> int:
         """Generic positivity functional; injective on root coordinates."""
@@ -247,10 +281,12 @@ def _validate_closed(subset: frozenset[Root], sys: RootSystem) -> None:
         neg = tuple(-c for c in r)
         if neg not in subset:
             raise PreconditionError(f"subset is not negation-symmetric at {r}")
-    for (a, b), s in sys.sums.items():
-        if a in subset and b in subset and s not in subset:
-            raise PreconditionError(
-                f"subset is not closed: {a} + {b} = {s} is a root outside it")
+    sums_from = sys.sums_from
+    for a in subset:
+        for b, s in sums_from[a]:
+            if b in subset and s not in subset:
+                raise PreconditionError(
+                    f"subset is not closed: {a} + {b} = {s} is a root outside it")
 
 
 def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int]:
@@ -300,13 +336,24 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
     positives of the subset; its diagram components are then classified
     and every root of the subset is assigned to the unique component it
     pairs with.
+
+    Each distinct subset is validated and decomposed once per system; a
+    subset that fails validation is not kept, so it raises on every call.
     """
     sset = frozenset(subset)
+    known = sys._decompositions.get(sset)
+    if known is None:
+        known = sys._decompositions[sset] = _decompose(sset, sys)
+    return known
+
+
+def _decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
     _validate_closed(sset, sys)
     if not sset:
         return ()
     pos = {r for r in sset if sys.is_positive(r)}
-    decomposable = {s for (a, b), s in sys.sums.items() if a in pos and b in pos}
+    sums_from = sys.sums_from
+    decomposable = {s for a in pos for b, s in sums_from[a] if b in pos}
     simple = [s for s in pos if s not in decomposable]
     gram = sys.gram
 

@@ -1,10 +1,12 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from k4holo import cli, pipeline
 from k4holo.errors import EngineError
@@ -131,6 +133,31 @@ def test_parse_char_spec_raises_only_engine_errors(spec):
         cli.parse_char_spec(spec, 4)
     except EngineError:
         pass
+
+
+def _run_in_process(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue()
+
+
+_HOSTILE_SPECS = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.one_of(_SPEC_PIECES, st.text(max_size=2)), max_size=16).map("".join))
+
+
+@given(_HOSTILE_SPECS, st.lists(_HOSTILE_SPECS, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_hostile_specs_exit_0_or_2_with_no_output_on_error(spec, specs):
+    for args in (["classify", "--char", spec], ["fixed", "--chars", *specs]):
+        code, out = _run_in_process(args)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
 
 
 def test_spaced_vector_on_the_command_line(capsys):
@@ -274,6 +301,17 @@ def test_closed_stdout_ends_without_traceback():
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("args", [["survey", "--theta", "zz"], ["roots", "--type", "Q9"]])
+def test_closed_stderr_keeps_exit_code_2(args):
+    proc = subprocess.Popen([sys.executable, "-m", "k4holo", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stderr.close()
+    out = proc.stdout.read()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert out == b""
 
 
 def test_module_invocation_smoke():

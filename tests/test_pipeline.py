@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +183,38 @@ def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
     # 24 Klein four subgroups that avoid some theta, plus the 4 whole groups
     assert len(seen) == 28
     assert sorted(len(chars) for chars in seen) == [3] * 24 + [7] * 4
+
+
+def test_classify_all_validates_each_distinct_subset_once(monkeypatch):
+    from k4holo import realform, reductive, rootsys
+    fresh = build_root_system.__wrapped__("E", 6)
+    validated, decomposed = [], []
+    original_validate = rootsys._validate_closed
+    original_decompose = rootsys.decompose_closed_subset
+
+    def validating(subset, sys):
+        validated.append(subset)
+        return original_validate(subset, sys)
+
+    def decomposing(subset, sys):
+        subset = frozenset(subset)
+        decomposed.append(subset)
+        return original_decompose(subset, sys)
+
+    monkeypatch.setattr(rootsys, "_validate_closed", validating)
+    monkeypatch.setattr(reductive, "decompose_closed_subset", decomposing)
+    monkeypatch.setattr(realform, "decompose_closed_subset", decomposing)
+    assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
+    assert len(decomposed) == 90
+    assert len(validated) == len(set(decomposed)) == 35
+
+
+def test_import_loads_no_rational_arithmetic():
+    code = ("import sys, k4holo; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_report_to_dict_reuses_the_report(monkeypatch):

@@ -1,4 +1,8 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from k4holo.pipeline import builtin_groups
@@ -152,3 +156,63 @@ def test_nullspace_helper():
     assert basis == ((1, 0, 1),)
     assert _integer_nullspace([(1, 2, 3)], 3) == ((-2, 1, 0), (-3, 0, 1))
     assert _integer_nullspace([(2, 4)], 2) == ((-2, 1),)
+
+
+def _fraction_nullspace(rows, ncols):
+    """Reference: reduced row echelon form over the rationals, then one
+    primitive integer vector per free column (entry 1 there, scaled)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        denom = 1
+        for x in vec:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = [int(x * denom) for x in vec]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return tuple(basis)
+
+
+_MATRICES = st.integers(0, 7).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+                 .map(tuple), max_size=9),
+        st.just(ncols)))
+
+
+@given(_MATRICES)
+@settings(max_examples=200, deadline=None)
+def test_integer_nullspace_matches_rational_elimination(matrix):
+    rows, ncols = matrix
+    # Repeated and negated rows exercise the duplicate-row dropping.
+    rows = rows + rows[:2] + [tuple(-x for x in row) for row in rows[:1]]
+    basis = _integer_nullspace(rows, ncols)
+    assert basis == _fraction_nullspace(rows, ncols)
+    for vec in basis:
+        assert gcd(*vec) == 1
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+
+
+def test_integer_nullspace_of_the_centre_rows():
+    # The rows center_of_fixed eliminates for the sigma2 reference.
+    fixed = sorted(E6.kernel(sigma2_reference()))
+    rows = [tuple(E6.gram[r][s] for s in E6.simple_roots) for r in fixed]
+    assert _integer_nullspace(rows, 6) == _fraction_nullspace(rows, 6)
+    assert center_of_fixed(sigma2_reference(), E6) == _fraction_nullspace(rows, 6)

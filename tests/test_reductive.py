@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import PreconditionError
 from k4holo.pipeline import builtin_groups
@@ -124,3 +127,43 @@ def test_sigma2_membership_in_y_groups():
     s2 = {l for l, c in g4.nonidentity()
           if classify_involution(c, sys) is ConjClass.SIGMA2}
     assert s2 == {"y3", "y4", "y5", "y3y5", "y4y5"}
+
+
+def _brute_kernel(chi):
+    return frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
+
+
+def test_kernel_of_every_modulus_2_character():
+    chars = [character_from_simple_values(exps, 2)
+             for exps in product((0, 1), repeat=6) if any(exps)]
+    assert len(chars) == 63
+    for chi in chars:
+        assert E6.kernel(chi) == _brute_kernel(chi)
+        assert E6.kernel(chi) is E6.kernel(chi)
+
+
+@given(st.lists(st.integers(0, 11), min_size=6, max_size=6), st.sampled_from((4, 12)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_brute_force(exps, m):
+    chi = character_from_simple_values(exps, m)
+    assert E6.kernel(chi) == _brute_kernel(chi)
+
+
+def test_kernel_is_computed_once_per_character(monkeypatch):
+    from k4holo import toral
+    fresh = build_root_system.__wrapped__("E", 6)
+    classify_involution(sigma2_reference(), E6)  # the class dimensions, on E6
+    calls = []
+    original = toral.TorusCharacter.evaluate
+
+    def counting(self, root):
+        calls.append(self)
+        return original(self, root)
+
+    monkeypatch.setattr(toral.TorusCharacter, "evaluate", counting)
+    chi = sigma2_reference()
+    assert fixed_subalgebra([chi], fresh).dim == 46
+    assert classify_involution(chi, fresh) is ConjClass.SIGMA2
+    assert fixed_subalgebra([chi, sigma1_reference()], fresh).fixed_roots \
+        == fresh.kernel(chi) & fresh.kernel(sigma1_reference())
+    assert calls.count(chi) == 72

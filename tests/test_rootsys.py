@@ -134,6 +134,39 @@ def test_closure_violations_rejected():
         identify_subsystem({(1, 1, 1, 1, 1, 2)}, E6)  # not a root at all
 
 
+def test_invalid_subset_raises_on_every_call():
+    a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
+    broken = frozenset({a1, negate(a1), a3, negate(a3)})  # a1 + a3 missing
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            decompose_closed_subset(broken, E6)
+    assert broken not in E6._decompositions
+
+
+def test_each_subset_is_decomposed_once(monkeypatch):
+    from k4holo import rootsys
+    fresh = build_root_system.__wrapped__("E", 6)
+    validated = []
+    original = rootsys._validate_closed
+
+    def counting(subset, sys):
+        validated.append(subset)
+        return original(subset, sys)
+
+    monkeypatch.setattr(rootsys, "_validate_closed", counting)
+    subset = [r for r in fresh.roots if r[1] == 0]
+    first = decompose_closed_subset(subset, fresh)
+    assert decompose_closed_subset(iter(subset), fresh) is first
+    assert len(validated) == 1
+
+
+def test_sums_from_indexes_sums():
+    assert sum(len(pairs) for pairs in E6.sums_from.values()) == 1440
+    assert set(E6.sums_from) == E6.roots
+    assert all(len(pairs) == 20 for pairs in E6.sums_from.values())
+    assert {(a, b): s for a, pairs in E6.sums_from.items() for b, s in pairs} == E6.sums
+
+
 def test_component_counts_match_type():
     subset = {r for r in E6.roots if r[1] == 0}
     comps = decompose_closed_subset(subset, E6)
