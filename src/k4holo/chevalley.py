@@ -15,7 +15,7 @@ contract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .rootsys import Root, RootSystem
@@ -68,15 +68,24 @@ def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
     return tuple(pos), table
 
 
-@dataclass
 class StructureConstants:
-    """Complete bracket table; immutable by convention once built."""
-    sys: RootSystem
-    pos_order: tuple[Root, ...]
-    n_table: dict[tuple[Root, Root], int]
-    basis: tuple[BasisKey, ...]
-    _index: dict[BasisKey, int]
-    _btable: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    """Complete bracket table, compared field by field; immutable by convention."""
+
+    def __init__(self, sys: RootSystem, pos_order: tuple[Root, ...],
+                 n_table: dict[tuple[Root, Root], int], basis: tuple[BasisKey, ...],
+                 _index: dict[BasisKey, int],
+                 _btable: dict[tuple[int, int], tuple[tuple[int, int], ...]]):
+        self.sys, self.pos_order, self.n_table = sys, pos_order, n_table
+        self.basis, self._index, self._btable = basis, _index, _btable
+
+    def __eq__(self, other):
+        if other.__class__ is not StructureConstants:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"StructureConstants({fields})"
 
     def n(self, a: Root, b: Root) -> int:
         """N(a, b), or 0 when a + b is not a root."""
@@ -158,8 +167,7 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
                               basis=tuple(basis), _index=index, _btable=btable)
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     triples_checked: int
     violations: tuple[tuple[BasisKey, BasisKey, BasisKey], ...]
 

@@ -226,8 +226,13 @@ def _cmd_selftest(args) -> int:
     results.append(("involution_census", census == (1, 3, 3, 5), str(census)))
 
     if args.ntable_out:
-        with open(args.ntable_out, "w") as fh:
-            fh.write(chevalley.export_n_table(sc))
+        text = chevalley.export_n_table(sc)
+        try:
+            with open(args.ntable_out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _diagnose(f"error: cannot write the N table: {exc}")
+            return 2
         _diagnose(f"wrote N table to {args.ntable_out}")
 
     ok = all(passed for _, passed, _ in results)

@@ -19,7 +19,7 @@ they are actually conjugate is not decided here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError, PreconditionError, ValidationError, VerificationError
 from .realform import RealFormType, center_of_fixed, identify_real_form
@@ -95,8 +95,7 @@ def sigma2_elements(group: CharacterGroup, sys: RootSystem) -> tuple[str, ...]:
                  if classify_involution(char, sys) is ConjClass.SIGMA2)
 
 
-@dataclass(frozen=True)
-class KleinSubgroup:
+class KleinSubgroup(NamedTuple):
     labels: tuple[str, str, str]
     gen_pair: tuple[str, str]
     chars: frozenset[TorusCharacter]
@@ -121,8 +120,7 @@ def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
     return tuple(subs)
 
 
-@dataclass(frozen=True)
-class K4Candidate:
+class K4Candidate(NamedTuple):
     group_name: str
     theta_label: str
     gamma_labels: tuple[str, str]
@@ -132,8 +130,7 @@ class K4Candidate:
     maximal_compact: ReductiveType
 
 
-@dataclass(frozen=True)
-class GroupCandidates:
+class GroupCandidates(NamedTuple):
     """One group's share of the classification, with the facts it rests on."""
     group: CharacterGroup
     sigma2_labels: tuple[str, ...]
@@ -141,8 +138,7 @@ class GroupCandidates:
     candidates: tuple[K4Candidate, ...]
 
 
-@dataclass(frozen=True)
-class K4Report:
+class K4Report(NamedTuple):
     groups: tuple[GroupCandidates, ...]
     candidates: tuple[K4Candidate, ...]
     distinct_pairs: tuple[str, ...]
@@ -216,8 +212,7 @@ def classify_all(sys: RootSystem | None = None,
                     missing=missing, unexpected=unexpected)
 
 
-@dataclass(frozen=True)
-class SurveyResult:
+class SurveyResult(NamedTuple):
     theta_group: str
     theta_label: str
     values: dict[str, dict[str, RealFormType]]

@@ -26,9 +26,8 @@ is found by fraction-free integer elimination: no rational arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
@@ -39,8 +38,7 @@ from .toral import TorusCharacter
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2, "su_c": 3, "so_c": 4}
 
 
-@dataclass(frozen=True)
-class RealFormLabel:
+class RealFormLabel(NamedTuple):
     """One real simple ideal.
 
     kinds: "su" = su(a,b); "su_c" = compact su(a); "so" = so(2a,2b);
@@ -101,20 +99,18 @@ class RealFormLabel:
         return f"so({2 * self.a})"
 
 
-@dataclass(frozen=True)
-class RealFormType:
+class RealFormType(NamedTuple("RealFormType", [("ideals", tuple[RealFormLabel, ...]),
+                                                ("center", tuple[str, ...])])):
     """Multiset of real simple ideals plus labelled centre lines.
 
     Centre entries are "c" (compact, i.e. a rotation line) or "R" (split);
-    toral Cartan involutions only ever produce "c".
+    toral Cartan involutions only ever produce "c".  Both are stored sorted.
     """
-    ideals: tuple[RealFormLabel, ...]
-    center: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ideals",
-                           tuple(sorted(self.ideals, key=RealFormLabel.sort_key)))
-        object.__setattr__(self, "center", tuple(sorted(self.center)))
+    def __new__(cls, ideals: tuple[RealFormLabel, ...], center: tuple[str, ...]):
+        return super().__new__(cls, tuple(sorted(ideals, key=RealFormLabel.sort_key)),
+                               tuple(sorted(center)))
 
     def complexification(self) -> ReductiveType:
         comps = sorted((l.complex_type for l in self.ideals),

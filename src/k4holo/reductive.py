@@ -8,10 +8,9 @@ loudly here instead of silently misclassifying.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InternalConsistencyError, PreconditionError
 from .rootsys import (ReductiveType, Root, RootSystem, SubsystemComponent,
@@ -39,8 +38,7 @@ def sigma2_reference() -> TorusCharacter:
     return character_from_simple_values((1, 0, 0, 0, 0, 1), 2)
 
 
-@dataclass(frozen=True)
-class FixedSubalgebra:
+class FixedSubalgebra(NamedTuple):
     fixed_roots: frozenset[Root]
     components: tuple[SubsystemComponent, ...]
     rtype: ReductiveType

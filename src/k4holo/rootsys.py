@@ -22,11 +22,10 @@ used anywhere in this module (or this package).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
 
@@ -96,16 +95,13 @@ def render_multiplicities(names: Sequence[str]) -> list[str]:
     return parts
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    roots: frozenset[Root]
-    simple_roots: tuple[Root, ...]
-    positive_roots: tuple[Root, ...]
-    highest_root: Root
-    weights: tuple[int, ...]
+class RootSystem(NamedTuple("RootSystem", [
+        ("family", str), ("rank", int), ("cartan", tuple[tuple[int, ...], ...]),
+        ("roots", frozenset[Root]), ("simple_roots", tuple[Root, ...]),
+        ("positive_roots", tuple[Root, ...]), ("highest_root", Root),
+        ("weights", tuple[int, ...])])):
+    """A root system with read-only fields.  Unlike the plain records it has
+    an instance __dict__, which holds the tables below once built."""
 
     @property
     def label(self) -> str:
@@ -229,8 +225,7 @@ def inner_product(a: Root, b: Root, sys: RootSystem) -> int:
     return sys.pairing(a, b)
 
 
-@dataclass(frozen=True)
-class SubsystemComponent:
+class SubsystemComponent(NamedTuple):
     """One irreducible component of a closed root subsystem."""
     family: str
     rank: int
@@ -238,8 +233,7 @@ class SubsystemComponent:
     roots: frozenset[Root]
 
 
-@dataclass(frozen=True)
-class ReductiveType:
+class ReductiveType(NamedTuple):
     """Isomorphism type of a reductive subalgebra: simple parts + centre."""
     components: tuple[tuple[str, int], ...]
     center_dim: int

@@ -18,10 +18,9 @@ the defining representation tensored with the rank-one factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -32,7 +31,6 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-@dataclass(frozen=True)
 class TorusCharacter:
     """Homomorphism from the e6 root lattice to the m-th roots of unity.
 
@@ -40,19 +38,31 @@ class TorusCharacter:
     automorphism and the exponents are reduced accordingly, so two
     characters compare equal exactly when they act identically.
     """
-    modulus: int
-    exps: tuple[int, ...]
+    __slots__ = ("modulus", "exps")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, exps: tuple[int, ...]):
+        if modulus < 1:
             raise ValidationError("character modulus must be >= 1")
-        if len(self.exps) != RANK:
-            raise ValidationError(f"need {RANK} exponents, got {len(self.exps)}")
-        m = self.modulus
-        exps = tuple(e % m for e in self.exps)
-        g = reduce(gcd, exps, m)
-        object.__setattr__(self, "modulus", m // g)
+        if len(exps) != RANK:
+            raise ValidationError(f"need {RANK} exponents, got {len(exps)}")
+        exps = tuple(e % modulus for e in exps)
+        g = reduce(gcd, exps, modulus)
+        object.__setattr__(self, "modulus", modulus // g)
         object.__setattr__(self, "exps", tuple(e // g for e in exps))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not TorusCharacter:
+            return NotImplemented
+        return self.modulus == other.modulus and self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.exps))
+
+    def __reduce__(self):
+        return TorusCharacter, (self.modulus, self.exps)
 
     @property
     def order(self) -> int:
@@ -99,29 +109,26 @@ def evaluate(a: TorusCharacter, root: Sequence[int]) -> int:
     return a.evaluate(root)
 
 
-@dataclass(frozen=True)
-class UnitaryPairData:
+class UnitaryPairData(NamedTuple("UnitaryPairData",
+                                  [("modulus", int), ("diag", tuple[int, ...]), ("sp1", int)])):
     """Diagonal element of SU(6) x Sp(1), stored as torus exponents mod m.
 
     Only diagonal unitary parts are representable here; that covers every
     generator the builtin groups need.
     """
-    modulus: int
-    diag: tuple[int, ...]
-    sp1: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, diag: tuple[int, ...], sp1: int):
+        if modulus < 1:
             raise ValidationError("modulus must be >= 1")
-        if len(self.diag) != 6:
+        if len(diag) != 6:
             raise ValidationError("diagonal needs 6 exponents")
-        m = self.modulus
-        object.__setattr__(self, "diag", tuple(d % m for d in self.diag))
-        object.__setattr__(self, "sp1", self.sp1 % m)
-        if sum(self.diag) % m != 0:
+        diag = tuple(d % modulus for d in diag)
+        if sum(diag) % modulus != 0:
             raise ValidationError(
-                f"determinant violation: diagonal exponents {list(self.diag)} "
-                f"do not sum to 0 mod {m}")
+                f"determinant violation: diagonal exponents {list(diag)} "
+                f"do not sum to 0 mod {modulus}")
+        return super().__new__(cls, modulus, diag, sp1 % modulus)
 
 
 def embed_su6_sp1(u: UnitaryPairData) -> TorusCharacter:
@@ -141,8 +148,7 @@ def embed_su6_sp1(u: UnitaryPairData) -> TorusCharacter:
     return TorusCharacter(m, tuple(e % m for e in exps))
 
 
-@dataclass(frozen=True)
-class CharacterGroup:
+class CharacterGroup(NamedTuple):
     """Finite group of torus characters with word labels over its base.
 
     ``labels`` maps every product word over the base generators (plus "1"

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from k4holo.chevalley import (build_chevalley_basis, check_jacobi,
+from k4holo.chevalley import (StructureConstants, build_chevalley_basis, check_jacobi,
                               export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import character_from_simple_values
@@ -104,6 +104,44 @@ def test_jacobi_report_shape():
     assert rep.ok
     assert rep.first_violation is None
     assert rep.triples_checked == 78 * 77 * 76 // 6
+
+
+def _with_flipped_sign(sc, a, b):
+    """Copy of sc with N(a, b) and N(b, a) negated in both of its tables."""
+    n_table, btable = dict(sc.n_table), dict(sc._btable)
+    for x, y in ((a, b), (b, a)):
+        n_table[(x, y)] = -n_table[(x, y)]
+        key = (sc.index(("x", x)), sc.index(("x", y)))
+        btable[key] = tuple((i, -c) for i, c in btable[key])
+    return StructureConstants(sc.sys, sc.pos_order, n_table, sc.basis, sc._index, btable)
+
+
+def _jacobiator(sc, x, y, z):
+    x, y, z = {x: 1}, {y: 1}, {z: 1}
+    total = {}
+    for term in (sc.bracket(sc.bracket(x, y), z), sc.bracket(sc.bracket(y, z), x),
+                 sc.bracket(sc.bracket(z, x), y)):
+        for k, v in term.items():
+            total[k] = total.get(k, 0) + v
+    return {k: v for k, v in total.items() if v}
+
+
+@pytest.mark.parametrize("limit", [1, 3, 10])
+def test_jacobi_check_fails_on_one_flipped_sign(limit):
+    a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
+    broken = _with_flipped_sign(SC, a1, a3)
+    assert broken.n(a1, a3) == -SC.n(a1, a3) and broken.n(a3, a1) == -SC.n(a3, a1)
+    rep = check_jacobi(broken, limit=limit)
+    assert not rep.ok
+    assert rep.triples_checked == 76076
+    assert 1 <= len(rep.violations) <= limit
+    assert rep.first_violation == rep.violations[0]
+    positions = [tuple(broken.index(k) for k in triple) for triple in rep.violations]
+    assert all(i < j < k for i, j, k in positions)
+    assert positions == sorted(positions)
+    for triple in rep.violations:
+        assert _jacobiator(broken, *triple)
+        assert not _jacobiator(SC, *triple)
 
 
 def test_killing_cartan_value():

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k4holo import cli, pipeline
+from k4holo import chevalley, cli, pipeline
 from k4holo.errors import EngineError
 from k4holo.toral import character_from_simple_values
 
@@ -29,8 +29,17 @@ def test_theorem24_json(capsys):
     assert len(doc["distinct_pairs"]) == 8
 
 
-def test_theorem24_json_roundtrips_byte_identical(capsys):
-    code, out, _ = run_cli(["theorem24", "--format", "json"], capsys)
+@pytest.mark.parametrize("args", [
+    ["roots", "--type", "E6"],
+    ["selftest"],
+    ["fixed", "--chars", "chi m=2 [1,0,0,0,1,0]", "chi m=4 [0,2,0,0,0,1]"],
+    ["classify", "--char", "chi m=2 [0,0,0,0,0,1]"],
+    ["realform", "--gamma", "x1", "x2", "--theta", "x4"],
+    ["survey", "--theta", "x4"],
+    ["theorem24"],
+], ids=lambda args: args[0])
+def test_json_roundtrips_byte_identical(args, capsys):
+    code, out, _ = run_cli([*args, "--format", "json"], capsys)
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
@@ -242,6 +251,30 @@ def test_selftest_ntable_export(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.splitlines()[0].count(" ") == 2
+
+
+@pytest.mark.parametrize("target", ["missing_parent", "directory"])
+def test_selftest_unwritable_ntable_out_exits_2(target, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "x" if target == "missing_parent" else tmp_path
+    code, out, err = run_cli(["selftest", "--ntable-out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the N table") and str(path) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_selftest_reports_a_failing_jacobi_check(capsys, monkeypatch):
+    triple = (("x", (1, 0, 0, 0, 0, 0)), ("x", (0, 0, 1, 0, 0, 0)), ("x", (0, 0, 0, 1, 0, 0)))
+    failed = chevalley.JacobiReport(triples_checked=76076, violations=(triple,))
+    monkeypatch.setattr(chevalley, "check_jacobi", lambda sc, limit=10: failed)
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 1
+    assert f"check jacobi: FAIL (76076 triples, first violation {triple})" in out.splitlines()
+    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["jacobi"]
 
 
 def test_selftest_json_lists_the_checks(capsys):

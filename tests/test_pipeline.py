@@ -217,6 +217,27 @@ def test_import_loads_no_rational_arithmetic():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 20 ms a process
+    code = ("import sys, k4holo; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_theorem24_process_loads_no_dataclasses_or_inspect():
+    # -X importtime lists on stderr every module the whole command imports
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "k4holo", "theorem24"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("verified: true\n")
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "k4holo.pipeline" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
 def test_report_to_dict_reuses_the_report(monkeypatch):
     from k4holo import pipeline
 

@@ -1,0 +1,139 @@
+"""The contract of the record types: constructor fields, read-only fields,
+equality, hashing and reprs."""
+import copy
+import inspect
+import pickle
+
+import pytest
+
+from k4holo import (CharacterGroup, FixedSubalgebra, GroupCandidates, JacobiReport,
+                    K4Candidate, K4Report, RealFormLabel, RealFormType, ReductiveType,
+                    RootSystem, StructureConstants, SubsystemComponent, SurveyResult,
+                    TorusCharacter, UnitaryPairData, build_chevalley_basis,
+                    build_root_system, classify_all, symmetric_pair_survey)
+from k4holo.errors import ValidationError
+from k4holo.pipeline import KleinSubgroup, klein_four_subgroups
+
+E6 = build_root_system("E", 6)
+REPORT = classify_all(E6)
+GROUP = REPORT.groups[0]
+CANDIDATE = REPORT.candidates[0]
+
+# One record of each type whose fields cannot be assigned, with its fields in order.
+FROZEN = [
+    (E6, ("family", "rank", "cartan", "roots", "simple_roots", "positive_roots",
+          "highest_root", "weights")),
+    (GROUP.fixed.components[0], ("family", "rank", "simple", "roots")),
+    (CANDIDATE.compact_dual, ("components", "center_dim")),
+    (GROUP.fixed, ("fixed_roots", "components", "rtype", "dim")),
+    (CANDIDATE.real_form.ideals[0], ("kind", "a", "b")),
+    (CANDIDATE.real_form, ("ideals", "center")),
+    (CANDIDATE.gamma.base[0][1], ("modulus", "exps")),
+    (UnitaryPairData(4, (2, 2, 0, 2, 2, 0), 1), ("modulus", "diag", "sp1")),
+    (CANDIDATE.gamma, ("name", "base", "labels", "element_order")),
+    (klein_four_subgroups(GROUP.group)[0], ("labels", "gen_pair", "chars")),
+    (CANDIDATE, ("group_name", "theta_label", "gamma_labels", "gamma", "compact_dual",
+                 "real_form", "maximal_compact")),
+    (GROUP, ("group", "sigma2_labels", "fixed", "candidates")),
+    (REPORT, ("groups", "candidates", "distinct_pairs", "counts", "verified", "missing",
+              "unexpected")),
+    (symmetric_pair_survey("x4", E6), ("theta_group", "theta_label", "values")),
+    (JacobiReport(76076, ()), ("triples_checked", "violations")),
+]
+TYPES = (RootSystem, SubsystemComponent, ReductiveType, FixedSubalgebra, RealFormLabel,
+         RealFormType, TorusCharacter, UnitaryPairData, CharacterGroup, KleinSubgroup,
+         K4Candidate, GroupCandidates, K4Report, SurveyResult, JacobiReport)
+# Records holding a dict cannot be hashed.
+UNHASHABLE = (CharacterGroup, K4Candidate, GroupCandidates, K4Report, SurveyResult)
+
+
+def test_every_frozen_type_is_listed():
+    assert tuple(type(record) for record, _ in FROZEN) == TYPES
+
+
+@pytest.mark.parametrize("record, fields", FROZEN, ids=[t.__name__ for t in TYPES])
+def test_constructor_takes_the_fields_in_order(record, fields):
+    cls = type(record)
+    assert tuple(inspect.signature(cls).parameters) == fields
+    values = [getattr(record, name) for name in fields]
+    assert cls(*values) == record
+    assert cls(**dict(zip(fields, values))) == record
+
+
+@pytest.mark.parametrize("record, fields", FROZEN, ids=[t.__name__ for t in TYPES])
+def test_fields_cannot_be_assigned(record, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+@pytest.mark.parametrize("record, fields", FROZEN, ids=[t.__name__ for t in TYPES])
+def test_hash_is_the_hash_of_the_fields(record, fields):
+    values = tuple(getattr(record, name) for name in fields)
+    if isinstance(record, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(values)
+
+
+@pytest.mark.parametrize("record, fields", FROZEN, ids=[t.__name__ for t in TYPES])
+def test_repr_names_each_field(record, fields):
+    if isinstance(record, TorusCharacter):
+        return  # its own spelling, below
+    body = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    assert repr(record) == f"{type(record).__name__}({body})"
+
+
+@pytest.mark.parametrize("record, fields", FROZEN, ids=[t.__name__ for t in TYPES])
+def test_records_survive_pickle_and_deepcopy(record, fields):
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+
+
+def test_torus_character_is_canonical():
+    chi = TorusCharacter(4, (2, 0, 0, 0, 0, -2))
+    assert (chi.modulus, chi.exps) == (2, (1, 0, 0, 0, 0, 1))
+    assert chi == TorusCharacter(modulus=2, exps=(1, 0, 0, 0, 0, 1))
+    assert hash(chi) == hash((2, (1, 0, 0, 0, 0, 1)))
+    assert repr(chi) == "chi(m=2, [1, 0, 0, 0, 0, 1])"
+    assert chi != (2, (1, 0, 0, 0, 0, 1))
+    assert chi != TorusCharacter(2, (0, 1, 0, 0, 0, 0))
+    assert TorusCharacter(3, (0,) * 6) == TorusCharacter(1, (5,) * 6)
+    assert repr(TorusCharacter(12, (6, 4, 0, 0, 0, 3))) == "chi(m=12, [6, 4, 0, 0, 0, 3])"
+
+
+@pytest.mark.parametrize("modulus, exps", [(0, (0,) * 6), (2, (1, 0))])
+def test_torus_character_rejects_bad_input(modulus, exps):
+    with pytest.raises(ValidationError):
+        TorusCharacter(modulus, exps)
+
+
+def test_real_form_type_sorts_its_input_either_way():
+    ideals = (RealFormLabel("su_c", 2), RealFormLabel("so", 3, 1), RealFormLabel("su", 2, 1))
+    center = ("c", "R", "c")
+    expected = (tuple(sorted(ideals, key=RealFormLabel.sort_key)), ("R", "c", "c"))
+    for form in (RealFormType(ideals, center), RealFormType(center=center, ideals=ideals)):
+        assert (form.ideals, form.center) == expected
+        assert form == RealFormType(*expected)
+        assert hash(form) == hash(expected)
+    assert RealFormType(ideals, center).render() == "so(6,2)+su(2,1)+su(2)+2c+R"
+
+
+def test_unitary_pair_data_reduces_and_validates():
+    u = UnitaryPairData(sp1=5, diag=(6, -2, 0, 2, 2, 0), modulus=4)
+    assert (u.modulus, u.diag, u.sp1) == (4, (2, 2, 0, 2, 2, 0), 1)
+    with pytest.raises(ValidationError, match="determinant"):
+        UnitaryPairData(4, (1, 0, 0, 0, 0, 0), 0)
+
+
+def test_structure_constants_compare_field_by_field():
+    sc = build_chevalley_basis(E6)
+    again = build_chevalley_basis(E6)
+    assert sc == again and sc is not again
+    with pytest.raises(TypeError):
+        hash(sc)
+    fields = ("sys", "pos_order", "n_table", "basis", "_index", "_btable")
+    assert tuple(inspect.signature(StructureConstants).parameters) == fields
+    assert StructureConstants(**{name: getattr(sc, name) for name in fields}) == sc
+    assert repr(sc).startswith(f"StructureConstants(sys={E6!r}, pos_order=")
