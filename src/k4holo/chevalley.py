@@ -12,6 +12,21 @@ N(a, b) = N(b, c) = N(c, a) for a + b + c = 0, and the four-term relation
 for a + b + c + d = 0.  Any consistent sign set passes the certification
 suite; reproducibility of the table, not one specific table, is the
 contract.
+
+The bracket table holds one row per basis element: _btable[i][j] is the
+tuple of terms (p, c) of [b_i, b_j] = sum of c * b_p, filled straight from
+the root tables (the Cartan rows from gram, each root's row from its
+opposite and the sums in sums_from).
+
+Certification (check_jacobi) sweeps all unordered basis triples.  It first
+checks once that the table is graded: each term b_p of [b_i, b_j] has
+weight w_p = w_i + w_j, where h has weight 0 and X_a weight a.  Given that,
+every term of a triple's Jacobi sum has weight w_i + w_j + w_k, so when this
+weight is neither a root nor 0 no basis element carries it and the sum is
+exactly zero.  Only the other triples are summed (14,876 of the 76,076 on
+E6); a table that is not graded has every triple summed.  Weights are
+encoded as single ints whose digits never carry (see _weights), so the
+argument involves no rounding: the result equals that of the full sweep.
 """
 from __future__ import annotations
 
@@ -74,7 +89,7 @@ class StructureConstants:
     def __init__(self, sys: RootSystem, pos_order: tuple[Root, ...],
                  n_table: dict[tuple[Root, Root], int], basis: tuple[BasisKey, ...],
                  _index: dict[BasisKey, int],
-                 _btable: dict[tuple[int, int], tuple[tuple[int, int], ...]]):
+                 _btable: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
         self.sys, self.pos_order, self.n_table = sys, pos_order, n_table
         self.basis, self._index, self._btable = basis, _index, _btable
 
@@ -95,7 +110,7 @@ class StructureConstants:
         return self._index[key]
 
     def bracket_basis(self, k1: BasisKey, k2: BasisKey) -> dict[BasisKey, int]:
-        terms = self._btable[(self._index[k1], self._index[k2])]
+        terms = self._btable[self._index[k1]][self._index[k2]]
         return {self.basis[i]: c for i, c in terms}
 
     def bracket(self, v1: dict[BasisKey, int], v2: dict[BasisKey, int]) -> dict[BasisKey, int]:
@@ -103,7 +118,7 @@ class StructureConstants:
         acc: dict[BasisKey, int] = {}
         for ka, ca in v1.items():
             for kb, cb in v2.items():
-                for i, c in self._btable[(self._index[ka], self._index[kb])]:
+                for i, c in self._btable[self._index[ka]][self._index[kb]]:
                     key = self.basis[i]
                     acc[key] = acc.get(key, 0) + ca * cb * c
         return {k: c for k, c in acc.items() if c != 0}
@@ -141,30 +156,26 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     basis += [("x", r) for r in pos]
     basis += [("x", _neg(r)) for r in pos]
     index = {k: i for i, k in enumerate(basis)}
-    gram = sys.gram
+    at = {k[1]: i for k, i in index.items() if k[0] == "x"}  # h_t sits at index t
 
-    btable: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for i, ki in enumerate(basis):
-        for j, kj in enumerate(basis):
-            if ki[0] == "h" and kj[0] == "h":
-                terms: tuple[tuple[int, int], ...] = ()
-            elif ki[0] == "h":
-                c = gram[kj[1]][sys.simple_roots[ki[1]]]
-                terms = ((j, c),) if c else ()
-            elif kj[0] == "h":
-                c = gram[ki[1]][sys.simple_roots[kj[1]]]
-                terms = ((i, -c),) if c else ()
-            else:
-                a, b = ki[1], kj[1]
-                if b == _neg(a):
-                    terms = tuple((index[("h", t)], a[t]) for t in range(rank) if a[t])
-                else:
-                    s = sys.sums.get((a, b))
-                    terms = ((index[("x", s)], n_table[(a, b)]),) if s else ()
-            btable[(i, j)] = terms
+    # Row i holds [b_i, b_j] for every j; an empty tuple is a zero bracket.
+    rows: list[list[tuple[tuple[int, int], ...]]] = [[()] * len(basis) for _ in basis]
+    for t, alpha in enumerate(sys.simple_roots):
+        h_row = rows[t]
+        for r, row in sys.gram.items():
+            c = row[alpha]
+            if c:
+                j = at[r]
+                h_row[j], rows[j][t] = ((j, c),), ((j, -c),)
+    for a, i in at.items():
+        row = rows[i]
+        row[at[_neg(a)]] = tuple((t, c) for t, c in enumerate(a) if c)
+        for b, s in sys.sums_from[a]:
+            row[at[b]] = ((at[s], n_table[(a, b)]),)
 
     return StructureConstants(sys=sys, pos_order=pos, n_table=n_table,
-                              basis=tuple(basis), _index=index, _btable=btable)
+                              basis=tuple(basis), _index=index,
+                              _btable=tuple(map(tuple, rows)))
 
 
 class JacobiReport(NamedTuple):
@@ -180,46 +191,83 @@ class JacobiReport(NamedTuple):
         return self.violations[0] if self.violations else None
 
 
+def check_antisymmetry(sc: StructureConstants) -> bool:
+    """[b_j, b_i] == -[b_i, b_j] for every entry of the bracket table."""
+    rows = sc._btable
+    return all(dict(rows[j][i]) == {p: -c for p, c in terms}
+               for i, row in enumerate(rows) for j, terms in enumerate(row[i:], i))
+
+
+def _weights(sc: StructureConstants) -> tuple[int, ...]:
+    """Weight of each basis element as one int: 0 for h, the root for X_a.
+
+    A root r is encoded as sum(r[t] * base**t).  Each coordinate of a sum of
+    at most three roots lies within 3 * m of 0, m the largest coefficient
+    of the highest root, so with base > 6 * m no digit carries and the
+    encoding of such sums is injective.
+    """
+    base = 6 * max(sc.sys.highest_root) + 1
+    return tuple(sum(c * base ** t for t, c in enumerate(key[1])) if key[0] == "x" else 0
+                 for key in sc.basis)
+
+
 def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
     """Exhaustively verify the Jacobi identity over all unordered basis triples.
 
-    Failure is reported as data, never raised.  The sweep runs in-process:
-    it takes less time than starting a worker pool would.
+    Failure is reported as data, never raised.  The sweep first checks once
+    that the table is graded: every term b_p of every [b_i, b_j] has weight
+    w_p = w_i + w_j (weights as in _weights).  Then each term of
+    [[b_i, b_j], b_k] and its two rotations has weight w_i + w_j + w_k, so a
+    triple whose weight sum is neither a root nor 0 has an empty Jacobi sum
+    (no basis element has that weight): it is certified without summing.
+    Only the remaining triples are summed, 14,876 of the 76,076 on E6.  A
+    table that is not graded has every triple summed.  Violations come in
+    increasing (i, j, k) order either way; all arithmetic is on ints.
     """
-    btable = sc._btable
+    rows = sc._btable
     n = len(sc.basis)
-    checked = 0
+    w = _weights(sc)
+    graded = all(w[p] == wi + wj
+                 for row, wi in zip(rows, w) for terms, wj in zip(row, w)
+                 for p, _ in terms)
+    nonzero = set(w) if graded else None  # the roots and 0
     bad: list[tuple[int, int, int]] = []
     for i in range(n):
+        row_i = rows[i]
         for j in range(i + 1, n):
-            ab = btable[(i, j)]
-            for k in range(j + 1, n):
-                checked += 1
+            ab = row_i[j]
+            row_j = rows[j]
+            if nonzero is None:
+                ks = range(j + 1, n)
+            else:
+                wij = w[i] + w[j]
+                ks = [k for k in range(j + 1, n) if wij + w[k] in nonzero]
+            for k in ks:
+                row_k = rows[k]
                 acc: dict[int, int] = {}
                 for m, c in ab:
-                    for p, c2 in btable[(m, k)]:
+                    for p, c2 in rows[m][k]:
                         acc[p] = acc.get(p, 0) + c * c2
-                for m, c in btable[(j, k)]:
-                    for p, c2 in btable[(m, i)]:
+                for m, c in row_j[k]:
+                    for p, c2 in rows[m][i]:
                         acc[p] = acc.get(p, 0) + c * c2
-                for m, c in btable[(k, i)]:
-                    for p, c2 in btable[(m, j)]:
+                for m, c in row_k[i]:
+                    for p, c2 in rows[m][j]:
                         acc[p] = acc.get(p, 0) + c * c2
                 if any(acc.values()):
                     if len(bad) < limit:
                         bad.append((i, j, k))
     violations = tuple((sc.basis[i], sc.basis[j], sc.basis[k]) for i, j, k in bad)
-    return JacobiReport(triples_checked=checked, violations=violations)
+    return JacobiReport(triples_checked=n * (n - 1) * (n - 2) // 6, violations=violations)
 
 
 def killing_form(sc: StructureConstants, a: BasisKey, b: BasisKey) -> int:
     """Trace of ad(a).ad(b) computed from the bracket table."""
-    ia, ib = sc._index[a], sc._index[b]
-    n = len(sc.basis)
+    row_a, row_b = sc._btable[sc._index[a]], sc._btable[sc._index[b]]
     total = 0
-    for j in range(n):
-        for m, c in sc._btable[(ib, j)]:
-            for p, c2 in sc._btable[(ia, m)]:
+    for j, terms in enumerate(row_b):
+        for m, c in terms:
+            for p, c2 in row_a[m]:
                 if p == j:
                     total += c * c2
     return total
@@ -231,9 +279,6 @@ def export_n_table(sc: StructureConstants) -> str:
     One line per ordered pair: comma-separated coordinates of each root,
     then the constant, space-separated.
     """
-    lines = []
-    for (a, b) in sorted(sc.n_table):
-        lines.append("{} {} {}".format(",".join(map(str, a)),
-                                       ",".join(map(str, b)),
-                                       sc.n_table[(a, b)]))
-    return "\n".join(lines) + "\n"
+    text = {r: ",".join(map(str, r)) for r in sc.sys.roots}
+    return "\n".join(f"{text[a]} {text[b]} {sc.n_table[(a, b)]}"
+                     for a, b in sorted(sc.n_table)) + "\n"

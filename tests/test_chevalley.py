@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k4holo.chevalley import (StructureConstants, build_chevalley_basis, check_jacobi,
-                              export_n_table, killing_form)
+from k4holo.chevalley import (StructureConstants, build_chevalley_basis, check_antisymmetry,
+                              check_jacobi, export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import character_from_simple_values
 
@@ -106,14 +107,52 @@ def test_jacobi_report_shape():
     assert rep.triples_checked == 78 * 77 * 76 // 6
 
 
+def _with_rows(sc, rows, n_table=None):
+    """Copy of sc with the given bracket rows, frozen to tuples."""
+    return StructureConstants(sc.sys, sc.pos_order, sc.n_table if n_table is None else n_table,
+                              sc.basis, sc._index, tuple(map(tuple, rows)))
+
+
 def _with_flipped_sign(sc, a, b):
     """Copy of sc with N(a, b) and N(b, a) negated in both of its tables."""
-    n_table, btable = dict(sc.n_table), dict(sc._btable)
+    n_table, rows = dict(sc.n_table), [list(row) for row in sc._btable]
     for x, y in ((a, b), (b, a)):
         n_table[(x, y)] = -n_table[(x, y)]
-        key = (sc.index(("x", x)), sc.index(("x", y)))
-        btable[key] = tuple((i, -c) for i, c in btable[key])
-    return StructureConstants(sc.sys, sc.pos_order, n_table, sc.basis, sc._index, btable)
+        i, j = sc.index(("x", x)), sc.index(("x", y))
+        rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
+    return _with_rows(sc, rows, n_table)
+
+
+def _with_moved_term(sc, i, j, p):
+    """Copy of sc whose [b_i, b_j] has its first term moved onto b_p (one order only)."""
+    rows = [list(row) for row in sc._btable]
+    (_, c), *rest = rows[i][j]
+    rows[i][j] = ((p, c), *rest)
+    return _with_rows(sc, rows)
+
+
+def _reference_jacobi(sc, limit):
+    """The full sweep: the Jacobi sum of every unordered triple, nothing skipped."""
+    rows = sc._btable
+    bad = []
+    for i, j, k in combinations(range(len(sc.basis)), 3):
+        acc = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in rows[x][y]:
+                for p, c2 in rows[m][z]:
+                    acc[p] = acc.get(p, 0) + c * c2
+        if any(acc.values()) and len(bad) < limit:
+            bad.append((sc.basis[i], sc.basis[j], sc.basis[k]))
+    return tuple(bad)
+
+
+def _weight(key):
+    return key[1] if key[0] == "x" else (0,) * 6
+
+
+def _weight_sum_is_root_or_zero(triple):
+    total = tuple(map(sum, zip(*map(_weight, triple))))
+    return total in E6.roots or not any(total)
 
 
 def _jacobiator(sc, x, y, z):
@@ -142,6 +181,84 @@ def test_jacobi_check_fails_on_one_flipped_sign(limit):
     for triple in rep.violations:
         assert _jacobiator(broken, *triple)
         assert not _jacobiator(SC, *triple)
+
+
+def test_jacobi_sweeps_an_ungraded_table_triple_by_triple():
+    # [X_a1, X_a3] = N X_(a1+a3) moved onto X_a1, a basis element of the wrong weight
+    a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
+    i, j = SC.index(("x", a1)), SC.index(("x", a3))
+    broken = _with_moved_term(SC, i, j, i)
+    rep = check_jacobi(broken, limit=1000)
+    assert rep.triples_checked == 76076
+    assert rep.violations == _reference_jacobi(broken, 1000)
+    assert len(rep.violations) == 43
+    # some violations lie where a graded table's sum would be empty
+    assert not all(map(_weight_sum_is_root_or_zero, rep.violations))
+
+
+def test_graded_table_skips_only_triples_of_other_weight():
+    skipped = [t for t in combinations(SC.basis, 3) if not _weight_sum_is_root_or_zero(t)]
+    assert len(skipped) == 76076 - 14876
+    assert all(not _jacobiator(SC, *t) for t in skipped[::97])
+
+
+@pytest.mark.parametrize("family, rank", [("E", 6), ("D", 5), ("A", 4)])
+def test_weight_encoding_is_injective_on_triple_sums(family, rank):
+    from itertools import combinations_with_replacement
+    from k4holo.chevalley import _weights
+    sc = build_chevalley_basis(build_root_system(family, rank))
+    w = _weights(sc)
+    assert w[:rank] == (0,) * rank
+    # one h (weight 0) and every root vector, in threes with repetition
+    vectors = [(0,) * rank] + [key[1] for key in sc.basis[rank:]]
+    codes = w[rank - 1:]
+    seen = {}
+    for triple in combinations_with_replacement(range(len(vectors)), 3):
+        vec = tuple(map(sum, zip(*(vectors[t] for t in triple))))
+        assert seen.setdefault(sum(codes[t] for t in triple), vec) == vec
+
+
+_NONEMPTY = [(i, j) for i, row in enumerate(SC._btable) for j, terms in enumerate(row) if terms]
+_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.sampled_from(_NONEMPTY)),
+    st.tuples(st.just("move"), st.sampled_from(_NONEMPTY), st.integers(0, len(SC.basis) - 1)))
+
+
+# Each example sweeps all 76,076 triples twice (about 0.1 s), so examples are few.
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_EDIT, min_size=1, max_size=3))
+def test_jacobi_matches_the_full_sweep_on_corrupted_tables(edits):
+    rows = [list(row) for row in SC._btable]
+    for kind, (i, j), *p in edits:
+        if kind == "flip":
+            rows[i][j] = tuple((q, -c) for q, c in rows[i][j])
+        else:
+            (_, c), *rest = rows[i][j]
+            rows[i][j] = ((p[0], c), *rest)
+    broken = _with_rows(SC, rows)
+    rep = check_jacobi(broken, limit=1000)
+    assert rep.triples_checked == 76076
+    assert rep.violations == _reference_jacobi(broken, 1000)
+
+
+@pytest.mark.parametrize("corrupt", ["flip", "move", "drop", "cartan"])
+def test_antisymmetry_check_fails_on_one_entry(corrupt):
+    assert check_antisymmetry(SC)
+    a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
+    i, j = SC.index(("x", a1)), SC.index(("x", a3))
+    rows = [list(row) for row in SC._btable]
+    if corrupt == "flip":
+        rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
+    elif corrupt == "move":
+        rows[j][i] = ((i, rows[j][i][0][1]),)
+    elif corrupt == "drop":
+        rows[i][j] = ()
+    else:
+        h = SC.index(("h", 2))
+        rows[h][i] = tuple((p, 2 * c) for p, c in rows[h][i])
+    broken = _with_rows(SC, rows)
+    assert broken.n_table == SC.n_table
+    assert not check_antisymmetry(broken)
 
 
 def test_killing_cartan_value():

@@ -277,6 +277,29 @@ def test_selftest_reports_a_failing_jacobi_check(capsys, monkeypatch):
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["jacobi"]
 
 
+def test_selftest_reports_a_failing_antisymmetry_check(capsys, monkeypatch):
+    build = chevalley.build_chevalley_basis
+
+    def broken(sys):
+        # [X_a1, X_a3] negated in the bracket rows only, in one order only
+        sc = build(sys)
+        rows = [list(row) for row in sc._btable]
+        i, j = sc.index(("x", sys.simple_roots[0])), sc.index(("x", sys.simple_roots[2]))
+        rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
+        return chevalley.StructureConstants(sc.sys, sc.pos_order, sc.n_table, sc.basis,
+                                            sc._index, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(chevalley, "build_chevalley_basis", broken)
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 1
+    assert "check antisymmetry: FAIL (1440 ordered pairs)" in out.splitlines()
+    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["passed"] is False
+    assert {"name": "antisymmetry", "passed": False, "detail": "1440 ordered pairs"} in doc["checks"]
+
+
 def test_selftest_json_lists_the_checks(capsys):
     code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
     assert code == 0
