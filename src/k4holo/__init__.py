@@ -18,9 +18,9 @@ from .reductive import (ConjClass, FixedSubalgebra, classify_involution,
                         fixed_subalgebra, mu, sigma1_reference, sigma2_reference)
 from .rootsys import (ReductiveType, Root, RootSystem, SubsystemComponent,
                       build_root_system, decompose_closed_subset,
-                      identify_subsystem, inner_product)
+                      identify_subsystem)
 from .toral import (CharacterGroup, TorusCharacter, UnitaryPairData,
-                    character_from_simple_values, embed_su6_sp1, evaluate,
-                    generate_group, identity_character, multiply, order)
+                    character_from_simple_values, embed_su6_sp1, generate_group,
+                    identity_character)
 
 __version__ = "0.1.0"

@@ -24,9 +24,10 @@ weight w_p = w_i + w_j, where h has weight 0 and X_a weight a.  Given that,
 every term of a triple's Jacobi sum has weight w_i + w_j + w_k, so when this
 weight is neither a root nor 0 no basis element carries it and the sum is
 exactly zero.  Only the other triples are summed (14,876 of the 76,076 on
-E6); a table that is not graded has every triple summed.  Weights are
-encoded as single ints whose digits never carry (see _weights), so the
-argument involves no rounding: the result equals that of the full sweep.
+E6); a table that is not graded has every triple summed.  A weight is the
+root system's one integer encoding of it, RootSystem.value, whose digits
+never carry on sums of three roots, so the argument involves no rounding:
+the result equals that of the full sweep.
 """
 from __future__ import annotations
 
@@ -57,9 +58,10 @@ def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
     pos = sorted(sys.positive_roots, key=lambda r: (sys.height(r), sys.value(r)))
     rank = {r: i for i, r in enumerate(pos)}
     splits: dict[Root, list[tuple[Root, Root]]] = {}
-    for (a, b), gamma in sys.sums.items():
-        if a in rank and b in rank and rank[a] < rank[b]:
-            splits.setdefault(gamma, []).append((a, b))
+    for a in pos:
+        for b, gamma in sys.sums_from[a]:
+            if b in rank and rank[a] < rank[b]:
+                splits.setdefault(gamma, []).append((a, b))
     table: dict[tuple[Root, Root], int] = {}
     for gamma in pos:
         pairs = sorted(splits.get(gamma, ()), key=lambda p: rank[p[0]])
@@ -86,11 +88,10 @@ def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
 class StructureConstants:
     """Complete bracket table, compared field by field; immutable by convention."""
 
-    def __init__(self, sys: RootSystem, pos_order: tuple[Root, ...],
-                 n_table: dict[tuple[Root, Root], int], basis: tuple[BasisKey, ...],
-                 _index: dict[BasisKey, int],
+    def __init__(self, sys: RootSystem, n_table: dict[tuple[Root, Root], int],
+                 basis: tuple[BasisKey, ...], _index: dict[BasisKey, int],
                  _btable: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
-        self.sys, self.pos_order, self.n_table = sys, pos_order, n_table
+        self.sys, self.n_table = sys, n_table
         self.basis, self._index, self._btable = basis, _index, _btable
 
     def __eq__(self, other):
@@ -141,12 +142,12 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
             return -n_any(_neg(a), _neg(b))
         if not apos:
             return -n_any(b, a)
-        c = sys.sums[(a, b)]
+        c = tuple(x + y for x, y in zip(a, b))
         if c in posset:
             return -npos[(_neg(b), c)]
         return npos[(_neg(c), a)]
 
-    n_table = {pair: n_any(*pair) for pair in sys.sums}
+    n_table = {(a, b): n_any(a, b) for a, pairs in sys.sums_from.items() for b, _ in pairs}
     for (a, b), v in n_table.items():
         if v not in (1, -1) or n_table[(b, a)] != -v:
             raise InternalConsistencyError("structure constants fail antisymmetry")
@@ -173,8 +174,7 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
         for b, s in sys.sums_from[a]:
             row[at[b]] = ((at[s], n_table[(a, b)]),)
 
-    return StructureConstants(sys=sys, pos_order=pos, n_table=n_table,
-                              basis=tuple(basis), _index=index,
+    return StructureConstants(sys=sys, n_table=n_table, basis=tuple(basis), _index=index,
                               _btable=tuple(map(tuple, rows)))
 
 
@@ -199,16 +199,12 @@ def check_antisymmetry(sc: StructureConstants) -> bool:
 
 
 def _weights(sc: StructureConstants) -> tuple[int, ...]:
-    """Weight of each basis element as one int: 0 for h, the root for X_a.
+    """Weight of each basis element as one int: 0 for h, value(a) for X_a.
 
-    A root r is encoded as sum(r[t] * base**t).  Each coordinate of a sum of
-    at most three roots lies within 3 * m of 0, m the largest coefficient
-    of the highest root, so with base > 6 * m no digit carries and the
-    encoding of such sums is injective.
+    RootSystem.value is injective on sums of at most three roots.
     """
-    base = 6 * max(sc.sys.highest_root) + 1
-    return tuple(sum(c * base ** t for t, c in enumerate(key[1])) if key[0] == "x" else 0
-                 for key in sc.basis)
+    value = sc.sys.value
+    return tuple(value(key[1]) if key[0] == "x" else 0 for key in sc.basis)
 
 
 def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:

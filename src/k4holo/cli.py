@@ -24,7 +24,7 @@ Character grammar (one shell argument per character):
 A bracketed vector is one token even when it contains spaces.
 
 M defaults to the configured modulus (4, overridable through the
-K4HOLO_MODULUS environment variable; builtin groups need 4 | M).
+K4HOLO_MODULUS environment variable).
 Element labels (x1, x2, x4, x5, y1, y3, y4, y5 and their products) resolve
 inside the first builtin group containing them unless qualified as
 "group:label" or pinned with --group.
@@ -43,11 +43,12 @@ import re
 import sys as _sys
 
 from . import chevalley, pipeline
-from .errors import EngineError, UsageError, VerificationError
+from .errors import EngineError, PreconditionError, UsageError, VerificationError
 from .realform import identify_real_form
-from .reductive import classify_involution, fixed_subalgebra, mu
+from .reductive import ConjClass, classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
-from .toral import TorusCharacter, UnitaryPairData, character_from_simple_values, embed_su6_sp1
+from .toral import (TorusCharacter, UnitaryPairData, character_from_simple_values,
+                    embed_su6_sp1, identity_character)
 
 _FORMATS = ("json", "markdown", "plain")
 
@@ -217,10 +218,10 @@ def _cmd_selftest(args) -> int:
         chi = character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
         value = {r: chi.evaluate(r) for r in sys.roots}
         hom_ok &= all(value[s] == (value[a] + value[b]) % chi.modulus
-                      for (a, b), s in sys.sums.items())
+                      for a, pairs in sys.sums_from.items() for b, s in pairs)
     results.append(("character_homomorphism", hom_ok, "20 sampled characters"))
 
-    groups = pipeline.builtin_groups(args.modulus)
+    groups = pipeline.builtin_groups()
     census = tuple(len(pipeline.sigma2_elements(groups[n], sys))
                    for n in pipeline.GROUP_NAMES)
     results.append(("involution_census", census == (1, 3, 3, 5), str(census)))
@@ -281,13 +282,22 @@ def _cmd_classify(args) -> int:
 
 def _cmd_realform(args) -> int:
     sys = build_root_system("E", 6)
-    groups = pipeline.builtin_groups(args.modulus)
+    groups = pipeline.builtin_groups()
     g1name, g1 = pipeline.resolve_label(args.gamma[0], groups, args.group)
     g2name, g2 = pipeline.resolve_label(args.gamma[1], groups, g1name)
     tname, t = pipeline.resolve_label(args.theta, groups, g2name)
     group = groups[tname]
     theta = group.element(t)
     gamma = [group.element(g1), group.element(g2)]
+    # The pairs the classification enumerates: Gamma a Klein four subgroup,
+    # theta a sigma2-class element outside it.
+    members = {identity_character(), *gamma, gamma[0] * gamma[1]}
+    if len(members) != 4:
+        raise PreconditionError(f"{g1} and {g2} do not generate a Klein four subgroup")
+    if classify_involution(theta, sys) is not ConjClass.SIGMA2:
+        raise PreconditionError(f"theta {t} is not a sigma2-class element")
+    if theta in members:
+        raise PreconditionError(f"theta {t} lies in <{g1},{g2}>")
     fs = fixed_subalgebra(gamma, sys)
     form = identify_real_form(fs, theta, sys)
     doc = {
@@ -303,7 +313,7 @@ def _cmd_realform(args) -> int:
 
 def _cmd_theorem24(args) -> int:
     sys = build_root_system("E", 6)
-    report = pipeline.classify_all(sys, args.modulus)
+    report = pipeline.classify_all(sys)
     if args.format == "markdown":
         print(pipeline.report_to_markdown(report), end="")
     elif args.format == "json":
@@ -322,7 +332,7 @@ def _cmd_theorem24(args) -> int:
 
 def _cmd_survey(args) -> int:
     sys = build_root_system("E", 6)
-    result = pipeline.symmetric_pair_survey(args.theta, sys, args.modulus)
+    result = pipeline.symmetric_pair_survey(args.theta, sys)
     doc = {
         "theta_group": result.theta_group,
         "theta": result.theta_label,

@@ -1,7 +1,8 @@
 """End-to-end classification of Klein four symmetric pairs of holomorphic type.
 
 The four builtin rank-3 groups of commuting toral involutions are realised
-through the su(6)+sp(1) embedding from explicit diagonal data; composite
+through the su(6)+sp(1) embedding from explicit diagonal data mod 4 (the
+characters are canonical, so no other modulus could change them); composite
 names are resolved multiplicatively (in x1x4x5 the datum given is x1*x4, so
 x4 = x1*(x1*x4); in y1y3y4 the data are y1*y3, y1*y4 and y4; in y3y4y5 they
 are y3*y4, y5 and y3).  Candidate pairs (theta, Gamma) with theta a
@@ -9,10 +10,12 @@ Cartan-involution representative outside the Klein four subgroup Gamma are
 enumerated exhaustively, their real forms computed, and the deduplicated
 result checked verbatim against the embedded golden list of eight pairs.
 Each fixed subalgebra is computed and decomposed once, per Klein four
-subgroup and per group, and the report keeps the per-group facts its JSON
-view shows.  The holomorphic-type condition holds by construction
-for toral sigma, so only its premise on theta (the so(10)+R class with a
-corank-1 centre) is checked, once per theta.  Deduplication is by real-form
+subgroup and per group.  The report holds each fact once: a candidate
+keeps only its own labels and types, and its group's name and maximal
+compact subalgebra (the group's fixed subalgebra) are read from the
+GroupCandidates that holds it.  The holomorphic-type condition holds by
+construction for toral sigma, so only its premise on theta (the so(10)+R
+class with a corank-1 centre) is checked, once per theta.  Deduplication is by real-form
 type equality, not by conjugacy: all raw candidates stay inspectable in the
 report.  Two of the candidate pairs in y3y4y5 yield the same type; whether
 they are actually conjugate is not decided here.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ConfigurationError, PreconditionError, ValidationError, VerificationError
+from .errors import PreconditionError, ValidationError, VerificationError
 from .realform import RealFormType, center_of_fixed, identify_real_form
 from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
 from .rootsys import ReductiveType, RootSystem, build_root_system
@@ -53,23 +56,18 @@ SURVEY_FORMS = (
 )
 
 
-def builtin_groups(modulus: int = DEFAULT_MODULUS) -> dict[str, CharacterGroup]:
+def builtin_groups() -> dict[str, CharacterGroup]:
     """The four rank-3 groups of commuting involutions, with element labels."""
-    m = modulus
-    if m % 4 != 0:
-        raise ConfigurationError(
-            f"builtin groups need a modulus divisible by 4, got {m}")
-    q, h = m // 4, m // 2
 
     def emb(diag, sp1):
-        return embed_su6_sp1(UnitaryPairData(m, diag, sp1))
+        return embed_su6_sp1(UnitaryPairData(4, diag, sp1))
 
-    minus_one = emb((0,) * 6, h)                     # (I6, -1)
-    i3_i3_i = emb((q, q, q, 3 * q, 3 * q, 3 * q), q)  # (diag(i,i,i,-i,-i,-i), i)
-    i5_i = emb((q, q, q, q, q, 3 * q), q)             # (diag(i,i,i,i,i,-i), i)
-    m2_p4 = emb((h, h, 0, 0, 0, 0), 0)                # (diag(-1,-1,1,1,1,1), 1)
-    m4_p2 = emb((h, h, h, h, 0, 0), 0)                # (diag(-1,-1,-1,-1,1,1), 1)
-    m22 = emb((h, h, 0, h, h, 0), 0)                  # (diag(-1,-1,1,-1,-1,1), 1)
+    minus_one = emb((0,) * 6, 2)            # (I6, -1)
+    i3_i3_i = emb((1, 1, 1, 3, 3, 3), 1)    # (diag(i,i,i,-i,-i,-i), i)
+    i5_i = emb((1, 1, 1, 1, 1, 3), 1)       # (diag(i,i,i,i,i,-i), i)
+    m2_p4 = emb((2, 2, 0, 0, 0, 0), 0)      # (diag(-1,-1,1,1,1,1), 1)
+    m4_p2 = emb((2, 2, 2, 2, 0, 0), 0)      # (diag(-1,-1,-1,-1,1,1), 1)
+    m22 = emb((2, 2, 0, 2, 2, 0), 0)        # (diag(-1,-1,1,-1,-1,1), 1)
 
     groups = {
         "x1x2x4": generate_group(
@@ -96,8 +94,8 @@ def sigma2_elements(group: CharacterGroup, sys: RootSystem) -> tuple[str, ...]:
 
 
 class KleinSubgroup(NamedTuple):
+    """An order-4 subgroup; its first two labels generate it."""
     labels: tuple[str, str, str]
-    gen_pair: tuple[str, str]
     chars: frozenset[TorusCharacter]
 
 
@@ -114,24 +112,25 @@ def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
                 members = sorted((la, lb, group.canonical_label(prod)),
                                  key=pos.__getitem__)
                 seen[key] = tuple(members)
-    subs = [KleinSubgroup(labels=labels, gen_pair=labels[:2], chars=key)
-            for key, labels in seen.items()]
+    subs = [KleinSubgroup(labels=labels, chars=key) for key, labels in seen.items()]
     subs.sort(key=lambda s: tuple(pos[l] for l in s.labels))
     return tuple(subs)
 
 
 class K4Candidate(NamedTuple):
-    group_name: str
+    """One pair (theta, Gamma) of a group; Gamma is generated by gamma_labels."""
     theta_label: str
     gamma_labels: tuple[str, str]
-    gamma: CharacterGroup
     compact_dual: ReductiveType
     real_form: RealFormType
-    maximal_compact: ReductiveType
 
 
 class GroupCandidates(NamedTuple):
-    """One group's share of the classification, with the facts it rests on."""
+    """One group's share of the classification, with the facts it rests on.
+
+    fixed is the group's fixed subalgebra, which is also the maximal compact
+    subalgebra of each of its candidates.
+    """
     group: CharacterGroup
     sigma2_labels: tuple[str, ...]
     fixed: FixedSubalgebra
@@ -140,9 +139,7 @@ class GroupCandidates(NamedTuple):
 
 class K4Report(NamedTuple):
     groups: tuple[GroupCandidates, ...]
-    candidates: tuple[K4Candidate, ...]
     distinct_pairs: tuple[str, ...]
-    counts: dict[str, int]
     verified: bool
     missing: tuple[str, ...]
     unexpected: tuple[str, ...]
@@ -168,46 +165,35 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
         raise PreconditionError(f"group {group.name} has rank {group.rank}, expected 3")
     fixed = fixed_subalgebra([c for _, c in group.nonidentity()], sys)
     thetas = tuple((label, group.element(label)) for label in sigma2_elements(group, sys))
-    gammas = []
-    for sub in klein_four_subgroups(group):
-        if any(theta not in sub.chars for _, theta in thetas):
-            gamma = generate_group(
-                [(l, group.element(l)) for l in sub.gen_pair],
-                name=f"{group.name}<{','.join(sub.gen_pair)}>")
-            gammas.append((sub, gamma, fixed_subalgebra(sub.chars, sys)))
+    gammas = [(sub, fixed_subalgebra(sub.chars, sys)) for sub in klein_four_subgroups(group)
+              if any(theta not in sub.chars for _, theta in thetas)]
     out = []
     for theta_label, theta in thetas:
         center_of_fixed(theta, sys)
-        for sub, gamma, fixed_gamma in gammas:
+        for sub, fixed_gamma in gammas:
             if theta in sub.chars:
                 continue
             out.append(K4Candidate(
-                group_name=group.name,
                 theta_label=theta_label,
-                gamma_labels=sub.gen_pair,
-                gamma=gamma,
+                gamma_labels=sub.labels[:2],
                 compact_dual=fixed_gamma.rtype,
                 real_form=identify_real_form(fixed_gamma, theta, sys),
-                maximal_compact=fixed.rtype,
             ))
     return GroupCandidates(group=group, sigma2_labels=tuple(l for l, _ in thetas),
                            fixed=fixed, candidates=tuple(out))
 
 
-def classify_all(sys: RootSystem | None = None,
-                 modulus: int = DEFAULT_MODULUS) -> K4Report:
+def classify_all(sys: RootSystem | None = None) -> K4Report:
     """Run the whole classification and verify it against the golden list."""
     if sys is None:
         sys = build_root_system("E", 6)
-    groups = builtin_groups(modulus)
+    groups = builtin_groups()
     found = tuple(enumerate_candidates(groups[name], sys) for name in GROUP_NAMES)
-    candidates = tuple(c for g in found for c in g.candidates)
-    distinct = tuple(sorted({c.real_form.render() for c in candidates}))
+    distinct = tuple(sorted({c.real_form.render() for g in found for c in g.candidates}))
     golden = set(GOLDEN_PAIRS)
     missing = tuple(sorted(golden - set(distinct)))
     unexpected = tuple(sorted(set(distinct) - golden))
-    return K4Report(groups=found, candidates=candidates, distinct_pairs=distinct,
-                    counts={g.group.name: len(g.candidates) for g in found},
+    return K4Report(groups=found, distinct_pairs=distinct,
                     verified=not missing and not unexpected,
                     missing=missing, unexpected=unexpected)
 
@@ -242,8 +228,7 @@ def resolve_label(label: str, groups: dict[str, CharacterGroup],
     raise PreconditionError(f"no builtin group has an element labelled {elem!r}")
 
 
-def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None,
-                          modulus: int = DEFAULT_MODULUS) -> SurveyResult:
+def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None) -> SurveyResult:
     """Real form of the fixed algebra of every builtin involution, under theta.
 
     Values outside the five admissible symmetric-pair forms are a
@@ -251,7 +236,7 @@ def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None,
     """
     if sys is None:
         sys = build_root_system("E", 6)
-    groups = builtin_groups(modulus)
+    groups = builtin_groups()
     gname, label = resolve_label(theta_label, groups)
     theta = groups[gname].element(label)
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
@@ -291,14 +276,14 @@ def report_to_dict(report: K4Report) -> dict:
         "groups": group_items,
         "candidates": [
             {
-                "group": c.group_name,
+                "group": g.group.name,
                 "theta": c.theta_label,
                 "gamma": list(c.gamma_labels),
                 "compact_dual": c.compact_dual.render(),
                 "real_form": c.real_form.render(),
-                "maximal_compact": c.maximal_compact.render(),
+                "maximal_compact": g.fixed.rtype.render(),
             }
-            for c in report.candidates
+            for g in report.groups for c in g.candidates
         ],
         "distinct_pairs": list(report.distinct_pairs),
         "verified_against_theorem24": report.verified,
@@ -307,9 +292,10 @@ def report_to_dict(report: K4Report) -> dict:
 
 def report_to_markdown(report: K4Report) -> str:
     """Markdown table mirroring the eight-pair layout of the golden list."""
-    by_form: dict[str, list[K4Candidate]] = {}
-    for c in report.candidates:
-        by_form.setdefault(c.real_form.render(), []).append(c)
+    by_form: dict[str, list[tuple[str, K4Candidate]]] = {}
+    for g in report.groups:
+        for c in g.candidates:
+            by_form.setdefault(c.real_form.render(), []).append((g.group.name, c))
     lines = [
         "# Klein four symmetric pairs of holomorphic type for e6(-14)",
         "",
@@ -319,8 +305,8 @@ def report_to_markdown(report: K4Report) -> str:
     for idx, form in enumerate(GOLDEN_PAIRS, 1):
         cands = by_form.get(form, [])
         if cands:
-            rep = cands[0]
-            where = f"{rep.group_name}; {rep.theta_label}; <{','.join(rep.gamma_labels)}>"
+            gname, rep = cands[0]
+            where = f"{gname}; {rep.theta_label}; <{','.join(rep.gamma_labels)}>"
         else:
             where = "MISSING"
         lines.append(f"| {idx} | {form} | {where} | {len(cands)} |")

@@ -8,12 +8,15 @@ simple roots, and arbitrary closed subsets are recognised by extracting a
 simple system and matching its diagram against the A/D/E6 catalog.
 
 Pairings and sums of roots come from two tables a RootSystem builds on
-first use and keeps, gram[a][b] and sums[(a, b)] = a + b (over the ordered
-pairs whose sum is a root), so listing roots never pays for |roots|^2 pairs.
-sums_from indexes sums by its first root, so a scan over a subset S costs
-about |S| * 20 pairs in E6 instead of all 1,440.  The system also keeps,
-per character, its kernel (the roots it fixes) and, per closed subset, its
-decomposition, so the classification derives each of them once.
+first use and keeps, gram[a][b] and sums_from[a] = [(b, a + b), ...] (over
+the ordered pairs whose sum is a root), so listing roots never pays for
+|roots|^2 pairs.  sums_from is indexed by its first root, so a scan over a
+subset S costs about |S| * 20 pairs in E6 instead of all 1,440.  Roots have
+one integer encoding, value(root), whose digits never carry on sums of up
+to three roots; it orders the positive roots and grades the Chevalley
+bracket table.  The system also keeps, per character, its kernel (the
+roots it fixes) and, per closed subset, its decomposition, so the
+classification derives each of them once.
 
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import groupby
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
@@ -119,22 +122,15 @@ class RootSystem(NamedTuple("RootSystem", [
                 for a in self.roots}
 
     @cached_property
-    def sums(self) -> dict[tuple[Root, Root], Root]:
-        """a + b for every ordered pair of roots whose sum is a root.
+    def sums_from(self) -> dict[Root, list[tuple[Root, Root]]]:
+        """a + b for every ordered pair of roots whose sum is a root, indexed
+        by the first root: sums_from[a] = [(b, a + b), ...].
 
         All roots have squared length 2, so (a + b, a + b) = 4 + 2(a, b)
         and a + b is a root exactly when (a, b) = -1.
         """
-        return {(a, b): tuple(x + y for x, y in zip(a, b))
-                for a, row in self.gram.items() for b, ab in row.items() if ab == -1}
-
-    @cached_property
-    def sums_from(self) -> dict[Root, list[tuple[Root, Root]]]:
-        """sums indexed by its first root: sums_from[a] = [(b, a + b), ...]."""
-        index: dict[Root, list[tuple[Root, Root]]] = {a: [] for a in self.roots}
-        for (a, b), s in self.sums.items():
-            index[a].append((b, s))
-        return index
+        return {a: [(b, tuple(map(add, a, b))) for b, ab in row.items() if ab == -1]
+                for a, row in self.gram.items()}
 
     @cached_property
     def _kernels(self) -> dict[TorusCharacter, frozenset[Root]]:
@@ -156,7 +152,13 @@ class RootSystem(NamedTuple("RootSystem", [
         return fixed
 
     def value(self, root: Sequence[int]) -> int:
-        """Generic positivity functional; injective on root coordinates."""
+        """Generic positivity functional: the coordinates as digits of one int.
+
+        The base exceeds 6 * m, m the largest coefficient of the highest
+        root, and each coordinate of a sum of at most three roots lies
+        within 3 * m of 0, so no digit carries: value is injective on such
+        sums, and its sign is that of the last nonzero coordinate.
+        """
         return sum(c * w for c, w in zip(root, self.weights))
 
     def is_positive(self, root: Sequence[int]) -> bool:
@@ -203,8 +205,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         if not (all(c >= 0 for c in r) or all(c <= 0 for c in r)):
             raise InternalConsistencyError(f"root {r} has mixed-sign coefficients")
 
+    # Roots are sign-coherent, so this is the highest root's largest coefficient.
     maxc = max(abs(c) for r in roots for c in r)
-    base = 2 * maxc + 1
+    base = 6 * maxc + 1
     weights = tuple(base ** i for i in range(rank))
     positive = tuple(sorted((r for r in roots if sum(c * w for c, w in zip(r, weights)) > 0),
                             key=lambda r: sum(c * w for c, w in zip(r, weights))))
@@ -218,11 +221,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                       roots=frozenset(roots), simple_roots=simple,
                       positive_roots=positive, highest_root=highest,
                       weights=weights)
-
-
-def inner_product(a: Root, b: Root, sys: RootSystem) -> int:
-    """Normalised bilinear form of two roots; (a, a) = 2 for every root."""
-    return sys.pairing(a, b)
 
 
 class SubsystemComponent(NamedTuple):

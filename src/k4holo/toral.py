@@ -19,16 +19,12 @@ the defining representation tensored with the rank-one factor.
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
 RANK = 6
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class TorusCharacter:
@@ -79,7 +75,7 @@ class TorusCharacter:
         return sum(c * e for c, e in zip(root, self.exps)) % self.modulus
 
     def __mul__(self, other: "TorusCharacter") -> "TorusCharacter":
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         sa, sb = m // self.modulus, m // other.modulus
         return TorusCharacter(m, tuple((ea * sa + eb * sb) % m
                                        for ea, eb in zip(self.exps, other.exps)))
@@ -95,18 +91,6 @@ def character_from_simple_values(exps: Sequence[int], modulus: int) -> TorusChar
 
 def identity_character() -> TorusCharacter:
     return TorusCharacter(1, (0,) * RANK)
-
-
-def multiply(a: TorusCharacter, b: TorusCharacter) -> TorusCharacter:
-    return a * b
-
-
-def order(a: TorusCharacter) -> int:
-    return a.order
-
-
-def evaluate(a: TorusCharacter, root: Sequence[int]) -> int:
-    return a.evaluate(root)
 
 
 class UnitaryPairData(NamedTuple("UnitaryPairData",

@@ -109,7 +109,7 @@ def test_jacobi_report_shape():
 
 def _with_rows(sc, rows, n_table=None):
     """Copy of sc with the given bracket rows, frozen to tuples."""
-    return StructureConstants(sc.sys, sc.pos_order, sc.n_table if n_table is None else n_table,
+    return StructureConstants(sc.sys, sc.n_table if n_table is None else n_table,
                               sc.basis, sc._index, tuple(map(tuple, rows)))
 
 

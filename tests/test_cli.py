@@ -52,8 +52,7 @@ def test_theorem24_markdown(capsys):
 
 
 def test_theorem24_mismatch_exit_code(capsys, monkeypatch):
-    broken = pipeline.K4Report(groups=(), candidates=(), distinct_pairs=("bogus",),
-                               counts={}, verified=False,
+    broken = pipeline.K4Report(groups=(), distinct_pairs=("bogus",), verified=False,
                                missing=("2su(2,1)+2c",), unexpected=("bogus",))
     monkeypatch.setattr(pipeline, "classify_all", lambda *a, **k: broken)
     code, out, err = run_cli(["theorem24"], capsys)
@@ -169,6 +168,25 @@ def test_hostile_specs_exit_0_or_2_with_no_output_on_error(spec, specs):
             assert out == ""
 
 
+_LABEL_PIECES = st.sampled_from(
+    ["x1", "x2", "x4", "x5", "y1", "y3", "y4", "y5", "1", ":", "x1x2x4", "y3y4y5", "-"])
+_HOSTILE_LABELS = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.one_of(_LABEL_PIECES, st.text(max_size=2)), max_size=4).map("".join))
+
+
+@given(_HOSTILE_LABELS, _HOSTILE_LABELS, _HOSTILE_LABELS,
+       st.sampled_from([[]] + [["--group", g] for g in pipeline.GROUP_NAMES]))
+@settings(max_examples=60, deadline=None)
+def test_hostile_labels_exit_0_or_2_with_no_output_on_error(theta, g1, g2, group):
+    for args in (["realform", "--gamma", g1, g2, "--theta", theta, *group],
+                 ["survey", "--theta", theta]):
+        code, out = _run_in_process(args)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+
+
 def test_spaced_vector_on_the_command_line(capsys):
     code, out, _ = run_cli(["fixed", "--chars", "chi m=2 [1, 0,0,0,1, 0]"], capsys)
     assert code == 0
@@ -222,6 +240,20 @@ def test_realform_group_resolution(capsys):
     assert code == 0
     assert doc["real_form"] == "so(6,2)+2c"
     assert doc["group"] == "y3y4y5"
+
+
+@pytest.mark.parametrize("gamma, theta", [
+    (("x1", "x1"), "x4"),    # Gamma is not a Klein four group
+    (("x1", "1"), "x4"),     # one generator is the identity
+    (("x1", "x4"), "x4"),    # theta lies in Gamma
+    (("x1", "x2"), "x1x2"),  # theta is in the sigma1 class (and in Gamma)
+    (("x1", "x4"), "x2"),    # theta is in the sigma1 class, outside Gamma
+], ids=["equal", "identity", "theta-in-gamma", "sigma1-in-gamma", "sigma1"])
+def test_realform_rejects_what_is_not_a_candidate_pair(gamma, theta, capsys):
+    code, out, err = run_cli(["realform", "--gamma", *gamma, "--theta", theta], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_survey_subcommand(capsys):
@@ -286,7 +318,7 @@ def test_selftest_reports_a_failing_antisymmetry_check(capsys, monkeypatch):
         rows = [list(row) for row in sc._btable]
         i, j = sc.index(("x", sys.simple_roots[0])), sc.index(("x", sys.simple_roots[2]))
         rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
-        return chevalley.StructureConstants(sc.sys, sc.pos_order, sc.n_table, sc.basis,
+        return chevalley.StructureConstants(sc.sys, sc.n_table, sc.basis,
                                             sc._index, tuple(map(tuple, rows)))
 
     monkeypatch.setattr(chevalley, "build_chevalley_basis", broken)
@@ -298,6 +330,50 @@ def test_selftest_reports_a_failing_antisymmetry_check(capsys, monkeypatch):
     assert code == 1
     assert doc["passed"] is False
     assert {"name": "antisymmetry", "passed": False, "detail": "1440 ordered pairs"} in doc["checks"]
+
+
+def _with_doubled_bracket(k1, k2):
+    """build_chevalley_basis with the terms of [k1, k2] doubled, in that order only."""
+    build = chevalley.build_chevalley_basis
+
+    def broken(sys):
+        sc = build(sys)
+        rows = [list(row) for row in sc._btable]
+        i, j = sc.index(k1), sc.index(k2)
+        rows[i][j] = tuple((p, 2 * c) for p, c in rows[i][j])
+        return chevalley.StructureConstants(sc.sys, sc.n_table, sc.basis,
+                                            sc._index, tuple(map(tuple, rows)))
+
+    return broken
+
+
+_A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("name, line", [
+    # [h_1, X_a1] = 2 X_a1 becomes 4 X_a1: the trace of ad(h_1)^2 gains 16 - 4
+    ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 60, root-sum 48)"),
+    # [X_a1, X_-a1] = h_1 becomes 2 h_1
+    ("killing_root_pair", "check killing_root_pair: FAIL (kappa(X,X-) = 26)"),
+    # x1x2x4 (one sigma2 element) replaced by x1x4x5 (three)
+    ("involution_census", "check involution_census: FAIL ((3, 3, 3, 5))"),
+])
+def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
+    if name == "involution_census":
+        groups = pipeline.builtin_groups()
+        groups["x1x2x4"] = groups["x1x4x5"]
+        monkeypatch.setattr(pipeline, "builtin_groups", lambda: groups)
+    else:
+        pair = ((("h", 0), _A1) if name == "killing_cartan" else (_A1, _MINUS_A1))
+        monkeypatch.setattr(chevalley, "build_chevalley_basis", _with_doubled_bracket(*pair))
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 1
+    assert line in out.splitlines()
+    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["passed"] is False
+    assert name in [c["name"] for c in doc["checks"] if not c["passed"]]
 
 
 def test_selftest_json_lists_the_checks(capsys):
@@ -338,6 +414,20 @@ def test_modulus_env_override(capsys, monkeypatch):
         env_modulus=8, monkeypatch=monkeypatch)
     assert code == 0
     assert out.strip() == "sigma1"
+
+
+@pytest.mark.parametrize("args", [
+    ["theorem24"],
+    ["selftest"],
+    ["survey", "--theta", "x4"],
+    ["realform", "--gamma", "x1", "x2", "--theta", "x4"],
+], ids=lambda args: args[0])
+def test_builtin_groups_ignore_the_configured_modulus(args, capsys, monkeypatch):
+    # the builtin characters are canonical, so any modulus gives the same groups
+    _, expected, _ = run_cli(args, capsys)
+    for modulus in (3, 6):
+        code, out, err = run_cli(args, capsys, env_modulus=modulus, monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, expected, "")
 
 
 def test_bad_modulus_env(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from k4holo.errors import ConfigurationError, PreconditionError
+from k4holo.errors import PreconditionError
 from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              builtin_groups, classify_all, enumerate_candidates,
                              klein_four_subgroups, report_to_dict,
@@ -12,25 +12,18 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              symmetric_pair_survey)
 from k4holo.reductive import fixed_subalgebra
 from k4holo.rootsys import build_root_system
-from k4holo.toral import UnitaryPairData, embed_su6_sp1
+from k4holo.toral import UnitaryPairData, embed_su6_sp1, identity_character
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
 REPORT = classify_all(E6)
+BY_GROUP = {g.group.name: g for g in REPORT.groups}
 
 
 def test_builtin_groups_structure():
     assert tuple(GROUPS) == GROUP_NAMES
     for g in GROUPS.values():
         assert g.order == 8 and g.rank == 3
-
-
-def test_builtin_groups_other_modulus():
-    alt = builtin_groups(modulus=8)
-    for name in GROUP_NAMES:
-        assert alt[name].elements == GROUPS[name].elements
-    with pytest.raises(ConfigurationError):
-        builtin_groups(modulus=6)
 
 
 def test_realisation_words_match_embedding_data():
@@ -104,12 +97,13 @@ def test_group_without_sigma2_elements():
 
 
 def test_candidate_multiplicities():
-    assert REPORT.counts == {"x1x2x4": 4, "x1x4x5": 12, "y1y3y4": 12, "y3y4y5": 20}
-    assert len(REPORT.candidates) == 48
+    counts = {name: len(g.candidates) for name, g in BY_GROUP.items()}
+    assert counts == {"x1x2x4": 4, "x1x4x5": 12, "y1y3y4": 12, "y3y4y5": 20}
+    assert sum(counts.values()) == 48
 
 
 def test_group_i_candidates_all_same_form():
-    cands = [c for c in REPORT.candidates if c.group_name == "x1x2x4"]
+    cands = BY_GROUP["x1x2x4"].candidates
     assert len(cands) == 4
     assert {c.theta_label for c in cands} == {"x4"}
     assert {c.real_form.render() for c in cands} == {"2su(2,1)+2c"}
@@ -118,26 +112,29 @@ def test_group_i_candidates_all_same_form():
 
 
 def test_named_candidate_from_y1y3y4():
-    match = [c for c in REPORT.candidates
-             if c.group_name == "y1y3y4" and c.theta_label == "y3"
-             and c.gamma_labels == ("y1", "y4")]
+    group = BY_GROUP["y1y3y4"]
+    match = [c for c in group.candidates
+             if c.theta_label == "y3" and c.gamma_labels == ("y1", "y4")]
     assert len(match) == 1
     cand = match[0]
     assert cand.compact_dual.render() == "su(4)+2su(2)+c"
     assert cand.real_form.render() == "su(3,1)+su(1,1)+su(2)+c"
-    assert cand.maximal_compact.render() == "su(3)+su(2)+3c"
+    assert group.fixed.rtype.render() == "su(3)+su(2)+3c"
 
 
 def test_candidate_invariants():
-    for c in REPORT.candidates:
-        assert c.real_form.complexification() == c.compact_dual
-        assert c.gamma.order == 4
-        theta = GROUPS[c.group_name].element(c.theta_label)
-        assert theta not in c.gamma.elements
-        # maximal compact dimension equals the compact parts of the form
-        compact = sum(l.compact_part_dim for l in c.real_form.ideals)
-        compact += len(c.real_form.center)
-        assert c.maximal_compact.dim == compact
+    for g in REPORT.groups:
+        assert g.group == GROUPS[g.group.name]
+        for c in g.candidates:
+            assert c.real_form.complexification() == c.compact_dual
+            a, b = (g.group.element(label) for label in c.gamma_labels)
+            gamma = {identity_character(), a, b, a * b}
+            assert len(gamma) == 4
+            assert g.group.element(c.theta_label) not in gamma
+            # maximal compact dimension equals the compact parts of the form
+            compact = sum(l.compact_part_dim for l in c.real_form.ideals)
+            compact += len(c.real_form.center)
+            assert g.fixed.rtype.dim == compact
 
 
 def test_distinct_pairs_match_golden_list():

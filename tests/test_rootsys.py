@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
 from k4holo.rootsys import (MAX_RANK, build_root_system, decompose_closed_subset,
-                            identify_subsystem, inner_product, _classify_diagram)
+                            identify_subsystem, _classify_diagram)
 
 
 E6 = build_root_system("E", 6)
@@ -78,9 +78,9 @@ def test_inner_product_examples():
     a1 = E6.simple_roots[0]
     a2 = E6.simple_roots[1]
     a3 = E6.simple_roots[2]
-    assert inner_product(a1, a1, E6) == 2
-    assert inner_product(a1, a3, E6) == -1
-    assert inner_product(a1, a2, E6) == 0
+    assert E6.pairing(a1, a1) == 2
+    assert E6.pairing(a1, a3) == -1
+    assert E6.pairing(a1, a2) == 0
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("E", 7), ("E", 8), ("D", 3), ("A", 0), ("F", 4),
@@ -164,7 +164,9 @@ def test_sums_from_indexes_sums():
     assert sum(len(pairs) for pairs in E6.sums_from.values()) == 1440
     assert set(E6.sums_from) == E6.roots
     assert all(len(pairs) == 20 for pairs in E6.sums_from.values())
-    assert {(a, b): s for a, pairs in E6.sums_from.items() for b, s in pairs} == E6.sums
+    for a, pairs in E6.sums_from.items():
+        assert all(s == tuple(x + y for x, y in zip(a, b)) for b, s in pairs)
+        assert len({b for b, _ in pairs}) == len(pairs)
 
 
 def test_component_counts_match_type():
@@ -233,12 +235,12 @@ def test_reductive_type_render():
 
 def test_root_tables_are_built_on_first_use():
     fresh = build_root_system.__wrapped__("E", 6)
-    assert "gram" not in vars(fresh) and "sums" not in vars(fresh)
+    assert "gram" not in vars(fresh) and "sums_from" not in vars(fresh)
     a1 = fresh.simple_roots[0]
     assert fresh.gram[a1][a1] == 2
-    assert "gram" in vars(fresh) and "sums" not in vars(fresh)
-    assert len(fresh.sums) == 1440
-    assert "sums" in vars(fresh)
+    assert "gram" in vars(fresh) and "sums_from" not in vars(fresh)
+    assert len(fresh.sums_from[a1]) == 20
+    assert "sums_from" in vars(fresh)
 
 
 def test_root_tables_match_brute_force():
@@ -252,7 +254,7 @@ def test_root_tables_match_brute_force():
             if s in E6.roots:
                 brute[(a, b)] = s
     assert len(brute) == 1440
-    assert E6.sums == brute
+    assert {(a, b): s for a, pairs in E6.sums_from.items() for b, s in pairs} == brute
 
 
 @given(st.lists(st.integers(0, 11), min_size=6, max_size=6),
