@@ -43,12 +43,12 @@ import re
 import sys as _sys
 
 from . import chevalley, pipeline
-from .errors import EngineError, PreconditionError, UsageError, VerificationError
+from .errors import EngineError, UsageError, VerificationError
 from .realform import identify_real_form
-from .reductive import ConjClass, classify_involution, fixed_subalgebra, mu
+from .reductive import classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
 from .toral import (TorusCharacter, UnitaryPairData, character_from_simple_values,
-                    embed_su6_sp1, identity_character)
+                    embed_su6_sp1)
 
 _FORMATS = ("json", "markdown", "plain")
 
@@ -287,19 +287,9 @@ def _cmd_realform(args) -> int:
     g2name, g2 = pipeline.resolve_label(args.gamma[1], groups, g1name)
     tname, t = pipeline.resolve_label(args.theta, groups, g2name)
     group = groups[tname]
-    theta = group.element(t)
-    gamma = [group.element(g1), group.element(g2)]
-    # The pairs the classification enumerates: Gamma a Klein four subgroup,
-    # theta a sigma2-class element outside it.
-    members = {identity_character(), *gamma, gamma[0] * gamma[1]}
-    if len(members) != 4:
-        raise PreconditionError(f"{g1} and {g2} do not generate a Klein four subgroup")
-    if classify_involution(theta, sys) is not ConjClass.SIGMA2:
-        raise PreconditionError(f"theta {t} is not a sigma2-class element")
-    if theta in members:
-        raise PreconditionError(f"theta {t} lies in <{g1},{g2}>")
-    fs = fixed_subalgebra(gamma, sys)
-    form = identify_real_form(fs, theta, sys)
+    pipeline.candidate_subgroup(group, t, (g1, g2), sys)
+    fs = fixed_subalgebra([group.element(g1), group.element(g2)], sys)
+    form = identify_real_form(fs, group.element(t), sys)
     doc = {
         "group": tname,
         "gamma": [g1, g2],

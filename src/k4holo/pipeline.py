@@ -11,9 +11,10 @@ enumerated exhaustively, their real forms computed, and the deduplicated
 result checked verbatim against the embedded golden list of eight pairs.
 Each fixed subalgebra is computed and decomposed once, per Klein four
 subgroup and per group.  The report holds each fact once: a candidate
-keeps only its own labels and types, and its group's name and maximal
-compact subalgebra (the group's fixed subalgebra) are read from the
-GroupCandidates that holds it.  The holomorphic-type condition holds by
+keeps its group's name and its own labels and types, its maximal compact
+subalgebra (the group's fixed subalgebra) is read from the GroupCandidates
+that holds it, and the report's flat candidate list is derived from its
+groups.  The holomorphic-type condition holds by
 construction for toral sigma, so only its premise on theta (the so(10)+R
 class with a corank-1 centre) is checked, once per theta.  Deduplication is by real-form
 type equality, not by conjugacy: all raw candidates stay inspectable in the
@@ -117,8 +118,27 @@ def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
     return tuple(subs)
 
 
+def candidate_subgroup(group: CharacterGroup, theta_label: str,
+                       gamma_labels: tuple[str, str], sys: RootSystem) -> KleinSubgroup:
+    """The Klein four subgroup Gamma generated by gamma_labels, when
+    (theta, Gamma) is a pair enumerate_candidates yields: Gamma one of
+    klein_four_subgroups, theta one of sigma2_elements and not in Gamma.
+    Any other input raises PreconditionError."""
+    g1, g2 = gamma_labels
+    a, b = group.element(g1), group.element(g2)
+    sub = next((s for s in klein_four_subgroups(group) if a != b and {a, b} <= s.chars), None)
+    if sub is None:
+        raise PreconditionError(f"{g1} and {g2} do not generate a Klein four subgroup")
+    if theta_label not in sigma2_elements(group, sys):
+        raise PreconditionError(f"theta {theta_label} is not a sigma2-class element")
+    if group.element(theta_label) in sub.chars:
+        raise PreconditionError(f"theta {theta_label} lies in <{g1},{g2}>")
+    return sub
+
+
 class K4Candidate(NamedTuple):
     """One pair (theta, Gamma) of a group; Gamma is generated by gamma_labels."""
+    group_name: str
     theta_label: str
     gamma_labels: tuple[str, str]
     compact_dual: ReductiveType
@@ -143,6 +163,11 @@ class K4Report(NamedTuple):
     verified: bool
     missing: tuple[str, ...]
     unexpected: tuple[str, ...]
+
+    @property
+    def candidates(self) -> tuple[K4Candidate, ...]:
+        """Every group's candidates, in group order."""
+        return tuple(c for g in self.groups for c in g.candidates)
 
 
 def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandidates:
@@ -174,6 +199,7 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
             if theta in sub.chars:
                 continue
             out.append(K4Candidate(
+                group_name=group.name,
                 theta_label=theta_label,
                 gamma_labels=sub.labels[:2],
                 compact_dual=fixed_gamma.rtype,
@@ -292,10 +318,9 @@ def report_to_dict(report: K4Report) -> dict:
 
 def report_to_markdown(report: K4Report) -> str:
     """Markdown table mirroring the eight-pair layout of the golden list."""
-    by_form: dict[str, list[tuple[str, K4Candidate]]] = {}
-    for g in report.groups:
-        for c in g.candidates:
-            by_form.setdefault(c.real_form.render(), []).append((g.group.name, c))
+    by_form: dict[str, list[K4Candidate]] = {}
+    for c in report.candidates:
+        by_form.setdefault(c.real_form.render(), []).append(c)
     lines = [
         "# Klein four symmetric pairs of holomorphic type for e6(-14)",
         "",
@@ -305,8 +330,8 @@ def report_to_markdown(report: K4Report) -> str:
     for idx, form in enumerate(GOLDEN_PAIRS, 1):
         cands = by_form.get(form, [])
         if cands:
-            gname, rep = cands[0]
-            where = f"{gname}; {rep.theta_label}; <{','.join(rep.gamma_labels)}>"
+            rep = cands[0]
+            where = f"{rep.group_name}; {rep.theta_label}; <{','.join(rep.gamma_labels)}>"
         else:
             where = "MISSING"
         lines.append(f"| {idx} | {form} | {where} | {len(cands)} |")

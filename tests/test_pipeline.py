@@ -6,7 +6,8 @@ import pytest
 
 from k4holo.errors import PreconditionError
 from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
-                             builtin_groups, classify_all, enumerate_candidates,
+                             builtin_groups, candidate_subgroup, classify_all,
+                             enumerate_candidates,
                              klein_four_subgroups, report_to_dict,
                              report_to_markdown, resolve_label, sigma2_elements,
                              symmetric_pair_survey)
@@ -135,6 +136,34 @@ def test_candidate_invariants():
             compact = sum(l.compact_part_dim for l in c.real_form.ideals)
             compact += len(c.real_form.center)
             assert g.fixed.rtype.dim == compact
+
+
+def test_report_candidates_are_the_groups_candidates_in_order():
+    flat = REPORT.candidates
+    assert flat == tuple(c for g in REPORT.groups for c in g.candidates)
+    assert len(flat) == 48
+    for g in REPORT.groups:
+        assert {c.group_name for c in g.candidates} == {g.group.name}
+
+
+def test_candidate_subgroup_accepts_exactly_the_enumerated_pairs():
+    for g in REPORT.groups:
+        group = g.group
+        subs = klein_four_subgroups(group)
+        enumerated = {(c.theta_label, c.gamma_labels) for c in g.candidates}
+        labels = [label for label, _ in group.element_order]
+        accepted = set()
+        for theta in labels:
+            for g1 in labels:
+                for g2 in labels:
+                    try:
+                        sub = candidate_subgroup(group, theta, (g1, g2), E6)
+                    except PreconditionError:
+                        continue
+                    assert sub in subs
+                    if (g1, g2) == sub.labels[:2]:
+                        accepted.add((theta, (g1, g2)))
+        assert accepted == enumerated
 
 
 def test_distinct_pairs_match_golden_list():

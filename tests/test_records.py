@@ -32,7 +32,8 @@ FROZEN = [
     (UnitaryPairData(4, (2, 2, 0, 2, 2, 0), 1), ("modulus", "diag", "sp1")),
     (GROUP.group, ("name", "base", "labels", "element_order")),
     (klein_four_subgroups(GROUP.group)[0], ("labels", "chars")),
-    (CANDIDATE, ("theta_label", "gamma_labels", "compact_dual", "real_form")),
+    (CANDIDATE, ("group_name", "theta_label", "gamma_labels", "compact_dual",
+                 "real_form")),
     (GROUP, ("group", "sigma2_labels", "fixed", "candidates")),
     (REPORT, ("groups", "distinct_pairs", "verified", "missing", "unexpected")),
     (symmetric_pair_survey("x4", E6), ("theta_group", "theta_label", "values")),
