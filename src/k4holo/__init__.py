@@ -7,8 +7,8 @@ from .chevalley import (JacobiReport, StructureConstants, build_chevalley_basis,
 from .errors import (ConfigurationError, EngineError, InternalConsistencyError,
                      PreconditionError, UnmappedPatternError, UsageError,
                      ValidationError, VerificationError)
-from .pipeline import (DEFAULT_MODULUS, GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
-                       GroupCandidates, K4Candidate, K4Report, SurveyResult, builtin_groups,
+from .pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS, GroupCandidates,
+                       K4Candidate, K4Report, SurveyResult, builtin_groups,
                        classify_all, enumerate_candidates, klein_four_subgroups,
                        report_to_dict, report_to_markdown, sigma2_elements,
                        symmetric_pair_survey)

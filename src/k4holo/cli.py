@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-  roots      --type E6            dump a root system (rank at most 32)
+  roots      --type E6 [-v]       dump a root system (rank at most 32)
   selftest   [--jobs N]           certification run: Jacobi, Killing, laws
   fixed      --chars SPEC...      fixed subalgebra of the given characters
   classify   --char SPEC          involution class and mu value
@@ -23,8 +23,7 @@ Character grammar (one shell argument per character):
 
 A bracketed vector is one token even when it contains spaces.
 
-M defaults to the configured modulus (4, overridable through the
-K4HOLO_MODULUS environment variable).
+M defaults to 4.
 Element labels (x1, x2, x4, x5, y1, y3, y4, y5 and their products) resolve
 inside the first builtin group containing them unless qualified as
 "group:label" or pinned with --group.
@@ -55,18 +54,8 @@ _FORMATS = ("json", "markdown", "plain")
 # A whitespace-free word, or one with a bracketed part that may hold spaces.
 _SPEC_TOKEN = re.compile(r"[^\s\[]*\[[^\]]*\]\S*|\S+")
 
-
-def _configured_modulus() -> int:
-    raw = os.environ.get("K4HOLO_MODULUS", "")
-    if not raw:
-        return pipeline.DEFAULT_MODULUS
-    try:
-        m = int(raw)
-    except ValueError:
-        raise UsageError(f"K4HOLO_MODULUS={raw!r} is not an integer")
-    if m < 1:
-        raise UsageError(f"K4HOLO_MODULUS must be >= 1, got {m}")
-    return m
+# The modulus of a character spec that gives no m=M.
+_SPEC_MODULUS = 4
 
 
 def _parse_vector(token: str, expect: int) -> tuple[int, ...]:
@@ -83,7 +72,7 @@ def _parse_vector(token: str, expect: int) -> tuple[int, ...]:
     return values
 
 
-def parse_char_spec(spec: str, default_modulus: int) -> TorusCharacter:
+def parse_char_spec(spec: str) -> TorusCharacter:
     """Parse one character spec; see the module docstring for the grammar."""
     tokens = _SPEC_TOKEN.findall(spec)
     if not tokens:
@@ -102,7 +91,7 @@ def parse_char_spec(spec: str, default_modulus: int) -> TorusCharacter:
 
     def modulus() -> int:
         if "m" not in fields:
-            return default_modulus
+            return _SPEC_MODULUS
         try:
             m = int(fields["m"])
         except ValueError:
@@ -250,7 +239,7 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_fixed(args) -> int:
     sys = build_root_system("E", 6)
-    chars = [parse_char_spec(s, args.modulus) for s in args.chars]
+    chars = [parse_char_spec(s) for s in args.chars]
     fs = fixed_subalgebra(chars, sys)
     doc = {
         "chars": [_char_view(c) for c in chars],
@@ -266,7 +255,7 @@ def _cmd_fixed(args) -> int:
 
 def _cmd_classify(args) -> int:
     sys = build_root_system("E", 6)
-    char = parse_char_spec(args.char, args.modulus)
+    char = parse_char_spec(args.char)
     cls = classify_involution(char, sys)
     fs = fixed_subalgebra([char], sys)
     doc = {
@@ -346,10 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=_FORMATS, default="plain")
-        p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("roots", help="dump a root system")
     p.add_argument("--type", required=True, help="e.g. E6, A5, D4")
+    p.add_argument("-v", "--verbose", action="count", default=0,
+                   help="also list every root in the text output")
     common(p)
     p.set_defaults(func=_cmd_roots)
 
@@ -393,7 +383,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.modulus = _configured_modulus()
         if args.command in ("selftest",) and args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         code = args.func(args)

@@ -31,8 +31,6 @@ from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_su
 from .rootsys import ReductiveType, RootSystem, build_root_system
 from .toral import CharacterGroup, TorusCharacter, UnitaryPairData, embed_su6_sp1, generate_group
 
-DEFAULT_MODULUS = 4
-
 GROUP_NAMES = ("x1x2x4", "x1x4x5", "y1y3y4", "y3y4y5")
 
 # Golden list of the eight pairs; the exact spelling is part of the contract.

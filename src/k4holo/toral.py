@@ -66,10 +66,6 @@ class TorusCharacter:
         # stored modulus is exactly the order.
         return self.modulus
 
-    @property
-    def is_involution(self) -> bool:
-        return self.modulus <= 2
-
     def evaluate(self, root: Sequence[int]) -> int:
         """Exponent (mod modulus) of the character's value on a lattice vector."""
         return sum(c * e for c, e in zip(root, self.exps)) % self.modulus
@@ -156,10 +152,6 @@ class CharacterGroup(NamedTuple):
             n //= 2
             r += 1
         return r
-
-    @property
-    def elements(self) -> frozenset[TorusCharacter]:
-        return frozenset(c for _, c in self.element_order)
 
     def element(self, label: str) -> TorusCharacter:
         if label not in self.labels:

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from k4holo import chevalley, cli, pipeline
 from k4holo.errors import EngineError
+from k4holo.rootsys import build_root_system
 from k4holo.toral import character_from_simple_values
 
 
-def run_cli(args, capsys, env_modulus=None, monkeypatch=None):
-    if env_modulus is not None:
-        monkeypatch.setenv("K4HOLO_MODULUS", str(env_modulus))
+def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -83,7 +82,7 @@ def test_classify_chi_chain_order(capsys):
         ["classify", "--char", "chi m=2 [0,0,0,0,0,1]"], capsys)
     assert code == 0
     assert out.strip() == "sigma1"
-    chi = cli.parse_char_spec("chi m=2 [0,0,0,0,0,1]", 4)
+    chi = cli.parse_char_spec("chi m=2 [0,0,0,0,0,1]")
     assert chi == character_from_simple_values((0, 1, 0, 0, 0, 0), 2)
 
 
@@ -125,8 +124,8 @@ def test_spaces_inside_brackets_do_not_change_the_character(vec, pads):
     tight = ",".join(map(str, vec))
     loose = ",".join(f"{a}{v}{b}" for v, (a, b) in zip(vec, pads))
     for template in ("chi m=12 [{}]", "su6sp1 m=12 d=[{}] y=1"):
-        assert (cli.parse_char_spec(template.format(loose), 4)
-                == cli.parse_char_spec(template.format(tight), 4))
+        assert (cli.parse_char_spec(template.format(loose))
+                == cli.parse_char_spec(template.format(tight)))
 
 
 _SPEC_PIECES = st.sampled_from(
@@ -138,7 +137,7 @@ _SPEC_PIECES = st.sampled_from(
                  .map("".join)))
 def test_parse_char_spec_raises_only_engine_errors(spec):
     try:
-        cli.parse_char_spec(spec, 4)
+        cli.parse_char_spec(spec)
     except EngineError:
         pass
 
@@ -357,12 +356,22 @@ _A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
     ("killing_root_pair", "check killing_root_pair: FAIL (kappa(X,X-) = 26)"),
     # x1x2x4 (one sigma2 element) replaced by x1x4x5 (three)
     ("involution_census", "check involution_census: FAIL ((3, 3, 3, 5))"),
+    # one sum a1 + b recorded as b, beside the true bracket table
+    ("character_homomorphism",
+     "check character_homomorphism: FAIL (20 sampled characters)"),
 ])
 def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
     if name == "involution_census":
         groups = pipeline.builtin_groups()
         groups["x1x2x4"] = groups["x1x4x5"]
         monkeypatch.setattr(pipeline, "builtin_groups", lambda: groups)
+    elif name == "character_homomorphism":
+        true_table = chevalley.build_chevalley_basis(build_root_system("E", 6))
+        wrong = build_root_system.__wrapped__("E", 6)
+        row = wrong.sums_from[wrong.simple_roots[0]]
+        row[0] = (row[0][0], row[0][0])
+        monkeypatch.setattr(cli, "build_root_system", lambda family, rank: wrong)
+        monkeypatch.setattr(chevalley, "build_chevalley_basis", lambda sys: true_table)
     else:
         pair = ((("h", 0), _A1) if name == "killing_cartan" else (_A1, _MINUS_A1))
         monkeypatch.setattr(chevalley, "build_chevalley_basis", _with_doubled_bracket(*pair))
@@ -407,33 +416,20 @@ def test_selftest_rejects_zero_jobs(capsys):
     assert code == 2 and out == "" and "--jobs" in err
 
 
-def test_modulus_env_override(capsys, monkeypatch):
-    # default modulus becomes 8, so the half-turn exponent is 4
-    code, out, _ = run_cli(
-        ["classify", "--char", "chi [0,0,0,0,0,4]"], capsys,
-        env_modulus=8, monkeypatch=monkeypatch)
-    assert code == 0
-    assert out.strip() == "sigma1"
-
-
-@pytest.mark.parametrize("args", [
-    ["theorem24"],
-    ["selftest"],
-    ["survey", "--theta", "x4"],
-    ["realform", "--gamma", "x1", "x2", "--theta", "x4"],
-], ids=lambda args: args[0])
-def test_builtin_groups_ignore_the_configured_modulus(args, capsys, monkeypatch):
-    # the builtin characters are canonical, so any modulus gives the same groups
-    _, expected, _ = run_cli(args, capsys)
-    for modulus in (3, 6):
-        code, out, err = run_cli(args, capsys, env_modulus=modulus, monkeypatch=monkeypatch)
-        assert (code, out, err) == (0, expected, "")
-
-
-def test_bad_modulus_env(capsys, monkeypatch):
-    code, _, err = run_cli(["fixed"], capsys, env_modulus="zero",
-                           monkeypatch=monkeypatch)
-    assert code == 2
+def test_no_environment_variable_changes_a_command(capsys, monkeypatch):
+    # a spec without m=M is read mod 4 whatever the environment holds
+    cases = [
+        (["roots", "--type", "A2"], "highest root: [1, 1]"),
+        (["classify", "--char", "chi [0,0,0,0,0,4]"], "identity"),
+        (["fixed", "--chars", "chi [1,0,0,0,1,0]"], "type: so(8)+2c"),
+    ]
+    monkeypatch.delenv("K4HOLO_MODULUS", raising=False)
+    expected = [run_cli(args, capsys)[:2] for args, _ in cases]
+    for (code, out), (_, line) in zip(expected, cases):
+        assert code == 0 and line in out.splitlines()
+    for value in ("zero", "8"):
+        monkeypatch.setenv("K4HOLO_MODULUS", value)
+        assert [run_cli(args, capsys)[:2] for args, _ in cases] == expected
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -11,7 +11,7 @@ from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              _integer_nullspace)
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
 from k4holo.rootsys import build_root_system
-from k4holo.toral import identity_character
+from k4holo.toral import TorusCharacter, identity_character
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -216,3 +216,14 @@ def test_integer_nullspace_of_the_centre_rows():
     rows = [tuple(E6.gram[r][s] for s in E6.simple_roots) for r in fixed]
     assert _integer_nullspace(rows, 6) == _fraction_nullspace(rows, 6)
     assert center_of_fixed(sigma2_reference(), E6) == _fraction_nullspace(rows, 6)
+
+
+# An element of T[2]: its exponents on the six simple roots, as the bits of 0..63.
+_T2 = st.integers(0, 63).map(lambda n: TorusCharacter(2, tuple(n >> i & 1 for i in range(6))))
+
+
+@given(st.lists(_T2.filter(lambda c: c.order == 2), min_size=1, max_size=2), _T2)
+@settings(max_examples=50, deadline=None)
+def test_identify_real_form_passes_its_bookkeeping_on_t2(gamma, theta):
+    fs = fixed_subalgebra(gamma, E6)
+    assert identify_real_form(fs, theta, E6).complexification() == fs.rtype
