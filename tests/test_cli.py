@@ -416,20 +416,31 @@ def test_selftest_rejects_zero_jobs(capsys):
     assert code == 2 and out == "" and "--jobs" in err
 
 
-def test_no_environment_variable_changes_a_command(capsys, monkeypatch):
-    # a spec without m=M is read mod 4 whatever the environment holds
-    cases = [
-        (["roots", "--type", "A2"], "highest root: [1, 1]"),
-        (["classify", "--char", "chi [0,0,0,0,0,4]"], "identity"),
-        (["fixed", "--chars", "chi [1,0,0,0,1,0]"], "type: so(8)+2c"),
-    ]
-    monkeypatch.delenv("K4HOLO_MODULUS", raising=False)
-    expected = [run_cli(args, capsys)[:2] for args, _ in cases]
-    for (code, out), (_, line) in zip(expected, cases):
+# a spec without m=M is read mod 4 whatever the environment holds
+_ENV_CASES = [
+    (["roots", "--type", "A2"], "highest root: [1, 1]"),
+    (["classify", "--char", "chi [0,0,0,0,0,4]"], "identity"),
+    (["fixed", "--chars", "chi [1,0,0,0,1,0]"], "type: so(8)+2c"),
+]
+
+
+def _assert_env_changes_nothing(name, value, capsys, monkeypatch):
+    monkeypatch.delenv(name, raising=False)
+    expected = [run_cli(args, capsys)[:2] for args, _ in _ENV_CASES]
+    for (code, out), (_, line) in zip(expected, _ENV_CASES):
         assert code == 0 and line in out.splitlines()
-    for value in ("zero", "8"):
-        monkeypatch.setenv("K4HOLO_MODULUS", value)
-        assert [run_cli(args, capsys)[:2] for args, _ in cases] == expected
+    monkeypatch.setenv(name, value)
+    assert [run_cli(args, capsys)[:2] for args, _ in _ENV_CASES] == expected
+
+
+def test_modulus_env_override(capsys, monkeypatch):
+    # K4HOLO_MODULUS=8 once made chi [0,0,0,0,0,4] a half turn; it is read mod 4
+    _assert_env_changes_nothing("K4HOLO_MODULUS", "8", capsys, monkeypatch)
+
+
+def test_bad_modulus_env(capsys, monkeypatch):
+    # a non-integer K4HOLO_MODULUS once exited 2; nothing reads it now
+    _assert_env_changes_nothing("K4HOLO_MODULUS", "zero", capsys, monkeypatch)
 
 
 def test_closed_stdout_ends_without_traceback():
