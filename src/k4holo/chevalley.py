@@ -9,9 +9,11 @@ non-simple positive root takes N = +1 on the decomposition whose first
 member is minimal, and all remaining constants follow from antisymmetry,
 the opposite-pair rule N(-a, -b) = -N(a, b), the rotation rule
 N(a, b) = N(b, c) = N(c, a) for a + b + c = 0, and the four-term relation
-for a + b + c + d = 0.  Any consistent sign set passes the certification
-suite; reproducibility of the table, not one specific table, is the
-contract.
+for a + b + c + d = 0.  Only the positive pairs are derived by the
+four-term relation; every other constant is read from them in one pass over
+sums_from, by the signs of a, b and a + b.  Any consistent sign set passes
+the certification suite; reproducibility of the table, not one specific
+table, is the contract.
 
 The bracket table holds one row per basis element: _btable[i][j] is the
 tuple of terms (p, c) of [b_i, b_j] = sum of c * b_p, filled straight from
@@ -24,13 +26,17 @@ weight w_p = w_i + w_j, where h has weight 0 and X_a weight a.  Given that,
 every term of a triple's Jacobi sum has weight w_i + w_j + w_k, so when this
 weight is neither a root nor 0 no basis element carries it and the sum is
 exactly zero.  Only the other triples are summed (14,876 of the 76,076 on
-E6); a table that is not graded has every triple summed.  A weight is the
+E6); a table that is not graded has every triple summed.  The summed
+triples come from an inverted index built once, listing for each weight s
+every basis index k with s + w_k a root or 0, so a pair (i, j) looks up its
+partners k > j under w_i + w_j instead of testing each k.  A weight is the
 root system's one integer encoding of it, RootSystem.value, whose digits
 never carry on sums of three roots, so the argument involves no rounding:
 the result equals that of the full sweep.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
@@ -41,10 +47,6 @@ BasisKey = tuple  # ("h", i) with 0 <= i < rank, or ("x", root)
 
 def _sub(a: Root, b: Root) -> Root:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _neg(a: Root) -> Root:
-    return tuple(-x for x in a)
 
 
 def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
@@ -132,22 +134,29 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
 
     pos, npos = _positive_pair_table(sys)
     posset = set(pos)
+    neg = {r: tuple(-x for x in r) for r in sys.roots}
 
-    def n_any(a: Root, b: Root) -> int:
-        # Rotation rule: for x + y + z = 0, N(x, y) = N(y, z) = N(z, x).
-        apos, bpos = a in posset, b in posset
-        if apos and bpos:
-            return npos[(a, b)]
-        if not apos and not bpos:
-            return -n_any(_neg(a), _neg(b))
-        if not apos:
-            return -n_any(b, a)
-        c = tuple(x + y for x, y in zip(a, b))
-        if c in posset:
-            return -npos[(_neg(b), c)]
-        return npos[(_neg(c), a)]
-
-    n_table = {(a, b): n_any(a, b) for a, pairs in sys.sums_from.items() for b, _ in pairs}
+    # N(a, b) for a + b = c a root, read from npos by the opposite-pair rule
+    # N(-a, -b) = -N(a, b), antisymmetry and the rotation rule: for
+    # x + y + z = 0, N(x, y) = N(y, z) = N(z, x).
+    n_table: dict[tuple[Root, Root], int] = {}
+    for a, pairs in sys.sums_from.items():
+        apos = a in posset
+        for b, c in pairs:
+            if b in posset:
+                if apos:
+                    v = npos[(a, b)]
+                elif c in posset:  # a < 0 < b, c > 0: N(a, b) = N(-a, c)
+                    v = npos[(neg[a], c)]
+                else:  # a < 0 < b, c < 0: N(a, b) = -N(-c, b)
+                    v = -npos[(neg[c], b)]
+            elif not apos:  # a, b < 0: N(a, b) = -N(-a, -b)
+                v = -npos[(neg[a], neg[b])]
+            elif c in posset:  # b < 0 < a, c > 0: N(a, b) = -N(-b, c)
+                v = -npos[(neg[b], c)]
+            else:  # b < 0 < a, c < 0: N(a, b) = N(-c, a)
+                v = npos[(neg[c], a)]
+            n_table[(a, b)] = v
     for (a, b), v in n_table.items():
         if v not in (1, -1) or n_table[(b, a)] != -v:
             raise InternalConsistencyError("structure constants fail antisymmetry")
@@ -155,7 +164,7 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     rank = sys.rank
     basis: list[BasisKey] = [("h", i) for i in range(rank)]
     basis += [("x", r) for r in pos]
-    basis += [("x", _neg(r)) for r in pos]
+    basis += [("x", neg[r]) for r in pos]
     index = {k: i for i, k in enumerate(basis)}
     at = {k[1]: i for k, i in index.items() if k[0] == "x"}  # h_t sits at index t
 
@@ -170,7 +179,7 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
                 h_row[j], rows[j][t] = ((j, c),), ((j, -c),)
     for a, i in at.items():
         row = rows[i]
-        row[at[_neg(a)]] = tuple((t, c) for t, c in enumerate(a) if c)
+        row[at[neg[a]]] = tuple((t, c) for t, c in enumerate(a) if c)
         for b, s in sys.sums_from[a]:
             row[at[b]] = ((at[s], n_table[(a, b)]),)
 
@@ -216,9 +225,13 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
     [[b_i, b_j], b_k] and its two rotations has weight w_i + w_j + w_k, so a
     triple whose weight sum is neither a root nor 0 has an empty Jacobi sum
     (no basis element has that weight): it is certified without summing.
-    Only the remaining triples are summed, 14,876 of the 76,076 on E6.  A
-    table that is not graded has every triple summed.  Violations come in
-    increasing (i, j, k) order either way; all arithmetic is on ints.
+    Only the remaining triples are summed, 14,876 of the 76,076 on E6.  They
+    are found through an inverted index built once: partners[s] lists, in
+    increasing order, every k with s + w_k a root or 0 (78 * 73 entries on
+    E6), so a pair (i, j) takes its k > j from partners[w_i + w_j] by
+    bisection instead of testing each k.  A table that is not graded has
+    every triple summed.  Violations come in increasing (i, j, k) order
+    either way; all arithmetic is on ints.
     """
     rows = sc._btable
     n = len(sc.basis)
@@ -226,18 +239,23 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
     graded = all(w[p] == wi + wj
                  for row, wi in zip(rows, w) for terms, wj in zip(row, w)
                  for p, _ in terms)
-    nonzero = set(w) if graded else None  # the roots and 0
+    if graded:
+        nonzero = set(w)  # the roots and 0
+        partners: dict[int, list[int]] = {}
+        for k, wk in enumerate(w):
+            for t in nonzero:
+                partners.setdefault(t - wk, []).append(k)
     bad: list[tuple[int, int, int]] = []
     for i in range(n):
         row_i = rows[i]
         for j in range(i + 1, n):
             ab = row_i[j]
             row_j = rows[j]
-            if nonzero is None:
-                ks = range(j + 1, n)
+            if graded:
+                ks = partners.get(w[i] + w[j], ())
+                ks = ks[bisect_right(ks, j):]
             else:
-                wij = w[i] + w[j]
-                ks = [k for k in range(j + 1, n) if wij + w[k] in nonzero]
+                ks = range(j + 1, n)
             for k in ks:
                 row_k = rows[k]
                 acc: dict[int, int] = {}

@@ -202,12 +202,15 @@ def _cmd_selftest(args) -> int:
 
     import random
     rng = random.Random(0)
-    hom_ok = True
-    for _ in range(20):
-        chi = character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
-        value = {r: chi.evaluate(r) for r in sys.roots}
-        hom_ok &= all(value[s] == (value[a] + value[b]) % chi.modulus
-                      for a, pairs in sys.sums_from.items() for b, s in pairs)
+    chars = [character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
+             for _ in range(20)]
+    moduli = [chi.modulus for chi in chars]
+    # value[r][c] is in [0, m_c), so value[s] == (value[a] + value[b]) % m_c
+    # exactly when m_c divides value[a] + value[b] - value[s].
+    value = {r: [chi.evaluate(r) for chi in chars] for r in sys.roots}
+    hom_ok = all((p + q - t) % m == 0
+                 for a, pairs in sys.sums_from.items() for b, s in pairs
+                 for p, q, t, m in zip(value[a], value[b], value[s], moduli))
     results.append(("character_homomorphism", hom_ok, "20 sampled characters"))
 
     groups = pipeline.builtin_groups()
@@ -257,6 +260,9 @@ def _cmd_classify(args) -> int:
     sys = build_root_system("E", 6)
     char = parse_char_spec(args.char)
     cls = classify_involution(char, sys)
+    if args.format != "json":  # only JSON shows mu and the fixed subalgebra
+        print(cls.label)
+        return 0
     fs = fixed_subalgebra([char], sys)
     doc = {
         "char": _char_view(char),
@@ -265,7 +271,7 @@ def _cmd_classify(args) -> int:
         "fixed_dim": fs.dim,
         "fixed_type": fs.rtype.render(),
     }
-    _emit(doc, args.format, [cls.label])
+    print(json.dumps(doc, indent=2))
     return 0
 
 

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k4holo.chevalley import (StructureConstants, build_chevalley_basis, check_antisymmetry,
-                              check_jacobi, export_n_table, killing_form)
+from k4holo.chevalley import (StructureConstants, _positive_pair_table, build_chevalley_basis,
+                              check_antisymmetry, check_jacobi, export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import character_from_simple_values
 
@@ -53,6 +53,39 @@ def test_antisymmetry_everywhere():
         left = SC.bracket_basis(k1, k2)
         right = SC.bracket_basis(k2, k1)
         assert left == {k: -c for k, c in right.items()}
+
+
+def _reference_n_table(sys):
+    """N(a, b) for every ordered pair with a + b a root, each constant reduced
+    recursively to the positive-pair table by the opposite-pair rule,
+    antisymmetry and the rotation rule (x + y + z = 0: N(x, y) = N(y, z) = N(z, x))."""
+    pos, npos = _positive_pair_table(sys)
+    posset = set(pos)
+
+    def n_any(a, b):
+        apos, bpos = a in posset, b in posset
+        if apos and bpos:
+            return npos[(a, b)]
+        if not apos and not bpos:
+            return -n_any(neg(a), neg(b))
+        if not apos:
+            return -n_any(b, a)
+        c = add(a, b)
+        if c in posset:
+            return -npos[(neg(b), c)]
+        return npos[(neg(c), a)]
+
+    return {(a, b): n_any(a, b) for a, pairs in sys.sums_from.items() for b, _ in pairs}
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("E", 6), ("A", 1), ("A", 3), ("A", 5), ("D", 4), ("D", 5), ("D", 8)])
+def test_n_table_matches_the_recursive_rule(family, rank):
+    sys = build_root_system(family, rank)
+    n_table = build_chevalley_basis(sys).n_table
+    reference = _reference_n_table(sys)
+    assert n_table == reference
+    assert list(n_table) == list(reference)
 
 
 def test_opposite_pair_rule():

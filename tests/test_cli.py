@@ -2,11 +2,13 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k4holo import chevalley, cli, pipeline
 from k4holo.errors import EngineError
@@ -74,6 +76,18 @@ def test_classify_json_fields(capsys):
     assert doc["class"] == "sigma1"
     assert doc["mu"] == -1
     assert doc["fixed_dim"] == 38
+
+
+@pytest.mark.parametrize("fmt", ["plain", "markdown"])
+def test_classify_text_computes_only_the_class(fmt, capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("plain classify read the fixed subalgebra or mu")
+
+    monkeypatch.setattr(cli, "fixed_subalgebra", unused)
+    monkeypatch.setattr(cli, "mu", unused)
+    code, out, _ = run_cli(["classify", "--format", fmt, "--char", "chi m=2 [0,0,0,0,0,1]"],
+                           capsys)
+    assert (code, out) == (0, "sigma1\n")
 
 
 def test_classify_chi_chain_order(capsys):
@@ -383,6 +397,45 @@ def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
     assert code == 1
     assert doc["passed"] is False
     assert name in [c["name"] for c in doc["checks"] if not c["passed"]]
+
+
+def _reference_homomorphism(sys):
+    """The 20 sampled characters checked one at a time on every sum in sums_from."""
+    rng = random.Random(0)
+    ok = True
+    for _ in range(20):
+        chi = character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
+        value = {r: chi.evaluate(r) for r in sys.roots}
+        ok &= all(value[s] == (value[a] + value[b]) % chi.modulus
+                  for a, pairs in sys.sums_from.items() for b, s in pairs)
+    return ok
+
+
+_E6 = build_root_system("E", 6)
+_TRUE_TABLE = chevalley.build_chevalley_basis(_E6)
+_ROOTS = sorted(_E6.roots)
+
+
+# Each example runs one selftest on a fresh system (about 30 ms).
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_ROOTS), st.integers(0, 19), st.sampled_from(["partner", "sum"]),
+       st.sampled_from(_ROOTS))
+@example(_ROOTS[0], 0, "sum", _E6.sums_from[_ROOTS[0]][0][1])  # left as it was: PASS
+@example((-1, -2, -2, -3, -2, -1), 1, "sum", (0, 1, 0, 1, 1, 1))  # only the third character fails
+def test_character_homomorphism_matches_a_per_character_loop(a, index, field, root):
+    wrong = build_root_system.__wrapped__("E", 6)
+    row = wrong.sums_from[a]
+    b, s = row[index]
+    row[index] = (root, s) if field == "partner" else (b, root)
+    verdict = "PASS" if _reference_homomorphism(wrong) else "FAIL"
+    out = io.StringIO()
+    with mock.patch.object(cli, "build_root_system", lambda family, rank: wrong), \
+            mock.patch.object(chevalley, "build_chevalley_basis", lambda sys: _TRUE_TABLE), \
+            contextlib.redirect_stdout(out):
+        code = cli.main(["selftest"])
+    assert f"check character_homomorphism: {verdict} (20 sampled characters)" in \
+        out.getvalue().splitlines()
+    assert code == (0 if verdict == "PASS" else 1)
 
 
 def test_selftest_json_lists_the_checks(capsys):
