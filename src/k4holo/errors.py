@@ -27,11 +27,7 @@ class InternalConsistencyError(EngineError):
 
 
 class UnmappedPatternError(EngineError):
-    """A fixed-subsystem pattern has no entry in the real-form lookup table."""
-
-    def __init__(self, message: str, pattern: object = None):
-        super().__init__(message)
-        self.pattern = pattern
+    """A simple ideal has no entry in the real-form vocabulary."""
 
 
 class VerificationError(EngineError):

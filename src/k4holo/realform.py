@@ -2,20 +2,28 @@
 
 A real form is named by its complex type together with the type of its
 maximal compact subalgebra, which is injective across the vocabulary that
-can occur here.  For each simple ideal of the subalgebra we compute the
-subsystem fixed by the Cartan-involution character and look the pattern up:
+can occur here.  Each simple ideal is named by the Vogan-diagram rule
+(Knapp, Lie Groups Beyond an Introduction, VI.8-10): theta paints the
+ideal's simple roots, taken in diagram order, with its values on them
+(painted = acts by -1), and the paints alone give the name.
 
-  A_n ideal:  everything fixed               -> compact su(n+1)
-              A_{p-1} + A_{q-1} + 1 centre   -> su(p, q)
-  D_n ideal:  everything fixed               -> compact so(2n)
-              shape of D_p + D_q (q >= 1)    -> so(2p, 2q)
-              A_{n-1} + 1 centre             -> so*(2n)
+  A_n ideal:  XOR the paints of all n roots along the path, starting from
+              an unpainted sign; the n + 1 signs split into p >= q, which
+              names su(p, q), or compact su(n + 1) when q = 0.
+  D_n ideal:  two fork leaves painted differently -> so*(2n); otherwise
+              XOR the paints of the first n - 1 roots (long arm, branch
+              node, first fork leaf) into n signs, p >= q -> so(2p, 2q), or
+              compact so(2n) when q = 0.
 
-where D_1 contributes a centre line, D_2 = A_1 + A_1 and D_3 = A_3.  For a
-D_4 ideal the patterns A_3 + centre and D_3 + D_1 coincide, as do the
-algebras so*(8) and so(6,2); the so(6,2) spelling wins.  Any other pattern
-raises rather than guessing.  Only equal-rank forms can arise from toral
-involutions, so the table deliberately omits split/quaternionic families.
+For a D_4 ideal so*(8) and so(6,2) are the same algebra; the so(6,2)
+spelling wins.  E-type ideals raise rather than guessing.  Only equal-rank
+forms can arise from toral involutions, so the vocabulary deliberately
+omits split/quaternionic families.
+
+Each name is dimension-checked: its compact part must have the dimension
+of theta's fixed roots in the ideal plus the rank.  The name reads theta
+on the n simple roots only and the count reads it on every root of the
+ideal, so the check compares two independent derivations.
 
 Centre summands of the subalgebra are always compact: toral characters fix
 the Cartan subalgebra pointwise.
@@ -31,8 +39,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import (ReductiveType, Root, RootSystem, decompose_closed_subset,
-                      render_multiplicities)
+from .rootsys import ReductiveType, RootSystem, SubsystemComponent, render_multiplicities
 from .toral import TorusCharacter
 
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2, "su_c": 3, "so_c": 4}
@@ -131,62 +138,22 @@ class RealFormType(NamedTuple("RealFormType", [("ideals", tuple[RealFormLabel, .
         return "+".join(parts) if parts else "0"
 
 
-def _d_shape(k: int) -> tuple[tuple[tuple[str, int], ...], int]:
-    """Component multiset and centre count of the compact algebra so(2k)."""
-    if k == 1:
-        return ((), 1)
-    if k == 2:
-        return ((("A", 1), ("A", 1)), 0)
-    if k == 3:
-        return ((("A", 3),), 0)
-    return ((("D", k),), 0)
-
-
-def _ideal_label(family: str, n: int, comp_roots: frozenset[Root],
-                 fixed_in: frozenset[Root], sys: RootSystem) -> RealFormLabel:
-    if fixed_in == comp_roots:
-        if family == "A":
-            return RealFormLabel("su_c", n + 1)
-        if family == "D":
-            return RealFormLabel("so_c", n)
-        raise UnmappedPatternError(
-            f"no real-form vocabulary for a compact {family}{n} ideal",
-            pattern=(family, n, "all fixed"))
-
-    sub = decompose_closed_subset(fixed_in, sys)
-    comps = tuple(sorted(((c.family, c.rank) for c in sub),
-                         key=lambda c: (-c[1], c[0])))
-    inner_center = n - sum(r for _, r in comps)
-    pattern = (family, n, comps, inner_center)
-
+def _ideal_label(comp: SubsystemComponent, theta: TorusCharacter) -> RealFormLabel:
+    family, n = comp.family, comp.rank
+    if family not in ("A", "D"):
+        raise UnmappedPatternError(f"no real-form vocabulary for an {family}{n} ideal")
+    paints = [theta.evaluate(s) != 0 for s in comp.simple]
+    if family == "D" and paints[-2] != paints[-1]:
+        # so*(8) and so(6,2) are the same algebra; the so(6,2) spelling wins.
+        return RealFormLabel("so", 3, 1) if n == 4 else RealFormLabel("so_star", n)
+    signs = [False]
+    for paint in paints[:n if family == "A" else n - 1]:
+        signs.append(signs[-1] ^ paint)
+    q = min(signs.count(False), signs.count(True))
+    p = len(signs) - q
     if family == "A":
-        if inner_center == 1 and len(comps) <= 2 and all(f == "A" for f, _ in comps):
-            ranks = sorted((r for _, r in comps), reverse=True) + [0, 0]
-            p, q = ranks[0] + 1, ranks[1] + 1
-            if p + q == n + 1:
-                return RealFormLabel("su", p, q)
-        raise UnmappedPatternError(
-            f"fixed pattern {comps} + {inner_center} centre inside A{n} "
-            "matches no equal-rank real form", pattern=pattern)
-
-    if family == "D":
-        for q in range(1, n // 2 + 1):
-            p = n - q
-            p_comps, p_center = _d_shape(p)
-            q_comps, q_center = _d_shape(q)
-            expected = tuple(sorted(p_comps + q_comps, key=lambda c: (-c[1], c[0])))
-            if comps == expected and inner_center == p_center + q_center:
-                return RealFormLabel("so", p, q)
-        if inner_center == 1 and comps == (("A", n - 1),):
-            # For n = 4 this pattern is already caught above as so(6,2),
-            # which is the same algebra as so*(8).
-            return RealFormLabel("so_star", n)
-        raise UnmappedPatternError(
-            f"fixed pattern {comps} + {inner_center} centre inside D{n} "
-            "matches no equal-rank real form", pattern=pattern)
-
-    raise UnmappedPatternError(
-        f"no real-form vocabulary for an {family}{n} ideal", pattern=pattern)
+        return RealFormLabel("su", p, q) if q else RealFormLabel("su_c", p)
+    return RealFormLabel("so", p, q) if q else RealFormLabel("so_c", p)
 
 
 def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
@@ -195,14 +162,16 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
 
     theta-stability is automatic here: all characters share one torus.
     Every identification is dimension-checked (compact part of the label
-    versus fixed root count plus rank) before being returned.
+    from the paints versus theta's fixed root count plus rank) and its
+    complexification checked against the subalgebra's type before being
+    returned.
     """
     if theta.order > 2:
         raise PreconditionError("theta must be an involution or the identity")
     ideals = []
     for comp in sub.components:
         fixed_in = comp.roots & sys.kernel(theta)
-        label = _ideal_label(comp.family, comp.rank, comp.roots, fixed_in, sys)
+        label = _ideal_label(comp, theta)
         if label.compact_part_dim != len(fixed_in) + comp.rank:
             raise InternalConsistencyError(
                 f"{label.render()} bookkeeping: compact dim {label.compact_part_dim} "

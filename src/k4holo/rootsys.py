@@ -224,7 +224,11 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 class SubsystemComponent(NamedTuple):
-    """One irreducible component of a closed root subsystem."""
+    """One irreducible component of a closed root subsystem.
+
+    For A and D, simple is in diagram order: its Gram matrix is
+    _cartan_matrix(family, rank).
+    """
     family: str
     rank: int
     simple: tuple[Root, ...]
@@ -281,11 +285,19 @@ def _validate_closed(subset: frozenset[Root], sys: RootSystem) -> None:
                     f"subset is not closed: {a} + {b} = {s} is a root outside it")
 
 
-def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int]:
-    """Match the diagram of a connected simple system against A/D/E6."""
+def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tuple[Root, ...]]:
+    """Match the diagram of a connected simple system against A/D/E6.
+
+    Also returns the simple roots in diagram order, the node order of
+    _cartan_matrix(family, rank): an A path from its smaller end; for D the
+    long arm walked in to the branch node, then the two fork leaves.  E6
+    roots stay sorted.  The walk starts from the sorted roots, so the order
+    does not depend on set iteration.
+    """
+    simple = sorted(simple)
     k = len(simple)
     if k == 1:
-        return ("A", 1)
+        return ("A", 1, tuple(simple))
     adj = [[j for j in range(k)
             if j != i and sys.gram[simple[i]][simple[j]] != 0]
            for i in range(k)]
@@ -296,28 +308,32 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int]:
             f"component diagram has {nedges} edges on {k} nodes (not a tree)")
     if max(degs) > 3:
         raise InternalConsistencyError("component diagram has a node of degree > 3")
+
+    def walk(prev: int, cur: int) -> list[int]:
+        """The leg that leaves prev through cur, out to its end."""
+        leg = [cur]
+        while nxt := [j for j in adj[cur] if j != prev]:
+            prev, cur = cur, nxt[0]
+            leg.append(cur)
+        return leg
+
+    def ordered(nodes: list[int]) -> tuple[Root, ...]:
+        return tuple(simple[i] for i in nodes)
+
     branches = [i for i in range(k) if degs[i] == 3]
     if not branches:
-        return ("A", k)
+        end = degs.index(1)
+        return ("A", k, ordered([end] + walk(end, adj[end][0])))
     if len(branches) > 1:
         raise InternalConsistencyError("component diagram has two branch nodes")
     b = branches[0]
-    legs = []
-    for first in adj[b]:
-        length, prev, cur = 1, b, first
-        while True:
-            nxt = [j for j in adj[cur] if j != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return ("D", k)
-    if legs == [1, 2, 2]:
-        return ("E", 6)
-    raise InternalConsistencyError(f"component diagram with legs {legs} matches no catalog entry")
+    legs = sorted((walk(b, first) for first in adj[b]), key=len)
+    lengths = [len(leg) for leg in legs]
+    if lengths[:2] == [1, 1]:
+        return ("D", k, ordered(legs[2][::-1] + [b] + legs[0] + legs[1]))
+    if lengths == [1, 2, 2]:
+        return ("E", 6, tuple(simple))
+    raise InternalConsistencyError(f"component diagram with legs {lengths} matches no catalog entry")
 
 
 def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
@@ -325,9 +341,10 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
 
     A simple system is extracted as the indecomposable elements among the
     positives of the generic functional, i.e. those that are no sum of two
-    positives of the subset; its diagram components are then classified
-    and every root of the subset is assigned to the unique component it
-    pairs with.
+    positives of the subset; its diagram components are then classified,
+    each component's simple roots are stored in diagram order (see
+    _classify_diagram), and every root of the subset is assigned to the
+    unique component it pairs with.
 
     Each distinct subset is validated and decomposed once per system; a
     subset that fails validation is not kept, so it raises on every call.
@@ -363,8 +380,7 @@ def _decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemCompone
 
     components = []
     for grp in groups:
-        family, rank = _classify_diagram(grp, sys)
-        components.append((family, rank, tuple(sorted(grp)), set()))
+        components.append((*_classify_diagram(grp, sys), set()))
 
     for r in sset:
         homes = [c for c in components if any(gram[r][s] != 0 for s in c[2])]

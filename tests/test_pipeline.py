@@ -212,7 +212,7 @@ def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
 
 
 def test_classify_all_validates_each_distinct_subset_once(monkeypatch):
-    from k4holo import realform, reductive, rootsys
+    from k4holo import reductive, rootsys
     fresh = build_root_system.__wrapped__("E", 6)
     validated, decomposed = [], []
     original_validate = rootsys._validate_closed
@@ -229,10 +229,9 @@ def test_classify_all_validates_each_distinct_subset_once(monkeypatch):
 
     monkeypatch.setattr(rootsys, "_validate_closed", validating)
     monkeypatch.setattr(reductive, "decompose_closed_subset", decomposing)
-    monkeypatch.setattr(realform, "decompose_closed_subset", decomposing)
     assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
-    assert len(decomposed) == 90
-    assert len(validated) == len(set(decomposed)) == 35
+    assert len(decomposed) == 28
+    assert len(validated) == len(set(decomposed)) == 25
 
 
 def test_import_loads_no_rational_arithmetic():

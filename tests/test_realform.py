@@ -8,9 +8,9 @@ from k4holo.errors import InternalConsistencyError, PreconditionError, UnmappedP
 from k4holo.pipeline import builtin_groups
 from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              holomorphic_type_check, identify_real_form,
-                             _integer_nullspace)
+                             _ideal_label, _integer_nullspace)
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
-from k4holo.rootsys import build_root_system
+from k4holo.rootsys import Root, RootSystem, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
 
 E6 = build_root_system("E", 6)
@@ -24,20 +24,16 @@ def forms_of(group_name, gamma_labels, theta_label):
 
 
 def test_identify_real_form_reuses_the_components(monkeypatch):
-    from k4holo import realform
-    seen = []
-    original = realform.decompose_closed_subset
-
-    def recording(subset, sys):
-        subset = frozenset(subset)
-        seen.append(subset)
-        return original(subset, sys)
-
+    from k4holo import rootsys
+    fresh = build_root_system.__wrapped__("E", 6)
     g = GROUPS["y3y4y5"]
-    fs = fixed_subalgebra([g.element("y4"), g.element("y5")], E6)
-    monkeypatch.setattr(realform, "decompose_closed_subset", recording)
-    assert identify_real_form(fs, g.element("y3"), E6).render() == "so(6,2)+2c"
-    assert seen and fs.fixed_roots not in seen
+    fs = fixed_subalgebra([g.element("y4"), g.element("y5")], fresh)
+
+    def refusing(subset, sys):
+        raise AssertionError("identify_real_form decomposed a root subset")
+
+    monkeypatch.setattr(rootsys, "_decompose", refusing)
+    assert identify_real_form(fs, g.element("y3"), fresh).render() == "so(6,2)+2c"
 
 
 def test_two_su21_pair():
@@ -227,3 +223,84 @@ _T2 = st.integers(0, 63).map(lambda n: TorusCharacter(2, tuple(n >> i & 1 for i 
 def test_identify_real_form_passes_its_bookkeeping_on_t2(gamma, theta):
     fs = fixed_subalgebra(gamma, E6)
     assert identify_real_form(fs, theta, E6).complexification() == fs.rtype
+
+
+def _d_shape(k: int) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Component multiset and centre count of the compact algebra so(2k)."""
+    if k == 1:
+        return ((), 1)
+    if k == 2:
+        return ((("A", 1), ("A", 1)), 0)
+    if k == 3:
+        return ((("A", 3),), 0)
+    return ((("D", k),), 0)
+
+
+def _reference_ideal_label(family: str, n: int, comp_roots: frozenset[Root],
+                           fixed_in: frozenset[Root], sys: RootSystem) -> RealFormLabel:
+    """Reference: decompose theta's fixed roots inside the ideal and match
+    the pattern against the so(2p) x so(2q), su(p) x su(q) and so*(2n) shapes."""
+    if fixed_in == comp_roots:
+        if family == "A":
+            return RealFormLabel("su_c", n + 1)
+        if family == "D":
+            return RealFormLabel("so_c", n)
+        raise UnmappedPatternError(
+            f"no real-form vocabulary for a compact {family}{n} ideal")
+
+    sub = decompose_closed_subset(fixed_in, sys)
+    comps = tuple(sorted(((c.family, c.rank) for c in sub),
+                         key=lambda c: (-c[1], c[0])))
+    inner_center = n - sum(r for _, r in comps)
+
+    if family == "A":
+        if inner_center == 1 and len(comps) <= 2 and all(f == "A" for f, _ in comps):
+            ranks = sorted((r for _, r in comps), reverse=True) + [0, 0]
+            p, q = ranks[0] + 1, ranks[1] + 1
+            if p + q == n + 1:
+                return RealFormLabel("su", p, q)
+        raise UnmappedPatternError(
+            f"fixed pattern {comps} + {inner_center} centre inside A{n} "
+            "matches no equal-rank real form")
+
+    if family == "D":
+        for q in range(1, n // 2 + 1):
+            p = n - q
+            p_comps, p_center = _d_shape(p)
+            q_comps, q_center = _d_shape(q)
+            expected = tuple(sorted(p_comps + q_comps, key=lambda c: (-c[1], c[0])))
+            if comps == expected and inner_center == p_center + q_center:
+                return RealFormLabel("so", p, q)
+        if inner_center == 1 and comps == (("A", n - 1),):
+            # For n = 4 this pattern is already caught above as so(6,2),
+            # which is the same algebra as so*(8).
+            return RealFormLabel("so_star", n)
+        raise UnmappedPatternError(
+            f"fixed pattern {comps} + {inner_center} centre inside D{n} "
+            "matches no equal-rank real form")
+
+    raise UnmappedPatternError(f"no real-form vocabulary for an {family}{n} ideal")
+
+
+def test_sign_rule_matches_the_pattern_lookup_on_every_t2_ideal():
+    # Every simple component of the fixed subalgebra of 1-2 nonzero elements
+    # of T[2], against every theta in T[2].  A fresh system keeps the
+    # reference's decompositions out of the shared one.
+    sys = build_root_system.__wrapped__("E", 6)
+    t2 = [TorusCharacter(2, tuple(n >> i & 1 for i in range(6))) for n in range(64)]
+    gammas = [[a] for a in t2[1:]] + [[a, b] for i, a in enumerate(t2[1:], 1) for b in t2[i + 1:]]
+    comps = {c.roots: c for g in gammas for c in fixed_subalgebra(g, sys).components}
+    assert len(comps) == 750
+    assert {(c.family, c.rank) for c in comps.values()} == {
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)}
+    for comp in comps.values():
+        # Both rules read theta only through the roots of comp it fixes, so
+        # thetas fixing the same roots of comp are compared once.
+        seen = set()
+        for theta in t2:
+            fixed_in = comp.roots & sys.kernel(theta)
+            if fixed_in not in seen:
+                seen.add(fixed_in)
+                expected = _reference_ideal_label(comp.family, comp.rank, comp.roots,
+                                                  fixed_in, sys)
+                assert _ideal_label(comp, theta) == expected, (comp.simple, theta)

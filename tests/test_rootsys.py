@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
 from k4holo.rootsys import (MAX_RANK, build_root_system, decompose_closed_subset,
-                            identify_subsystem, _classify_diagram)
+                            identify_subsystem, _cartan_matrix, _classify_diagram)
 
 
 E6 = build_root_system("E", 6)
@@ -274,3 +274,7 @@ def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
     extracted = [r for c in comps for r in c.simple]
     assert len(extracted) == len(set(extracted))
     assert set(extracted) == expected
+    # Each A and D component's simple roots are stored in diagram order.
+    for c in (c for c in comps if c.family in ("A", "D")):
+        gram = tuple(tuple(E6.gram[a][b] for b in c.simple) for a in c.simple)
+        assert gram == _cartan_matrix(c.family, c.rank)
