@@ -26,17 +26,22 @@ weight w_p = w_i + w_j, where h has weight 0 and X_a weight a.  Given that,
 every term of a triple's Jacobi sum has weight w_i + w_j + w_k, so when this
 weight is neither a root nor 0 no basis element carries it and the sum is
 exactly zero.  Only the other triples are summed (14,876 of the 76,076 on
-E6); a table that is not graded has every triple summed.  The summed
-triples come from an inverted index built once, listing for each weight s
-every basis index k with s + w_k a root or 0, so a pair (i, j) looks up its
-partners k > j under w_i + w_j instead of testing each k.  A weight is the
-root system's one integer encoding of it, RootSystem.value, whose digits
-never carry on sums of three roots, so the argument involves no rounding:
-the result equals that of the full sweep.
+E6).  When the weight is a nonzero root, X of that root is the one basis
+element carrying it, so all the terms lie on it and the triple is summed
+into one int (14,400 triples); only the 476 of weight 0, whose terms lie on
+the Cartan elements, are summed into a vector.  A table that is not graded
+has every triple summed as a vector.  The summed triples come from an
+inverted index built once, listing for each weight s every basis index k
+with s + w_k a root or 0, so a pair (i, j) looks up its partners k > j under
+w_i + w_j instead of testing each k.  A weight is the root system's one
+integer encoding of it, RootSystem.value, whose digits never carry on sums
+of three roots, so the argument involves no rounding: the result equals
+that of the full sweep.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import sub
 from typing import NamedTuple
 
 from .errors import ConfigurationError, InternalConsistencyError
@@ -46,7 +51,7 @@ BasisKey = tuple  # ("h", i) with 0 <= i < rank, or ("x", root)
 
 
 def _sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
@@ -229,9 +234,13 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
     are found through an inverted index built once: partners[s] lists, in
     increasing order, every k with s + w_k a root or 0 (78 * 73 entries on
     E6), so a pair (i, j) takes its k > j from partners[w_i + w_j] by
-    bisection instead of testing each k.  A table that is not graded has
-    every triple summed.  Violations come in increasing (i, j, k) order
-    either way; all arithmetic is on ints.
+    bisection instead of testing each k.  A triple whose weight is a
+    nonzero root has every term on the one basis element of that weight, so
+    its sum is one int, and it is zero exactly when that element's
+    coefficient is; only the triples of weight 0 (476 on E6) are summed
+    into a dict by basis index.  A table that is not graded has every
+    triple summed into a dict.  Violations come in increasing (i, j, k)
+    order either way; all arithmetic is on ints.
     """
     rows = sc._btable
     n = len(sc.basis)
@@ -252,25 +261,35 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
             ab = row_i[j]
             row_j = rows[j]
             if graded:
-                ks = partners.get(w[i] + w[j], ())
+                s = w[i] + w[j]
+                ks = partners.get(s, ())
                 ks = ks[bisect_right(ks, j):]
             else:
                 ks = range(j + 1, n)
             for k in ks:
-                row_k = rows[k]
-                acc: dict[int, int] = {}
-                for m, c in ab:
-                    for p, c2 in rows[m][k]:
-                        acc[p] = acc.get(p, 0) + c * c2
-                for m, c in row_j[k]:
-                    for p, c2 in rows[m][i]:
-                        acc[p] = acc.get(p, 0) + c * c2
-                for m, c in row_k[i]:
-                    for p, c2 in rows[m][j]:
-                        acc[p] = acc.get(p, 0) + c * c2
-                if any(acc.values()):
-                    if len(bad) < limit:
-                        bad.append((i, j, k))
+                if graded and s + w[k]:
+                    # The weight is a nonzero root: every term lies on the
+                    # one basis element of that weight.
+                    total = 0
+                    for m, c in ab:
+                        for _, c2 in rows[m][k]:
+                            total += c * c2
+                    for m, c in row_j[k]:
+                        for _, c2 in rows[m][i]:
+                            total += c * c2
+                    for m, c in rows[k][i]:
+                        for _, c2 in rows[m][j]:
+                            total += c * c2
+                    broken = total != 0
+                else:
+                    acc: dict[int, int] = {}
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, c in rows[x][y]:
+                            for p, c2 in rows[m][z]:
+                                acc[p] = acc.get(p, 0) + c * c2
+                    broken = any(acc.values())
+                if broken and len(bad) < limit:
+                    bad.append((i, j, k))
     violations = tuple((sc.basis[i], sc.basis[j], sc.basis[k]) for i, j, k in bad)
     return JacobiReport(triples_checked=n * (n - 1) * (n - 2) // 6, violations=violations)
 

@@ -410,4 +410,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from .__main__ import run
+    raise SystemExit(run())

@@ -7,16 +7,21 @@ are plain integer sums.  Generation is by reflection closure from the
 simple roots, and arbitrary closed subsets are recognised by extracting a
 simple system and matching its diagram against the A/D/E6 catalog.
 
-Pairings and sums of roots come from two tables a RootSystem builds on
-first use and keeps, gram[a][b] and sums_from[a] = [(b, a + b), ...] (over
-the ordered pairs whose sum is a root), so listing roots never pays for
-|roots|^2 pairs.  sums_from is indexed by its first root, so a scan over a
-subset S costs about |S| * 20 pairs in E6 instead of all 1,440.  Roots have
-one integer encoding, value(root), whose digits never carry on sums of up
-to three roots; it orders the positive roots and grades the Chevalley
-bracket table.  The system also keeps, per character, its kernel (the
-roots it fixes) and, per closed subset, its decomposition, so the
-classification derives each of them once.
+Roots have one integer encoding, value(root), whose digits never carry on
+sums of up to three roots; it orders the positive roots and grades the
+Chevalley bracket table.  Pairings and sums of roots come from two tables a
+RootSystem builds on first use and keeps, gram[a][b] and sums_from[a] =
+[(b, a + b), ...] (over the ordered pairs whose sum is a root), so listing
+roots never pays for |roots|^2 pairs.  Each table is built from the root
+codes alone, and neither reads the other: value is injective on a + b and
+a - b, so a + b is a root exactly when value(a) + value(b) is the code of a
+root, and for roots of squared length 2 the pairing is 2, -2, -1, 1 or 0 as
+b = a, b = -a, a + b is a root, a - b is a root, or none of these
+(Humphreys, Introduction to Lie Algebras and Representation Theory, 9.4).
+sums_from is indexed by its first root, so a scan over a subset S costs
+about |S| * 20 pairs in E6 instead of all 1,440.  The system also keeps,
+per character, its kernel (the roots it fixes) and, per closed subset, its
+decomposition, so the classification derives each of them once.
 
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import groupby
-from operator import add, mul
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
@@ -78,14 +83,13 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 def _pairing(cartan: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
     """Bilinear form (a, b) = a.A.b for the Cartan matrix A."""
-    return sum(ai * sum(aij * bj for aij, bj in zip(row, b))
-               for ai, row in zip(a, cartan))
+    return sum(map(mul, a, [sum(map(mul, row, b)) for row in cartan]))
 
 
 def _reflect(cartan: Sequence[Sequence[int]], v: Sequence[int], i: int) -> Root:
     """Simple reflection s_i of a lattice vector for the Cartan matrix A."""
     out = list(v)
-    out[i] -= sum(vj * aij for vj, aij in zip(v, cartan[i]))
+    out[i] -= sum(map(mul, v, cartan[i]))
     return tuple(out)
 
 
@@ -115,22 +119,40 @@ class RootSystem(NamedTuple("RootSystem", [
         return _pairing(self.cartan, a, b)
 
     @cached_property
+    def _codes(self) -> dict[Root, int]:
+        """value(r) for every root r, in the iteration order of roots."""
+        value = self.value
+        return {r: value(r) for r in self.roots}
+
+    @cached_property
     def gram(self) -> dict[Root, dict[Root, int]]:
-        """(a, b) for every pair of roots, as gram[a][b]; built on first use."""
-        images = {b: tuple(sum(map(mul, row, b)) for row in self.cartan) for b in self.roots}
-        return {a: {b: sum(map(mul, a, ab)) for b, ab in images.items()}
-                for a in self.roots}
+        """(a, b) for every pair of roots, as gram[a][b]; built on first use.
+
+        Read off the root codes, without sums_from: every root has squared
+        length 2, so (a, b) is 2 for b = a, -2 for b = -a, -1 when a + b is
+        a root, 1 when a - b is a root and 0 otherwise (Humphreys, 9.4), and
+        value(a) +- value(b) is the code of a root exactly when a +- b is one.
+        """
+        codes = self._codes
+        root_codes = set(codes.values())
+        return {a: {b: 2 if cb == ca else -2 if cb == -ca else -1 if ca + cb in root_codes
+                    else 1 if ca - cb in root_codes else 0
+                    for b, cb in codes.items()}
+                for a, ca in codes.items()}
 
     @cached_property
     def sums_from(self) -> dict[Root, list[tuple[Root, Root]]]:
         """a + b for every ordered pair of roots whose sum is a root, indexed
         by the first root: sums_from[a] = [(b, a + b), ...].
 
-        All roots have squared length 2, so (a + b, a + b) = 4 + 2(a, b)
-        and a + b is a root exactly when (a, b) = -1.
+        Read off the root codes, without gram: value is injective on sums
+        of two roots, so a + b is a root exactly when value(a) + value(b)
+        is the code of a root, and then it is that root.
         """
-        return {a: [(b, tuple(map(add, a, b))) for b, ab in row.items() if ab == -1]
-                for a, row in self.gram.items()}
+        codes = self._codes
+        root_of = {c: r for r, c in codes.items()}
+        return {a: [(b, s) for b, cb in codes.items() if (s := root_of.get(ca + cb))]
+                for a, ca in codes.items()}
 
     @cached_property
     def _kernels(self) -> dict[TorusCharacter, frozenset[Root]]:
@@ -159,7 +181,7 @@ class RootSystem(NamedTuple("RootSystem", [
         within 3 * m of 0, so no digit carries: value is injective on such
         sums, and its sign is that of the last nonzero coordinate.
         """
-        return sum(c * w for c, w in zip(root, self.weights))
+        return sum(map(mul, root, self.weights))
 
     def is_positive(self, root: Sequence[int]) -> bool:
         return self.value(root) > 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -68,7 +69,7 @@ class TorusCharacter:
 
     def evaluate(self, root: Sequence[int]) -> int:
         """Exponent (mod modulus) of the character's value on a lattice vector."""
-        return sum(c * e for c, e in zip(root, self.exps)) % self.modulus
+        return sum(map(mul, root, self.exps)) % self.modulus
 
     def __mul__(self, other: "TorusCharacter") -> "TorusCharacter":
         m = lcm(self.modulus, other.modulus)

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from k4holo.chevalley import (StructureConstants, _positive_pair_table, build_chevalley_basis,
                               check_antisymmetry, check_jacobi, export_n_table, killing_form)
@@ -252,19 +252,29 @@ def test_weight_encoding_is_injective_on_triple_sums(family, rank):
 
 
 _NONEMPTY = [(i, j) for i, row in enumerate(SC._btable) for j, terms in enumerate(row) if terms]
+# flip negates an entry, move puts its first term on another basis element
+# (which usually leaves the table ungraded), and repeat adds its first term
+# once more, which keeps it graded, so the graded sweep is compared too.
 _EDIT = st.one_of(
     st.tuples(st.just("flip"), st.sampled_from(_NONEMPTY)),
-    st.tuples(st.just("move"), st.sampled_from(_NONEMPTY), st.integers(0, len(SC.basis) - 1)))
+    st.tuples(st.just("move"), st.sampled_from(_NONEMPTY), st.integers(0, len(SC.basis) - 1)),
+    st.tuples(st.just("repeat"), st.sampled_from(_NONEMPTY)))
+
+
+_A1_A3 = (SC.index(("x", E6.simple_roots[0])), SC.index(("x", E6.simple_roots[2])))
 
 
 # Each example sweeps all 76,076 triples twice (about 0.1 s), so examples are few.
 @settings(max_examples=10, deadline=None)
 @given(st.lists(_EDIT, min_size=1, max_size=3))
+@example([("repeat", _A1_A3)])
 def test_jacobi_matches_the_full_sweep_on_corrupted_tables(edits):
     rows = [list(row) for row in SC._btable]
     for kind, (i, j), *p in edits:
         if kind == "flip":
             rows[i][j] = tuple((q, -c) for q, c in rows[i][j])
+        elif kind == "repeat":
+            rows[i][j] = rows[i][j] + rows[i][j][:1]
         else:
             (_, c), *rest = rows[i][j]
             rows[i][j] = ((p[0], c), *rest)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import io
 import json
 import random
@@ -527,3 +528,31 @@ def test_module_invocation_smoke():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "sigma2"
+
+
+@pytest.mark.parametrize("args", [["theorem24", "--format", fmt] for fmt in ("plain", "json", "markdown")]
+                         + [["selftest", "--ntable-out", "{dump}"]])
+def test_module_entry_matches_in_process_main(args, tmp_path, capsys):
+    in_process, module = tmp_path / "in_process.txt", tmp_path / "module.txt"
+    before = gc.get_freeze_count()
+    code, out, _ = run_cli([a.format(dump=in_process) for a in args], capsys)
+    assert gc.get_freeze_count() == before  # only the entry point freezes
+    proc = subprocess.run([sys.executable, "-m", "k4holo", *(a.format(dump=module) for a in args)],
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+    if args[0] == "selftest":
+        assert module.read_bytes() == in_process.read_bytes()
+
+
+def test_both_launchers_use_one_entry_function(monkeypatch):
+    import tomllib
+    from pathlib import Path
+    import k4holo.__main__ as entry
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 7)
+    assert entry.run() == 7
+    assert calls == ["freeze", "main"]
+    pyproject = Path(entry.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"k4holo": "k4holo.__main__:run"}

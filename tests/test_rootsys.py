@@ -241,20 +241,26 @@ def test_root_tables_are_built_on_first_use():
     assert "gram" in vars(fresh) and "sums_from" not in vars(fresh)
     assert len(fresh.sums_from[a1]) == 20
     assert "sums_from" in vars(fresh)
+    # Neither table is built from the other.
+    fresh = build_root_system.__wrapped__("E", 6)
+    assert len(fresh.sums_from[a1]) == 20
+    assert "sums_from" in vars(fresh) and "gram" not in vars(fresh)
 
 
 def test_root_tables_match_brute_force():
-    for a in E6.roots:
-        for b in E6.roots:
-            assert E6.gram[a][b] == E6.pairing(a, b)
-    brute = {}
-    for a in E6.roots:
-        for b in E6.roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in E6.roots:
-                brute[(a, b)] = s
-    assert len(brute) == 1440
-    assert {(a, b): s for a, pairs in E6.sums_from.items() for b, s in pairs} == brute
+    for family, rank in (("E", 6), ("D", 5), ("A", 4)):
+        sys = build_root_system(family, rank)
+        for a in sys.roots:
+            for b in sys.roots:
+                assert sys.gram[a][b] == sys.pairing(a, b)
+        brute = {}
+        for a in sys.roots:
+            for b in sys.roots:
+                s = tuple(x + y for x, y in zip(a, b))
+                if s in sys.roots:
+                    brute[(a, b)] = s
+        assert family != "E" or len(brute) == 1440
+        assert {(a, b): s for a, pairs in sys.sums_from.items() for b, s in pairs} == brute
 
 
 @given(st.lists(st.integers(0, 11), min_size=6, max_size=6),
