@@ -43,7 +43,6 @@ import sys as _sys
 
 from . import chevalley, pipeline
 from .errors import EngineError, UsageError, VerificationError
-from .realform import identify_real_form
 from .reductive import classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
 from .toral import (TorusCharacter, UnitaryPairData, character_from_simple_values,
@@ -180,7 +179,8 @@ def _cmd_selftest(args) -> int:
     results: list[tuple[str, bool, str]] = []
 
     sc = chevalley.build_chevalley_basis(sys)
-    results.append(("root_system", len(sys.roots) == 72,
+    results.append(("root_system",
+                    len(sys.roots) == 72 and sys.highest_root == (1, 2, 2, 3, 2, 1),
                     f"{len(sys.roots)} roots, highest {list(sys.highest_root)}"))
 
     results.append(("antisymmetry", chevalley.check_antisymmetry(sc),
@@ -281,18 +281,15 @@ def _cmd_realform(args) -> int:
     g1name, g1 = pipeline.resolve_label(args.gamma[0], groups, args.group)
     g2name, g2 = pipeline.resolve_label(args.gamma[1], groups, g1name)
     tname, t = pipeline.resolve_label(args.theta, groups, g2name)
-    group = groups[tname]
-    pipeline.candidate_subgroup(group, t, (g1, g2), sys)
-    fs = fixed_subalgebra([group.element(g1), group.element(g2)], sys)
-    form = identify_real_form(fs, group.element(t), sys)
+    cand = pipeline.enumerate_candidates(groups[tname], sys).find(t, (g1, g2))
     doc = {
         "group": tname,
         "gamma": [g1, g2],
         "theta": t,
-        "compact_dual": fs.rtype.render(),
-        "real_form": form.render(),
+        "compact_dual": cand.compact_dual.render(),
+        "real_form": cand.real_form.render(),
     }
-    _emit(doc, args.format, [form.render()])
+    _emit(doc, args.format, [cand.real_form.render()])
     return 0
 
 

@@ -116,24 +116,6 @@ def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
     return tuple(subs)
 
 
-def candidate_subgroup(group: CharacterGroup, theta_label: str,
-                       gamma_labels: tuple[str, str], sys: RootSystem) -> KleinSubgroup:
-    """The Klein four subgroup Gamma generated by gamma_labels, when
-    (theta, Gamma) is a pair enumerate_candidates yields: Gamma one of
-    klein_four_subgroups, theta one of sigma2_elements and not in Gamma.
-    Any other input raises PreconditionError."""
-    g1, g2 = gamma_labels
-    a, b = group.element(g1), group.element(g2)
-    sub = next((s for s in klein_four_subgroups(group) if a != b and {a, b} <= s.chars), None)
-    if sub is None:
-        raise PreconditionError(f"{g1} and {g2} do not generate a Klein four subgroup")
-    if theta_label not in sigma2_elements(group, sys):
-        raise PreconditionError(f"theta {theta_label} is not a sigma2-class element")
-    if group.element(theta_label) in sub.chars:
-        raise PreconditionError(f"theta {theta_label} lies in <{g1},{g2}>")
-    return sub
-
-
 class K4Candidate(NamedTuple):
     """One pair (theta, Gamma) of a group; Gamma is generated by gamma_labels."""
     group_name: str
@@ -153,6 +135,21 @@ class GroupCandidates(NamedTuple):
     sigma2_labels: tuple[str, ...]
     fixed: FixedSubalgebra
     candidates: tuple[K4Candidate, ...]
+
+    def find(self, theta_label: str, gamma_labels: tuple[str, str]) -> K4Candidate:
+        """The candidate of theta and the subgroup that gamma_labels generate,
+        in either order and by any two of its nonidentity elements.  A pair
+        that is not a candidate raises PreconditionError."""
+        element = self.group.element
+        theta = element(theta_label)
+        a, b = map(element, gamma_labels)
+        for c in self.candidates:
+            ca, cb = map(element, c.gamma_labels)
+            if element(c.theta_label) == theta and {a, b, a * b} == {ca, cb, ca * cb}:
+                return c
+        raise PreconditionError(
+            f"(theta {theta_label}, <{','.join(gamma_labels)}>) is not a candidate pair: need "
+            "Gamma a Klein four subgroup, theta sigma2-class outside it")
 
 
 class K4Report(NamedTuple):

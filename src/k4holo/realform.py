@@ -9,11 +9,13 @@ ideal's simple roots, taken in diagram order, with its values on them
 
   A_n ideal:  XOR the paints of all n roots along the path, starting from
               an unpainted sign; the n + 1 signs split into p >= q, which
-              names su(p, q), or compact su(n + 1) when q = 0.
+              names su(p, q).
   D_n ideal:  two fork leaves painted differently -> so*(2n); otherwise
               XOR the paints of the first n - 1 roots (long arm, branch
-              node, first fork leaf) into n signs, p >= q -> so(2p, 2q), or
-              compact so(2n) when q = 0.
+              node, first fork leaf) into n signs, p >= q -> so(2p, 2q).
+
+q = 0 is the compact form, su(n + 1, 0) or so(2n, 0), spelled su(n + 1)
+and so(2n): a compact ideal has no name of its own.
 
 For a D_4 ideal so*(8) and so(6,2) are the same algebra; the so(6,2)
 spelling wins.  E-type ideals raise rather than guessing.  Only equal-rank
@@ -25,8 +27,10 @@ of theta's fixed roots in the ideal plus the rank.  The name reads theta
 on the n simple roots only and the count reads it on every root of the
 ideal, so the check compares two independent derivations.
 
-Centre summands of the subalgebra are always compact: toral characters fix
-the Cartan subalgebra pointwise.
+The centre of the subalgebra is a count of lines, each of them compact
+(spelled c, or so(2) in survey style): toral characters fix the Cartan
+subalgebra pointwise.  Ideals and centre are spelled by the summand
+renderer that ReductiveType.render uses too, rootsys.render_summands.
 
 theta's fixed roots are read from the root system's kernel of theta, which
 is computed once per character, and the centre of theta's fixed subalgebra
@@ -39,17 +43,17 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import ReductiveType, RootSystem, SubsystemComponent, render_multiplicities
+from .rootsys import ReductiveType, RootSystem, SubsystemComponent, render_summands
 from .toral import TorusCharacter
 
-_KIND_ORDER = {"su": 0, "so": 1, "so_star": 2, "su_c": 3, "so_c": 4}
+_KIND_ORDER = {"su": 0, "so": 1, "so_star": 2}
 
 
 class RealFormLabel(NamedTuple):
     """One real simple ideal.
 
-    kinds: "su" = su(a,b); "su_c" = compact su(a); "so" = so(2a,2b);
-    "so_star" = so*(2a); "so_c" = compact so(2a).
+    kinds: "su" = su(a,b); "so" = so(2a,2b); "so_star" = so*(2a).  An su
+    or so ideal with b = 0 is compact, spelled su(a) or so(2a).
     """
     kind: str
     a: int
@@ -57,14 +61,12 @@ class RealFormLabel(NamedTuple):
 
     @property
     def is_compact(self) -> bool:
-        return self.kind in ("su_c", "so_c")
+        return self.b == 0 and self.kind != "so_star"
 
     @property
     def complex_rank(self) -> int:
         if self.kind == "su":
             return self.a + self.b - 1
-        if self.kind == "su_c":
-            return self.a - 1
         if self.kind == "so":
             return self.a + self.b
         return self.a
@@ -74,19 +76,13 @@ class RealFormLabel(NamedTuple):
         """Dimension of a maximal compact subalgebra of this ideal."""
         if self.kind == "su":
             return self.a ** 2 + self.b ** 2 - 1
-        if self.kind == "su_c":
-            return self.a ** 2 - 1
         if self.kind == "so":
             return self.a * (2 * self.a - 1) + self.b * (2 * self.b - 1)
-        if self.kind == "so_star":
-            return self.a ** 2
-        return self.a * (2 * self.a - 1)
+        return self.a ** 2
 
     @property
     def complex_type(self) -> tuple[str, int]:
-        if self.kind in ("su", "su_c"):
-            return ("A", self.complex_rank)
-        return ("D", self.complex_rank)
+        return ("A" if self.kind == "su" else "D", self.complex_rank)
 
     def sort_key(self) -> tuple:
         return (1 if self.is_compact else 0, -self.complex_rank,
@@ -96,46 +92,29 @@ class RealFormLabel(NamedTuple):
         if self.kind == "su":
             if style == "survey" and (self.a, self.b) == (1, 1):
                 return "sl(2,R)"
-            return f"su({self.a},{self.b})"
-        if self.kind == "su_c":
-            return f"su({self.a})"
+            return f"su({self.a},{self.b})" if self.b else f"su({self.a})"
         if self.kind == "so":
-            return f"so({2 * self.a},{2 * self.b})"
-        if self.kind == "so_star":
-            return f"so*({2 * self.a})"
-        return f"so({2 * self.a})"
+            return f"so({2 * self.a},{2 * self.b})" if self.b else f"so({2 * self.a})"
+        return f"so*({2 * self.a})"
 
 
 class RealFormType(NamedTuple("RealFormType", [("ideals", tuple[RealFormLabel, ...]),
-                                                ("center", tuple[str, ...])])):
-    """Multiset of real simple ideals plus labelled centre lines.
-
-    Centre entries are "c" (compact, i.e. a rotation line) or "R" (split);
-    toral Cartan involutions only ever produce "c".  Both are stored sorted.
-    """
+                                                ("center", int)])):
+    """Multiset of real simple ideals, stored sorted, plus the number of
+    centre lines; every centre line is compact (a rotation so(2))."""
     __slots__ = ()
 
-    def __new__(cls, ideals: tuple[RealFormLabel, ...], center: tuple[str, ...]):
-        return super().__new__(cls, tuple(sorted(ideals, key=RealFormLabel.sort_key)),
-                               tuple(sorted(center)))
+    def __new__(cls, ideals: tuple[RealFormLabel, ...], center: int):
+        return super().__new__(cls, tuple(sorted(ideals, key=RealFormLabel.sort_key)), center)
 
     def complexification(self) -> ReductiveType:
         comps = sorted((l.complex_type for l in self.ideals),
                        key=lambda c: (-c[1], c[0]))
-        return ReductiveType(components=tuple(comps), center_dim=len(self.center))
+        return ReductiveType(components=tuple(comps), center_dim=self.center)
 
     def render(self, style: str = "plain") -> str:
-        parts = render_multiplicities([l.render(style) for l in self.ideals])
-        ncomp = self.center.count("c")
-        nsplit = self.center.count("R")
-        if ncomp:
-            if style == "survey":
-                parts.append("so(2)" if ncomp == 1 else f"{ncomp}so(2)")
-            else:
-                parts.append("c" if ncomp == 1 else f"{ncomp}c")
-        if nsplit:
-            parts.append("R" if nsplit == 1 else f"{nsplit}R")
-        return "+".join(parts) if parts else "0"
+        return render_summands([l.render(style) for l in self.ideals], self.center,
+                               "so(2)" if style == "survey" else "c")
 
 
 def _ideal_label(comp: SubsystemComponent, theta: TorusCharacter) -> RealFormLabel:
@@ -151,9 +130,7 @@ def _ideal_label(comp: SubsystemComponent, theta: TorusCharacter) -> RealFormLab
         signs.append(signs[-1] ^ paint)
     q = min(signs.count(False), signs.count(True))
     p = len(signs) - q
-    if family == "A":
-        return RealFormLabel("su", p, q) if q else RealFormLabel("su_c", p)
-    return RealFormLabel("so", p, q) if q else RealFormLabel("so_c", p)
+    return RealFormLabel("su" if family == "A" else "so", p, q)
 
 
 def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
@@ -177,8 +154,7 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
                 f"{label.render()} bookkeeping: compact dim {label.compact_part_dim} "
                 f"!= {len(fixed_in)} fixed roots + rank {comp.rank}")
         ideals.append(label)
-    out = RealFormType(ideals=tuple(ideals),
-                       center=("c",) * sub.rtype.center_dim)
+    out = RealFormType(ideals=tuple(ideals), center=sub.rtype.center_dim)
     if out.complexification() != sub.rtype:
         raise InternalConsistencyError(
             f"real form {out.render()} does not complexify to {sub.rtype.render()}")

@@ -23,6 +23,9 @@ about |S| * 20 pairs in E6 instead of all 1,440.  The system also keeps,
 per character, its kernel (the roots it fixes) and, per closed subset, its
 decomposition, so the classification derives each of them once.
 
+ReductiveType.render and the real forms of realform spell their sums
+through one renderer, render_summands.
+
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
 exchange nodes 1<->6 and 3<->5 while fixing 2 and 4.  No floating point is
@@ -53,6 +56,13 @@ _ROOT_COUNT = {
     "A": lambda r: r * (r + 1),
     "D": lambda r: 2 * r * (r - 1),
     "E": lambda r: 72,
+}
+
+# Compact real form of each recognisable type.
+_COMPACT_NAME = {
+    "A": lambda r: f"su({r + 1})",
+    "D": lambda r: f"so({2 * r})",
+    "E": lambda r: f"e{r}",
 }
 
 
@@ -93,13 +103,16 @@ def _reflect(cartan: Sequence[Sequence[int]], v: Sequence[int], i: int) -> Root:
     return tuple(out)
 
 
-def render_multiplicities(names: Sequence[str]) -> list[str]:
-    """Collapse runs of equal names: ['su(2)', 'su(2)', 'c'] -> ['2su(2)', 'c']."""
+def render_summands(names: Sequence[str], center: int, center_name: str = "c") -> str:
+    """The one spelling of a reductive algebra as a sum: the simple ideals'
+    names in order, then center centre lines named center_name ("c", or
+    "so(2)" for survey output), runs of equal summands collapsed:
+    (['su(2)', 'su(2)'], 1) -> '2su(2)+c'.  The empty sum is '0'."""
     parts = []
-    for name, run in groupby(names):
+    for name, run in groupby([*names, *[center_name] * center]):
         count = len(list(run))
         parts.append(name if count == 1 else f"{count}{name}")
-    return parts
+    return "+".join(parts) or "0"
 
 
 class RootSystem(NamedTuple("RootSystem", [
@@ -189,10 +202,6 @@ class RootSystem(NamedTuple("RootSystem", [
     def height(self, root: Sequence[int]) -> int:
         return sum(root)
 
-    def reflect(self, root: Root, i: int) -> Root:
-        """Simple reflection s_i applied to a lattice vector."""
-        return _reflect(self.cartan, root, i)
-
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -271,20 +280,8 @@ class ReductiveType(NamedTuple):
 
     def render(self) -> str:
         """Canonical compact-form spelling, e.g. 'su(4)+2su(2)+c'."""
-        names = []
-        for family, rank in self.components:
-            if family == "A":
-                names.append(f"su({rank + 1})")
-            elif family == "D":
-                names.append(f"so({2 * rank})")
-            else:
-                names.append(f"e{rank}")
-        parts = render_multiplicities(names)
-        if self.center_dim == 1:
-            parts.append("c")
-        elif self.center_dim > 1:
-            parts.append(f"{self.center_dim}c")
-        return "+".join(parts) if parts else "0"
+        return render_summands([_COMPACT_NAME[family](rank) for family, rank in self.components],
+                               self.center_dim)
 
 
 def _component_sort_key(comp: tuple[str, int]) -> tuple:

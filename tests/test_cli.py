@@ -365,6 +365,8 @@ _A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("name, line", [
+    # the highest root replaced by the sum of the simple roots, a lower root
+    ("root_system", "check root_system: FAIL (72 roots, highest [1, 1, 1, 1, 1, 1])"),
     # [h_1, X_a1] = 2 X_a1 becomes 4 X_a1: the trace of ad(h_1)^2 gains 16 - 4
     ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 60, root-sum 48)"),
     # [X_a1, X_-a1] = h_1 becomes 2 h_1
@@ -376,7 +378,10 @@ _A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
      "check character_homomorphism: FAIL (20 sampled characters)"),
 ])
 def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
-    if name == "involution_census":
+    if name == "root_system":
+        wrong = build_root_system.__wrapped__("E", 6)._replace(highest_root=(1,) * 6)
+        monkeypatch.setattr(cli, "build_root_system", lambda family, rank: wrong)
+    elif name == "involution_census":
         groups = pipeline.builtin_groups()
         groups["x1x2x4"] = groups["x1x4x5"]
         monkeypatch.setattr(pipeline, "builtin_groups", lambda: groups)

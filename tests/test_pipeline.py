@@ -6,7 +6,7 @@ import pytest
 
 from k4holo.errors import PreconditionError
 from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
-                             builtin_groups, candidate_subgroup, classify_all,
+                             builtin_groups, classify_all,
                              enumerate_candidates,
                              klein_four_subgroups, report_to_dict,
                              report_to_markdown, resolve_label, sigma2_elements,
@@ -134,7 +134,7 @@ def test_candidate_invariants():
             assert g.group.element(c.theta_label) not in gamma
             # maximal compact dimension equals the compact parts of the form
             compact = sum(l.compact_part_dim for l in c.real_form.ideals)
-            compact += len(c.real_form.center)
+            compact += c.real_form.center
             assert g.fixed.rtype.dim == compact
 
 
@@ -146,24 +146,33 @@ def test_report_candidates_are_the_groups_candidates_in_order():
         assert {c.group_name for c in g.candidates} == {g.group.name}
 
 
-def test_candidate_subgroup_accepts_exactly_the_enumerated_pairs():
+def test_candidate_lookup_accepts_exactly_the_pair_rule():
+    # Rule: Gamma = <g1, g2> a Klein four subgroup, theta sigma2-class outside it.
     for g in REPORT.groups:
         group = g.group
-        subs = klein_four_subgroups(group)
-        enumerated = {(c.theta_label, c.gamma_labels) for c in g.candidates}
+        sigma2 = sigma2_elements(group, E6)
         labels = [label for label, _ in group.element_order]
-        accepted = set()
+        found = set()
         for theta in labels:
             for g1 in labels:
                 for g2 in labels:
+                    a, b = group.element(g1), group.element(g2)
+                    gamma = {identity_character(), a, b, a * b}
+                    admitted = (len(gamma) == 4 and theta in sigma2
+                                and group.element(theta) not in gamma)
                     try:
-                        sub = candidate_subgroup(group, theta, (g1, g2), E6)
-                    except PreconditionError:
+                        cand = g.find(theta, (g1, g2))
+                    except PreconditionError as exc:
+                        assert not admitted
+                        assert "Gamma a Klein four subgroup, theta sigma2-class outside it" \
+                            in str(exc)
                         continue
-                    assert sub in subs
-                    if (g1, g2) == sub.labels[:2]:
-                        accepted.add((theta, (g1, g2)))
-        assert accepted == enumerated
+                    assert admitted
+                    assert cand.theta_label == theta
+                    ca, cb = (group.element(label) for label in cand.gamma_labels)
+                    assert {identity_character(), ca, cb, ca * cb} == gamma
+                    found.add(cand)
+        assert found == set(g.candidates)
 
 
 def test_distinct_pairs_match_golden_list():

@@ -56,6 +56,27 @@ def test_identity_theta_gives_all_compact():
     assert form.render() == "2su(3)+2c"
 
 
+def test_compact_real_forms_spell_like_their_complex_types(monkeypatch):
+    # Under the identity every ideal is compact and every centre line a c,
+    # so the real form and the compact type go through one renderer alike.
+    from k4holo import pipeline
+    built = []
+
+    def recording(chars, sys):
+        built.append(fixed_subalgebra(chars, sys))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "fixed_subalgebra", recording)
+    pipeline.classify_all(E6)
+    t2 = [TorusCharacter(2, tuple(n >> i & 1 for i in range(6))) for n in range(1, 64)]
+    subs = built + [fixed_subalgebra([chi], E6) for chi in t2]
+    assert len(subs) == len(built) + 63 and built
+    for fs in subs:
+        form = identify_real_form(fs, identity_character(), E6)
+        assert form.render() == fs.rtype.render()
+        assert form.center == fs.rtype.center_dim
+
+
 def test_complexification_matches_compact_dual():
     fs, form = forms_of("y1y3y4", ("y1", "y4"), "y3")
     assert form.complexification() == fs.rtype
@@ -124,18 +145,18 @@ def test_label_rendering_styles():
     assert RealFormLabel("su", 1, 1).render("survey") == "sl(2,R)"
     assert RealFormLabel("so", 5, 1).render() == "so(10,2)"
     assert RealFormLabel("so_star", 5).render() == "so*(10)"
-    assert RealFormLabel("so_c", 5).render() == "so(10)"
-    assert RealFormLabel("su_c", 4).render() == "su(4)"
+    assert RealFormLabel("so", 5).render() == "so(10)"
+    assert RealFormLabel("su", 4).render() == "su(4)"
 
 
 def test_form_rendering_and_ordering():
     form = RealFormType(
-        ideals=(RealFormLabel("su_c", 4), RealFormLabel("su", 1, 1),
+        ideals=(RealFormLabel("su", 4), RealFormLabel("su", 1, 1),
                 RealFormLabel("su", 1, 1)),
-        center=("c",))
+        center=1)
     assert form.render() == "2su(1,1)+su(4)+c"
     survey = RealFormType(
-        ideals=(RealFormLabel("so", 4, 1),), center=("c",))
+        ideals=(RealFormLabel("so", 4, 1),), center=1)
     assert survey.render("survey") == "so(8,2)+so(2)"
 
 
@@ -143,7 +164,7 @@ def test_compact_part_dimensions():
     assert RealFormLabel("su", 4, 2).compact_part_dim == 19
     assert RealFormLabel("so", 4, 1).compact_part_dim == 29
     assert RealFormLabel("so_star", 5).compact_part_dim == 25
-    assert RealFormLabel("so_c", 5).compact_part_dim == 45
+    assert RealFormLabel("so", 5).compact_part_dim == 45
 
 
 def test_nullspace_helper():
@@ -242,9 +263,9 @@ def _reference_ideal_label(family: str, n: int, comp_roots: frozenset[Root],
     the pattern against the so(2p) x so(2q), su(p) x su(q) and so*(2n) shapes."""
     if fixed_in == comp_roots:
         if family == "A":
-            return RealFormLabel("su_c", n + 1)
+            return RealFormLabel("su", n + 1)
         if family == "D":
-            return RealFormLabel("so_c", n)
+            return RealFormLabel("so", n)
         raise UnmappedPatternError(
             f"no real-form vocabulary for a compact {family}{n} ideal")
 

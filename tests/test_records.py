@@ -109,14 +109,14 @@ def test_torus_character_rejects_bad_input(modulus, exps):
 
 
 def test_real_form_type_sorts_its_input_either_way():
-    ideals = (RealFormLabel("su_c", 2), RealFormLabel("so", 3, 1), RealFormLabel("su", 2, 1))
-    center = ("c", "R", "c")
-    expected = (tuple(sorted(ideals, key=RealFormLabel.sort_key)), ("R", "c", "c"))
+    ideals = (RealFormLabel("su", 2), RealFormLabel("so", 3, 1), RealFormLabel("su", 2, 1))
+    center = 2
+    expected = (tuple(sorted(ideals, key=RealFormLabel.sort_key)), 2)
     for form in (RealFormType(ideals, center), RealFormType(center=center, ideals=ideals)):
         assert (form.ideals, form.center) == expected
         assert form == RealFormType(*expected)
         assert hash(form) == hash(expected)
-    assert RealFormType(ideals, center).render() == "so(6,2)+su(2,1)+su(2)+2c+R"
+    assert RealFormType(ideals, center).render() == "so(6,2)+su(2,1)+su(2)+2c"
 
 
 def test_unitary_pair_data_reduces_and_validates():
