@@ -17,8 +17,8 @@ table, is the contract.
 
 The bracket table holds one row per basis element: _btable[i][j] is the
 tuple of terms (p, c) of [b_i, b_j] = sum of c * b_p, filled straight from
-the root tables (the Cartan rows from gram, each root's row from its
-opposite and the sums in sums_from).
+the root system (the Cartan rows from each root's simple pairings, each
+root's row from its opposite and the sums in sums_from).
 
 Certification (check_jacobi) sweeps all unordered basis triples.  It first
 checks once that the table is graded: each term b_p of [b_i, b_j] has
@@ -175,13 +175,10 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
 
     # Row i holds [b_i, b_j] for every j; an empty tuple is a zero bracket.
     rows: list[list[tuple[tuple[int, int], ...]]] = [[()] * len(basis) for _ in basis]
-    for t, alpha in enumerate(sys.simple_roots):
-        h_row = rows[t]
-        for r, row in sys.gram.items():
-            c = row[alpha]
+    for r, j in at.items():
+        for t, c in enumerate(sys.simple_pairings(r)):  # [h_t, X_r] = (r, alpha_t) X_r
             if c:
-                j = at[r]
-                h_row[j], rows[j][t] = ((j, c),), ((j, -c),)
+                rows[t][j], rows[j][t] = ((j, c),), ((j, -c),)
     for a, i in at.items():
         row = rows[i]
         row[at[neg[a]]] = tuple((t, c) for t, c in enumerate(a) if c)

@@ -36,7 +36,6 @@ loses them without changing the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys as _sys
@@ -127,6 +126,7 @@ def _char_view(char: TorusCharacter) -> dict:
 
 def _emit(doc, fmt: str, text_lines) -> None:
     if fmt == "json":
+        import json  # only JSON output pays for loading it
         print(json.dumps(doc, indent=2))
     else:
         for line in text_lines:
@@ -191,7 +191,7 @@ def _cmd_selftest(args) -> int:
                     f"{jac.triples_checked} triples, first violation {jac.first_violation}"))
 
     kappa = chevalley.killing_form(sc, ("h", 0), ("h", 0))
-    direct = sum(g * g for g in sys.gram[sys.simple_roots[0]].values())
+    direct = sum(sys.simple_pairings(r)[0] ** 2 for r in sys.roots)
     results.append(("killing_cartan", kappa == 48 and direct == kappa,
                     f"adjoint trace {kappa}, root-sum {direct}"))
 
@@ -260,18 +260,17 @@ def _cmd_classify(args) -> int:
     sys = build_root_system("E", 6)
     char = parse_char_spec(args.char)
     cls = classify_involution(char, sys)
-    if args.format != "json":  # only JSON shows mu and the fixed subalgebra
-        print(cls.label)
-        return 0
-    fs = fixed_subalgebra([char], sys)
-    doc = {
-        "char": _char_view(char),
-        "class": cls.label,
-        "mu": mu(char, sys),
-        "fixed_dim": fs.dim,
-        "fixed_type": fs.rtype.render(),
-    }
-    print(json.dumps(doc, indent=2))
+    doc = None
+    if args.format == "json":  # only JSON shows mu and the fixed subalgebra
+        fs = fixed_subalgebra([char], sys)
+        doc = {
+            "char": _char_view(char),
+            "class": cls.label,
+            "mu": mu(char, sys),
+            "fixed_dim": fs.dim,
+            "fixed_type": fs.rtype.render(),
+        }
+    _emit(doc, args.format, [cls.label])
     return 0
 
 
@@ -296,15 +295,15 @@ def _cmd_realform(args) -> int:
 def _cmd_theorem24(args) -> int:
     sys = build_root_system("E", 6)
     report = pipeline.classify_all(sys)
-    if args.format == "markdown":
-        print(pipeline.report_to_markdown(report), end="")
-    elif args.format == "json":
-        print(json.dumps(pipeline.report_to_dict(report), indent=2))
+    doc, lines = None, ()
+    if args.format == "json":
+        doc = pipeline.report_to_dict(report)
+    elif args.format == "markdown":
+        lines = pipeline.report_to_markdown(report).splitlines()
     else:
-        for pair in report.distinct_pairs:
-            print(pair)
-        print(f"distinct pairs: {len(report.distinct_pairs)}")
-        print(f"verified: {str(report.verified).lower()}")
+        lines = [*report.distinct_pairs, f"distinct pairs: {len(report.distinct_pairs)}",
+                 f"verified: {str(report.verified).lower()}"]
+    _emit(doc, args.format, lines)
     if not report.verified:
         _diagnose(f"MISMATCH missing={list(report.missing)} "
                   f"unexpected={list(report.unexpected)}")

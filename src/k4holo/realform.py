@@ -215,7 +215,7 @@ def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, 
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError("center_of_fixed expects an involution of the so(10)+R class")
     fixed = sorted(sys.kernel(theta))
-    rows = [tuple(sys.gram[r][s] for s in sys.simple_roots) for r in fixed]
+    rows = [sys.simple_pairings(r) for r in fixed]
     basis = _integer_nullspace(rows, sys.rank)
     if len(basis) != 1:
         raise InternalConsistencyError(

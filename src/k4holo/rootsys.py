@@ -9,19 +9,20 @@ simple system and matching its diagram against the A/D/E6 catalog.
 
 Roots have one integer encoding, value(root), whose digits never carry on
 sums of up to three roots; it orders the positive roots and grades the
-Chevalley bracket table.  Pairings and sums of roots come from two tables a
-RootSystem builds on first use and keeps, gram[a][b] and sums_from[a] =
-[(b, a + b), ...] (over the ordered pairs whose sum is a root), so listing
-roots never pays for |roots|^2 pairs.  Each table is built from the root
-codes alone, and neither reads the other: value is injective on a + b and
-a - b, so a + b is a root exactly when value(a) + value(b) is the code of a
-root, and for roots of squared length 2 the pairing is 2, -2, -1, 1 or 0 as
-b = a, b = -a, a + b is a root, a - b is a root, or none of these
-(Humphreys, Introduction to Lie Algebras and Representation Theory, 9.4).
-sums_from is indexed by its first root, so a scan over a subset S costs
-about |S| * 20 pairs in E6 instead of all 1,440.  The system also keeps,
-per character, its kernel (the roots it fixes) and, per closed subset, its
-decomposition, so the classification derives each of them once.
+Chevalley bracket table.  A RootSystem keeps one pair table, built on first
+use: sums_from[a] = [(b, a + b), ...] over the ordered pairs whose sum is a
+root, so listing roots never pays for |roots|^2 pairs.  It is read off the
+root codes: value is injective on a + b, so a + b is a root exactly when
+value(a) + value(b) is the code of a root.  sums_from is indexed by its
+first root, so a scan over a subset S costs about |S| * 20 pairs in E6
+instead of all 1,440.  Pairings need no table of their own: a root's
+pairings with the simple roots are the Cartan matrix times the root
+(simple_pairings), and for roots of squared length 2, (a, b) is -1 or 1
+exactly when a + b or a - b is a root (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 9.4), which is how subsystems are
+split and their diagrams drawn.  The system also keeps, per character, its
+kernel (the roots it fixes) and, per closed subset, its decomposition, so
+the classification derives each of them once.
 
 ReductiveType.render and the real forms of realform spell their sums
 through one renderer, render_summands.
@@ -131,38 +132,22 @@ class RootSystem(NamedTuple("RootSystem", [
         """Bilinear form (a, b) = a.A.b for arbitrary lattice vectors."""
         return _pairing(self.cartan, a, b)
 
-    @cached_property
-    def _codes(self) -> dict[Root, int]:
-        """value(r) for every root r, in the iteration order of roots."""
-        value = self.value
-        return {r: value(r) for r in self.roots}
-
-    @cached_property
-    def gram(self) -> dict[Root, dict[Root, int]]:
-        """(a, b) for every pair of roots, as gram[a][b]; built on first use.
-
-        Read off the root codes, without sums_from: every root has squared
-        length 2, so (a, b) is 2 for b = a, -2 for b = -a, -1 when a + b is
-        a root, 1 when a - b is a root and 0 otherwise (Humphreys, 9.4), and
-        value(a) +- value(b) is the code of a root exactly when a +- b is one.
-        """
-        codes = self._codes
-        root_codes = set(codes.values())
-        return {a: {b: 2 if cb == ca else -2 if cb == -ca else -1 if ca + cb in root_codes
-                    else 1 if ca - cb in root_codes else 0
-                    for b, cb in codes.items()}
-                for a, ca in codes.items()}
+    def simple_pairings(self, root: Sequence[int]) -> tuple[int, ...]:
+        """(root, alpha_i) for each simple root alpha_i: the simple roots are
+        the unit vectors, so this is the (symmetric) Cartan matrix times root."""
+        return tuple(sum(map(mul, row, root)) for row in self.cartan)
 
     @cached_property
     def sums_from(self) -> dict[Root, list[tuple[Root, Root]]]:
         """a + b for every ordered pair of roots whose sum is a root, indexed
-        by the first root: sums_from[a] = [(b, a + b), ...].
+        by the first root: sums_from[a] = [(b, a + b), ...]; built on first use.
 
-        Read off the root codes, without gram: value is injective on sums
-        of two roots, so a + b is a root exactly when value(a) + value(b)
-        is the code of a root, and then it is that root.
+        Read off the root codes: value is injective on sums of two roots, so
+        a + b is a root exactly when value(a) + value(b) is the code of a
+        root, and then it is that root.
         """
-        codes = self._codes
+        value = self.value
+        codes = {r: value(r) for r in self.roots}
         root_of = {c: r for r, c in codes.items()}
         return {a: [(b, s) for b, cb in codes.items() if (s := root_of.get(ca + cb))]
                 for a, ca in codes.items()}
@@ -317,9 +302,11 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
     k = len(simple)
     if k == 1:
         return ("A", 1, tuple(simple))
-    adj = [[j for j in range(k)
-            if j != i and sys.gram[simple[i]][simple[j]] != 0]
-           for i in range(k)]
+    # Two roots are joined when they pair to -1 or 1: their sum or their
+    # difference is a root.
+    negs = [tuple(-c for c in r) for r in simple]
+    partners = [{b for b, _ in sys.sums_from[a]} for a in simple]
+    adj = [[j for j in range(k) if simple[j] in ps or negs[j] in ps] for ps in partners]
     degs = [len(ns) for ns in adj]
     nedges = sum(degs) // 2
     if nedges != k - 1:
@@ -358,12 +345,13 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
 def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
     """Split a closed, negation-symmetric subset into irreducible subsystems.
 
-    A simple system is extracted as the indecomposable elements among the
-    positives of the generic functional, i.e. those that are no sum of two
-    positives of the subset; its diagram components are then classified,
-    each component's simple roots are stored in diagram order (see
-    _classify_diagram), and every root of the subset is assigned to the
-    unique component it pairs with.
+    One scan of sums_from over the positives of the generic functional
+    splits them: a, b and a + b lie in one irreducible component, and roots
+    of different components are orthogonal, so no sum joins two of them.
+    The positives that are no sum of two positives of the subset form a
+    simple system; each component's simple roots are stored in diagram
+    order (see _classify_diagram), and its negative roots follow its
+    positive ones.
 
     Each distinct subset is validated and decomposed once per system; a
     subset that fails validation is not kept, so it raises on every call.
@@ -377,45 +365,38 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
 
 def _decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
     _validate_closed(sset, sys)
-    if not sset:
-        return ()
     pos = {r for r in sset if sys.is_positive(r)}
     sums_from = sys.sums_from
-    decomposable = {s for a in pos for b, s in sums_from[a] if b in pos}
-    simple = [s for s in pos if s not in decomposable]
-    gram = sys.gram
+    # comp[r] is the set of positives merged with r so far, shared by all of
+    # them.  Each a + b merges a with the sum, and b when the scan reaches b.
+    comp = {r: {r} for r in pos}
+    decomposable = set()
+    for a in pos:
+        for b, s in sums_from[a]:
+            if b in pos:
+                decomposable.add(s)
+                if comp[s] is not comp[a]:
+                    merged = comp[a] | comp[s]
+                    for r in merged:
+                        comp[r] = merged
+    simple = {s for s in pos if s not in decomposable}
 
-    for a, b in ((x, y) for i, x in enumerate(simple) for y in simple[i + 1:]):
-        if gram[a][b] not in (0, -1):
-            raise InternalConsistencyError(
-                f"extracted simple system is not valid: ({a},{b}) = {gram[a][b]}")
-
-    # Connected components of the extracted diagram: each simple root
-    # merges the components it is joined to.
-    groups: list[list[Root]] = []
-    for s in simple:
-        joined = [g for g in groups if any(gram[s][t] for t in g)]
-        groups = [g for g in groups if g not in joined] + [[s] + sum(joined, [])]
-
-    components = []
-    for grp in groups:
-        components.append((*_classify_diagram(grp, sys), set()))
-
-    for r in sset:
-        homes = [c for c in components if any(gram[r][s] != 0 for s in c[2])]
-        if len(homes) != 1:
-            raise InternalConsistencyError(
-                f"root {r} pairs with {len(homes)} components of its subsystem")
-        homes[0][3].add(r)
+    # In a simple system no difference of two simple roots is a root.
+    for a in simple:
+        for _, s in sums_from[a]:
+            if s in simple:
+                raise InternalConsistencyError(
+                    f"extracted simple system is not valid: {s} - {a} is a root")
 
     out = []
-    for family, rank, csimple, croots in components:
+    for cpos in {id(c): c for c in comp.values()}.values():  # each component once
+        family, rank, csimple = _classify_diagram([r for r in cpos if r in simple], sys)
+        croots = frozenset(cpos | {tuple(-c for c in r) for r in cpos})
         expected = _ROOT_COUNT[family](rank)
         if len(croots) != expected:
             raise InternalConsistencyError(
                 f"{family}{rank} component carries {len(croots)} roots, expected {expected}")
-        out.append(SubsystemComponent(family=family, rank=rank, simple=csimple,
-                                      roots=frozenset(croots)))
+        out.append(SubsystemComponent(family=family, rank=rank, simple=csimple, roots=croots))
     out.sort(key=lambda c: (_component_sort_key((c.family, c.rank)), min(c.roots)))
     return tuple(out)
 

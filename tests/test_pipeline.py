@@ -272,6 +272,18 @@ def test_theorem24_process_loads_no_dataclasses_or_inspect():
     assert not {"dataclasses", "inspect"} & loaded
 
 
+@pytest.mark.parametrize("command", ["theorem24", "selftest"])
+def test_plain_output_loads_no_json(command):
+    # Only JSON output imports json; -X importtime lists every import.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "k4holo", command],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "k4holo.cli" in loaded
+    assert "json" not in loaded
+
+
 def test_report_to_dict_reuses_the_report(monkeypatch):
     from k4holo import pipeline
 

@@ -230,7 +230,7 @@ def test_integer_nullspace_matches_rational_elimination(matrix):
 def test_integer_nullspace_of_the_centre_rows():
     # The rows center_of_fixed eliminates for the sigma2 reference.
     fixed = sorted(E6.kernel(sigma2_reference()))
-    rows = [tuple(E6.gram[r][s] for s in E6.simple_roots) for r in fixed]
+    rows = [tuple(E6.pairing(r, s) for s in E6.simple_roots) for r in fixed]
     assert _integer_nullspace(rows, 6) == _fraction_nullspace(rows, 6)
     assert center_of_fixed(sigma2_reference(), E6) == _fraction_nullspace(rows, 6)
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
-from k4holo.rootsys import (MAX_RANK, build_root_system, decompose_closed_subset,
-                            identify_subsystem, _cartan_matrix, _classify_diagram, _reflect)
+from k4holo.rootsys import (MAX_RANK, _ROOT_COUNT, Root, RootSystem, SubsystemComponent,
+                            build_root_system, decompose_closed_subset, identify_subsystem,
+                            _cartan_matrix, _classify_diagram, _component_sort_key, _reflect,
+                            _validate_closed)
 
 
 E6 = build_root_system("E", 6)
@@ -235,24 +237,25 @@ def test_reductive_type_render():
 
 def test_root_tables_are_built_on_first_use():
     fresh = build_root_system.__wrapped__("E", 6)
-    assert "gram" not in vars(fresh) and "sums_from" not in vars(fresh)
+    assert "sums_from" not in vars(fresh)
     a1 = fresh.simple_roots[0]
-    assert fresh.gram[a1][a1] == 2
-    assert "gram" in vars(fresh) and "sums_from" not in vars(fresh)
     assert len(fresh.sums_from[a1]) == 20
     assert "sums_from" in vars(fresh)
-    # Neither table is built from the other.
-    fresh = build_root_system.__wrapped__("E", 6)
-    assert len(fresh.sums_from[a1]) == 20
-    assert "sums_from" in vars(fresh) and "gram" not in vars(fresh)
+    # sums_from is the system's one pair table: there is no Gram table.
+    assert not hasattr(fresh, "gram")
 
 
 def test_root_tables_match_brute_force():
     for family, rank in (("E", 6), ("D", 5), ("A", 4)):
         sys = build_root_system(family, rank)
         for a in sys.roots:
+            # (a, b) is -1 or 1 exactly when a + b or a - b is a root.
+            partners = {b for b, _ in sys.sums_from[a]}
             for b in sys.roots:
-                assert sys.gram[a][b] == sys.pairing(a, b)
+                rule = (2 if b == a else -2 if b == negate(a) else -1 if b in partners
+                        else 1 if negate(b) in partners else 0)
+                assert sys.pairing(a, b) == rule
+            assert sys.simple_pairings(a) == tuple(sys.pairing(a, s) for s in sys.simple_roots)
         brute = {}
         for a in sys.roots:
             for b in sys.roots:
@@ -282,5 +285,144 @@ def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
     assert set(extracted) == expected
     # Each A and D component's simple roots are stored in diagram order.
     for c in (c for c in comps if c.family in ("A", "D")):
-        gram = tuple(tuple(E6.gram[a][b] for b in c.simple) for a in c.simple)
-        assert gram == _cartan_matrix(c.family, c.rank)
+        pairings = tuple(tuple(E6.pairing(a, b) for b in c.simple) for a in c.simple)
+        assert pairings == _cartan_matrix(c.family, c.rank)
+
+
+# The decomposition as it was before sums_from became the only pair table:
+# simple roots merged into diagram components one at a time, then every root
+# assigned to the one component it pairs with.  Kept verbatim, with its
+# pairings read through RootSystem.pairing, as the oracle for
+# decompose_closed_subset.
+def _reference_classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tuple[Root, ...]]:
+    """Match the diagram of a connected simple system against A/D/E6.
+
+    Also returns the simple roots in diagram order, the node order of
+    _cartan_matrix(family, rank): an A path from its smaller end; for D the
+    long arm walked in to the branch node, then the two fork leaves.  E6
+    roots stay sorted.  The walk starts from the sorted roots, so the order
+    does not depend on set iteration.
+    """
+    simple = sorted(simple)
+    k = len(simple)
+    if k == 1:
+        return ("A", 1, tuple(simple))
+    adj = [[j for j in range(k)
+            if j != i and sys.pairing(simple[i], simple[j]) != 0]
+           for i in range(k)]
+    degs = [len(ns) for ns in adj]
+    nedges = sum(degs) // 2
+    if nedges != k - 1:
+        raise InternalConsistencyError(
+            f"component diagram has {nedges} edges on {k} nodes (not a tree)")
+    if max(degs) > 3:
+        raise InternalConsistencyError("component diagram has a node of degree > 3")
+
+    def walk(prev: int, cur: int) -> list[int]:
+        """The leg that leaves prev through cur, out to its end."""
+        leg = [cur]
+        while nxt := [j for j in adj[cur] if j != prev]:
+            prev, cur = cur, nxt[0]
+            leg.append(cur)
+        return leg
+
+    def ordered(nodes: list[int]) -> tuple[Root, ...]:
+        return tuple(simple[i] for i in nodes)
+
+    branches = [i for i in range(k) if degs[i] == 3]
+    if not branches:
+        end = degs.index(1)
+        return ("A", k, ordered([end] + walk(end, adj[end][0])))
+    if len(branches) > 1:
+        raise InternalConsistencyError("component diagram has two branch nodes")
+    b = branches[0]
+    legs = sorted((walk(b, first) for first in adj[b]), key=len)
+    lengths = [len(leg) for leg in legs]
+    if lengths[:2] == [1, 1]:
+        return ("D", k, ordered(legs[2][::-1] + [b] + legs[0] + legs[1]))
+    if lengths == [1, 2, 2]:
+        return ("E", 6, tuple(simple))
+    raise InternalConsistencyError(f"component diagram with legs {lengths} matches no catalog entry")
+
+
+def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
+    _validate_closed(sset, sys)
+    if not sset:
+        return ()
+    pos = {r for r in sset if sys.is_positive(r)}
+    sums_from = sys.sums_from
+    decomposable = {s for a in pos for b, s in sums_from[a] if b in pos}
+    simple = [s for s in pos if s not in decomposable]
+
+    for a, b in ((x, y) for i, x in enumerate(simple) for y in simple[i + 1:]):
+        if sys.pairing(a, b) not in (0, -1):
+            raise InternalConsistencyError(
+                f"extracted simple system is not valid: ({a},{b}) = {sys.pairing(a, b)}")
+
+    # Connected components of the extracted diagram: each simple root
+    # merges the components it is joined to.
+    groups: list[list[Root]] = []
+    for s in simple:
+        joined = [g for g in groups if any(sys.pairing(s, t) for t in g)]
+        groups = [g for g in groups if g not in joined] + [[s] + sum(joined, [])]
+
+    components = []
+    for grp in groups:
+        components.append((*_reference_classify_diagram(grp, sys), set()))
+
+    for r in sset:
+        homes = [c for c in components if any(sys.pairing(r, s) != 0 for s in c[2])]
+        if len(homes) != 1:
+            raise InternalConsistencyError(
+                f"root {r} pairs with {len(homes)} components of its subsystem")
+        homes[0][3].add(r)
+
+    out = []
+    for family, rank, csimple, croots in components:
+        expected = _ROOT_COUNT[family](rank)
+        if len(croots) != expected:
+            raise InternalConsistencyError(
+                f"{family}{rank} component carries {len(croots)} roots, expected {expected}")
+        out.append(SubsystemComponent(family=family, rank=rank, simple=csimple,
+                                      roots=frozenset(croots)))
+    out.sort(key=lambda c: (_component_sort_key((c.family, c.rank)), min(c.roots)))
+    return tuple(out)
+
+
+def _kernel_subset(chars, sys=E6):
+    return frozenset(r for r in sys.roots if all(chi.evaluate(r) == 0 for chi in chars))
+
+
+def test_decomposition_matches_the_reference_on_t2_kernels():
+    from k4holo.toral import TorusCharacter
+    for n in range(1, 64):
+        chi = TorusCharacter(2, tuple(n >> i & 1 for i in range(6)))
+        subset = _kernel_subset([chi])
+        assert decompose_closed_subset(subset, E6) == _reference_decompose(subset, E6)
+
+
+def test_decomposition_matches_the_reference_on_classify_all_subsets():
+    from k4holo.pipeline import classify_all
+    fresh = build_root_system.__wrapped__("E", 6)
+    classify_all(fresh)
+    assert len(fresh._decompositions) > 1
+    for subset, comps in fresh._decompositions.items():
+        assert comps == _reference_decompose(subset, fresh)
+
+
+@pytest.mark.parametrize("family,rank", [("E", 6), ("D", 5), ("A", 5)])
+def test_decomposition_matches_the_reference_on_full_systems(family, rank):
+    sys = build_root_system(family, rank)
+    comps = decompose_closed_subset(sys.roots, sys)
+    assert [(c.family, c.rank) for c in comps] == [(family, rank)]
+    assert comps == _reference_decompose(sys.roots, sys)
+
+
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 4, 6, 12)),
+                          st.lists(st.integers(0, 11), min_size=6, max_size=6)),
+                min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_decomposition_matches_the_reference_on_kernel_intersections(specs):
+    from k4holo.toral import character_from_simple_values
+    subset = _kernel_subset([character_from_simple_values(exps, m) for m, exps in specs])
+    assert decompose_closed_subset(subset, E6) == _reference_decompose(subset, E6)
