@@ -13,8 +13,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import InternalConsistencyError, PreconditionError
-from .rootsys import (ReductiveType, Root, RootSystem, SubsystemComponent,
-                      decompose_closed_subset, reductive_type)
+from .rootsys import ReductiveType, Root, RootSystem, SubsystemComponent, reductive_type
 from .toral import TorusCharacter, character_from_simple_values
 
 
@@ -50,11 +49,13 @@ def fixed_subalgebra(chars: Iterable[TorusCharacter], sys: RootSystem) -> FixedS
 
     The Cartan subalgebra is always fixed (toral characters act trivially
     on it), so the dimension is the fixed root count plus the rank.  The
-    fixed roots are the intersection of the characters' kernels, and they
-    are decomposed here once; callers read the components.
+    fixed roots are the intersection of the characters' kernels, closed
+    (chi(a) = chi(b) = 0 gives chi(a + b) = 0) and negation-symmetric by
+    construction, so they are decomposed here once, unvalidated; callers
+    read the components.
     """
     fixed = sys.roots.intersection(*(sys.kernel(c) for c in chars))
-    comps = decompose_closed_subset(fixed, sys)
+    comps = sys.decomposition(fixed)
     return FixedSubalgebra(fixed_roots=fixed, components=comps,
                            rtype=reductive_type(comps, sys), dim=len(fixed) + sys.rank)
 

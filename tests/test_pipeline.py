@@ -220,27 +220,28 @@ def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
     assert sorted(len(chars) for chars in seen) == [3] * 24 + [7] * 4
 
 
-def test_classify_all_validates_each_distinct_subset_once(monkeypatch):
-    from k4holo import reductive, rootsys
+def test_classify_all_decomposes_each_distinct_subset_once_unvalidated(monkeypatch):
+    # Every subset classify_all decomposes is a kernel intersection, closed
+    # by construction, so none goes through the public boundary's validation.
+    from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
     validated, decomposed = [], []
     original_validate = rootsys._validate_closed
-    original_decompose = rootsys.decompose_closed_subset
+    original_decompose = rootsys._decompose
 
     def validating(subset, sys):
         validated.append(subset)
         return original_validate(subset, sys)
 
     def decomposing(subset, sys):
-        subset = frozenset(subset)
         decomposed.append(subset)
         return original_decompose(subset, sys)
 
     monkeypatch.setattr(rootsys, "_validate_closed", validating)
-    monkeypatch.setattr(reductive, "decompose_closed_subset", decomposing)
+    monkeypatch.setattr(rootsys, "_decompose", decomposing)
     assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
-    assert len(decomposed) == 28
-    assert len(validated) == len(set(decomposed)) == 25
+    assert len(decomposed) == len(set(decomposed)) == 25
+    assert validated == []
 
 
 def test_import_loads_no_rational_arithmetic():

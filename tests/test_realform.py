@@ -10,7 +10,7 @@ from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              holomorphic_type_check, identify_real_form,
                              _ideal_label, _integer_nullspace)
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
-from k4holo.rootsys import Root, RootSystem, build_root_system, decompose_closed_subset
+from k4holo.rootsys import Root, RootSystem, _reflect, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
 
 E6 = build_root_system("E", 6)
@@ -126,6 +126,23 @@ def test_holomorphic_type_check():
     assert holomorphic_type_check(g1.element("x1"), g1.element("x4"), E6)
     assert holomorphic_type_check(g1.element("x2"), g1.element("x4"), E6)
     assert holomorphic_type_check(identity_character(), sigma2_reference(), E6)
+
+
+def test_centre_coweight_orbit_has_27_elements_without_its_negative():
+    # No element of W maps the centre coweight H0 of theta's fixed
+    # subalgebra to -H0.  Automorphisms of the E6 root system are W x {+-1},
+    # so every one that fixes H0 lies in W.
+    h0 = center_of_fixed(sigma2_reference(), E6)[0]
+    orbit, frontier = {h0}, [h0]
+    while frontier:
+        v = frontier.pop()
+        for i in range(E6.rank):
+            w = _reflect(E6.cartan, v, i)
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    assert len(orbit) == 27
+    assert tuple(-c for c in h0) not in orbit
 
 
 def test_theta_shift_by_gamma_is_invisible():

@@ -423,6 +423,12 @@ def test_decomposition_matches_the_reference_on_full_systems(family, rank):
                 min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_decomposition_matches_the_reference_on_kernel_intersections(specs):
+    from k4holo import rootsys
     from k4holo.toral import character_from_simple_values
     subset = _kernel_subset([character_from_simple_values(exps, m) for m, exps in specs])
-    assert decompose_closed_subset(subset, E6) == _reference_decompose(subset, E6)
+    # The reference validates the subset and keeps the checks _decompose
+    # dropped, so this also shows kernel intersections are closed and
+    # negation-symmetric, which fixed_subalgebra relies on to skip validation.
+    expected = _reference_decompose(subset, E6)
+    assert decompose_closed_subset(subset, E6) == expected
+    assert rootsys._decompose(subset, E6) == expected
