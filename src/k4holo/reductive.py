@@ -2,14 +2,13 @@
 
 Inner involutions of e6 fall into exactly two conjugacy classes, told apart
 by the dimension of their fixed subalgebra (su(6)+sp(1) versus so(10)+R).
-Both reference dimensions are re-derived at start-up from the reference
-characters rather than hard-coded, so a broken character engine fails
-loudly here instead of silently misclassifying.
+Both reference dimensions are read from the reference characters' kernels
+on the caller's root system rather than hard-coded, so a broken character
+engine fails loudly here instead of silently misclassifying.
 """
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import InternalConsistencyError, PreconditionError
@@ -64,31 +63,22 @@ def _fixed_dim(chi: TorusCharacter, sys: RootSystem) -> int:
     return sys.rank + len(sys.kernel(chi))
 
 
-@lru_cache(maxsize=None)
-def _class_dims() -> dict[int, ConjClass]:
-    from .rootsys import build_root_system
-    sys = build_root_system("E", 6)
-    dims = {_fixed_dim(sigma1_reference(), sys): ConjClass.SIGMA1,
-            _fixed_dim(sigma2_reference(), sys): ConjClass.SIGMA2}
-    if len(dims) != 2:
-        raise InternalConsistencyError("reference involutions have equal fixed dimension")
-    return dims
-
-
 def classify_involution(chi: TorusCharacter, sys: RootSystem) -> ConjClass:
-    """Conjugacy class of a toral involution of e6, by fixed dimension."""
+    """Conjugacy class of a toral involution of e6: that of the reference
+    character with the same fixed dimension on sys (38 or 46, never equal)."""
     if (sys.family, sys.rank) != ("E", 6):
         raise PreconditionError("involution classification is specific to E6")
     if chi.order > 2:
         raise PreconditionError(f"character has order {chi.order}, not an involution")
     if chi.order == 1:
         return ConjClass.IDENTITY
-    dims = _class_dims()
     d = _fixed_dim(chi, sys)
-    if d not in dims:
-        raise InternalConsistencyError(
-            f"inner involution with fixed dimension {d}; the character engine is broken")
-    return dims[d]
+    if d == _fixed_dim(sigma1_reference(), sys):
+        return ConjClass.SIGMA1
+    if d == _fixed_dim(sigma2_reference(), sys):
+        return ConjClass.SIGMA2
+    raise InternalConsistencyError(
+        f"inner involution with fixed dimension {d}; the character engine is broken")
 
 
 def mu(chi: TorusCharacter, sys: RootSystem) -> int:

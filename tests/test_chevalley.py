@@ -86,6 +86,9 @@ def test_n_table_matches_the_recursive_rule(family, rank):
     reference = _reference_n_table(sys)
     assert n_table == reference
     assert list(n_table) == list(reference)
+    for (a, b), v in n_table.items():
+        assert v in (1, -1)
+        assert n_table[(b, a)] == -v
 
 
 def test_opposite_pair_rule():

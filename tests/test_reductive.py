@@ -129,6 +129,14 @@ def test_sigma2_membership_in_y_groups():
     assert s2 == {"y3", "y4", "y5", "y3y5", "y4y5"}
 
 
+def test_involution_census_over_all_modulus_2_characters():
+    chars = [character_from_simple_values(exps, 2)
+             for exps in product((0, 1), repeat=6) if any(exps)]
+    classes = [classify_involution(chi, E6) for chi in chars]
+    assert classes.count(ConjClass.SIGMA1) == 36
+    assert classes.count(ConjClass.SIGMA2) == 27
+
+
 def _brute_kernel(chi):
     return frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
 
@@ -152,7 +160,7 @@ def test_kernel_matches_brute_force(exps, m):
 def test_kernel_is_computed_once_per_character(monkeypatch):
     from k4holo import toral
     fresh = build_root_system.__wrapped__("E", 6)
-    classify_involution(sigma2_reference(), E6)  # the class dimensions, on E6
+    classify_involution(sigma2_reference(), E6)  # E6's reference kernels
     calls = []
     original = toral.TorusCharacter.evaluate
 

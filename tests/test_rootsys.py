@@ -31,7 +31,7 @@ def test_e6_counts_and_highest_root():
 
 @pytest.mark.parametrize("family,rank,count", [
     ("A", 1, 2), ("A", 2, 6), ("A", 3, 12), ("A", 4, 20), ("A", 5, 30),
-    ("D", 4, 24), ("D", 5, 40), ("E", 6, 72),
+    ("D", 4, 24), ("D", 5, 40), ("E", 6, 72), ("A", 16, 272), ("D", 16, 480),
 ])
 def test_root_counts(family, rank, count):
     sys = build_root_system(family, rank)
@@ -43,10 +43,13 @@ def test_a1_roots():
     assert sys.roots == frozenset({(1,), (-1,)})
 
 
-def test_roots_have_norm_two_and_coherent_signs():
-    for r in E6.roots:
-        assert E6.pairing(r, r) == 2
+@pytest.mark.parametrize("family,rank", [("E", 6), ("A", 16), ("D", 16)])
+def test_roots_have_norm_two_and_coherent_signs(family, rank):
+    sys = build_root_system(family, rank)
+    for r in sys.roots:
+        assert sys.pairing(r, r) == 2
         assert all(c >= 0 for c in r) or all(c <= 0 for c in r)
+        assert all(c <= h for c, h in zip(r, sys.highest_root))
 
 
 def test_reflection_closure():
