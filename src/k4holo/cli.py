@@ -218,7 +218,7 @@ def _cmd_selftest(args) -> int:
                    for n in pipeline.GROUP_NAMES)
     results.append(("involution_census", census == (1, 3, 3, 5), str(census)))
 
-    if args.ntable_out:
+    if args.ntable_out is not None:
         text = chevalley.export_n_table(sc)
         try:
             with open(args.ntable_out, "w") as fh:

@@ -39,7 +39,7 @@ from itertools import groupby
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigurationError, InternalConsistencyError, PreconditionError
+from .errors import ConfigurationError, PreconditionError
 
 if TYPE_CHECKING:
     from .toral import TorusCharacter
@@ -293,6 +293,14 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
     long arm walked in to the branch node, then the two fork leaves.  E6
     roots stay sorted.  The walk starts from the sorted roots, so the order
     does not depend on set iteration.
+
+    Nothing is checked, as nothing can fail: the indecomposable positives
+    of a closed subsystem form a base of it (Humphreys 10.1), so a
+    component's diagram is a connected simply laced Dynkin diagram, a tree
+    with at most one branch node of degree 3.  E7 and E8 do not embed in
+    E6, A_n or D_n, so a diagram that is neither a path nor a D fork has
+    legs 1, 2, 2 and is E6.  The tests certify this against a reference
+    classifier that keeps those checks.
     """
     simple = sorted(simple)
     k = len(simple)
@@ -304,12 +312,6 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
     partners = [{b for b, _ in sys.sums_from[a]} for a in simple]
     adj = [[j for j in range(k) if simple[j] in ps or negs[j] in ps] for ps in partners]
     degs = [len(ns) for ns in adj]
-    nedges = sum(degs) // 2
-    if nedges != k - 1:
-        raise InternalConsistencyError(
-            f"component diagram has {nedges} edges on {k} nodes (not a tree)")
-    if max(degs) > 3:
-        raise InternalConsistencyError("component diagram has a node of degree > 3")
 
     def walk(prev: int, cur: int) -> list[int]:
         """The leg that leaves prev through cur, out to its end."""
@@ -322,20 +324,14 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
     def ordered(nodes: list[int]) -> tuple[Root, ...]:
         return tuple(simple[i] for i in nodes)
 
-    branches = [i for i in range(k) if degs[i] == 3]
-    if not branches:
+    if 3 not in degs:
         end = degs.index(1)
         return ("A", k, ordered([end] + walk(end, adj[end][0])))
-    if len(branches) > 1:
-        raise InternalConsistencyError("component diagram has two branch nodes")
-    b = branches[0]
+    b = degs.index(3)
     legs = sorted((walk(b, first) for first in adj[b]), key=len)
-    lengths = [len(leg) for leg in legs]
-    if lengths[:2] == [1, 1]:
+    if len(legs[1]) == 1:
         return ("D", k, ordered(legs[2][::-1] + [b] + legs[0] + legs[1]))
-    if lengths == [1, 2, 2]:
-        return ("E", 6, tuple(simple))
-    raise InternalConsistencyError(f"component diagram with legs {lengths} matches no catalog entry")
+    return ("E", 6, tuple(simple))
 
 
 def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:

@@ -148,11 +148,9 @@ class CharacterGroup(NamedTuple):
 
     @property
     def rank(self) -> int:
-        n, r = self.order, 0
-        while n > 1:
-            n //= 2
-            r += 1
-        return r
+        """Rank over F_2: generate_group builds only elementary abelian
+        2-groups, so the order is 2**rank."""
+        return self.order.bit_length() - 1
 
     def element(self, label: str) -> TorusCharacter:
         if label not in self.labels:

@@ -299,9 +299,10 @@ def test_selftest_ntable_export(tmp_path, capsys):
     assert text.splitlines()[0].count(" ") == 2
 
 
-@pytest.mark.parametrize("target", ["missing_parent", "directory"])
+@pytest.mark.parametrize("target", ["missing_parent", "directory", "empty"])
 def test_selftest_unwritable_ntable_out_exits_2(target, tmp_path, capsys):
-    path = tmp_path / "no" / "such" / "dir" / "x" if target == "missing_parent" else tmp_path
+    path = {"missing_parent": tmp_path / "no" / "such" / "dir" / "x",
+            "directory": tmp_path, "empty": ""}[target]
     code, out, err = run_cli(["selftest", "--ntable-out", str(path)], capsys)
     assert code == 2
     assert out == ""

@@ -165,7 +165,7 @@ def test_embed_rejects_determinant_violation():
 
 def test_generate_group_single_involution():
     g = generate_group([("s", SIGMA1)], "s")
-    assert g.order == 2
+    assert g.order == 2 and g.rank == 1
     assert g.element("s") == SIGMA1
     assert g.element("1") == identity_character()
 
