@@ -11,7 +11,9 @@ the opposite-pair rule N(-a, -b) = -N(a, b), the rotation rule
 N(a, b) = N(b, c) = N(c, a) for a + b + c = 0, and the four-term relation
 for a + b + c + d = 0.  Only the positive pairs are derived by the
 four-term relation; every other constant is read from them in one pass over
-sums_from, by the signs of a, b and a + b.  Any consistent sign set passes
+sums_from: the zero-sum triple (a, b, -(a + b)) is rotated until its first
+two roots share a sign, and that pair is read from the positive pairs,
+negated when both are negative.  Any consistent sign set passes
 the certification suite; reproducibility of the table, not one specific
 table, is the contract.
 
@@ -142,28 +144,17 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     posset = set(pos)
     neg = {r: tuple(-x for x in r) for r in sys.roots}
 
-    # N(a, b) for a + b = c a root, read from npos by the opposite-pair rule
-    # N(-a, -b) = -N(a, b), antisymmetry and the rotation rule: for
-    # x + y + z = 0, N(x, y) = N(y, z) = N(z, x).  So N is +-1, and the
-    # branch for (b, a) reads the same entry negated: N(b, a) = -N(a, b).
+    # N(a, b) for a + b = c a root, by the rotation rule N(x, y) = N(y, z) =
+    # N(z, x) on the zero-sum triple (a, b, -c): two of its roots share a
+    # sign, so at most two rotations bring such a pair to (x, y), which the
+    # opposite-pair rule N(-x, -y) = -N(x, y) reads from npos.
     n_table: dict[tuple[Root, Root], int] = {}
     for a, pairs in sys.sums_from.items():
-        apos = a in posset
         for b, c in pairs:
-            if b in posset:
-                if apos:
-                    v = npos[(a, b)]
-                elif c in posset:  # a < 0 < b, c > 0: N(a, b) = N(-a, c)
-                    v = npos[(neg[a], c)]
-                else:  # a < 0 < b, c < 0: N(a, b) = -N(-c, b)
-                    v = -npos[(neg[c], b)]
-            elif not apos:  # a, b < 0: N(a, b) = -N(-a, -b)
-                v = -npos[(neg[a], neg[b])]
-            elif c in posset:  # b < 0 < a, c > 0: N(a, b) = -N(-b, c)
-                v = -npos[(neg[b], c)]
-            else:  # b < 0 < a, c < 0: N(a, b) = N(-c, a)
-                v = npos[(neg[c], a)]
-            n_table[(a, b)] = v
+            x, y, z = a, b, neg[c]
+            while (x in posset) != (y in posset):
+                x, y, z = y, z, x
+            n_table[(a, b)] = npos[(x, y)] if x in posset else -npos[(neg[x], neg[y])]
 
     rank = sys.rank
     basis: list[BasisKey] = [("h", i) for i in range(rank)]

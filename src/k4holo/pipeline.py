@@ -97,21 +97,19 @@ class KleinSubgroup(NamedTuple):
 
 
 def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
-    """All order-4 subgroups (seven, for a rank-3 group), canonically labelled."""
+    """All order-4 subgroups (seven, for a rank-3 group), canonically labelled.
+
+    The i < j scan first meets a subgroup at its two earliest elements, so
+    its labels and the subgroups themselves come out in element order."""
     nonid = group.nonidentity()
-    pos = {label: i for i, (label, _) in enumerate(nonid)}
-    seen: dict[frozenset[TorusCharacter], tuple[str, ...]] = {}
+    seen: dict[frozenset[TorusCharacter], KleinSubgroup] = {}
     for i, (la, ca) in enumerate(nonid):
         for lb, cb in nonid[i + 1:]:
             prod = ca * cb
             key = frozenset((ca, cb, prod))
             if key not in seen:
-                members = sorted((la, lb, group.canonical_label(prod)),
-                                 key=pos.__getitem__)
-                seen[key] = tuple(members)
-    subs = [KleinSubgroup(labels=labels, chars=key) for key, labels in seen.items()]
-    subs.sort(key=lambda s: tuple(pos[l] for l in s.labels))
-    return tuple(subs)
+                seen[key] = KleinSubgroup((la, lb, group.canonical_label(prod)), key)
+    return tuple(seen.values())
 
 
 class K4Candidate(NamedTuple):

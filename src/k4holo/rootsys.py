@@ -92,11 +92,6 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _pairing(cartan: Sequence[Sequence[int]], a: Sequence[int], b: Sequence[int]) -> int:
-    """Bilinear form (a, b) = a.A.b for the Cartan matrix A."""
-    return sum(map(mul, a, [sum(map(mul, row, b)) for row in cartan]))
-
-
 def _reflect(cartan: Sequence[Sequence[int]], v: Sequence[int], i: int) -> Root:
     """Simple reflection s_i of a lattice vector for the Cartan matrix A."""
     out = list(v)
@@ -130,7 +125,7 @@ class RootSystem(NamedTuple("RootSystem", [
 
     def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Bilinear form (a, b) = a.A.b for arbitrary lattice vectors."""
-        return _pairing(self.cartan, a, b)
+        return sum(map(mul, a, [sum(map(mul, row, b)) for row in self.cartan]))
 
     def simple_pairings(self, root: Sequence[int]) -> tuple[int, ...]:
         """(root, alpha_i) for each simple root alpha_i: the simple roots are

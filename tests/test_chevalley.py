@@ -89,6 +89,8 @@ def test_n_table_matches_the_recursive_rule(family, rank):
     for (a, b), v in n_table.items():
         assert v in (1, -1)
         assert n_table[(b, a)] == -v
+        minus_c = neg(add(a, b))
+        assert v == n_table[(b, minus_c)] == n_table[(minus_c, a)]
 
 
 def test_opposite_pair_rule():

@@ -48,8 +48,18 @@ def test_sigma2_census():
 
 
 def test_klein_subgroup_enumeration():
+    for group in GROUPS.values():
+        pos = {label: i for i, (label, _) in enumerate(group.nonidentity())}
+        subs = klein_four_subgroups(group)
+        assert len(subs) == 7
+        for s in subs:
+            la, lb, lc = s.labels
+            assert pos[la] < pos[lb] < pos[lc]
+            assert lc == group.canonical_label(group.element(la) * group.element(lb))
+            assert s.chars == frozenset(map(group.element, s.labels))
+        keys = [tuple(pos[l] for l in s.labels) for s in subs]
+        assert keys == sorted(keys)
     subs = klein_four_subgroups(GROUPS["x1x2x4"])
-    assert len(subs) == 7
     theta = GROUPS["x1x2x4"].element("x4")
     avoiding = [s for s in subs if theta not in s.chars]
     assert len(avoiding) == 4
