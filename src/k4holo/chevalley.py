@@ -17,7 +17,7 @@ negated when both are negative.  Any consistent sign set passes
 the certification suite; reproducibility of the table, not one specific
 table, is the contract.
 
-The bracket table holds one row per basis element: _btable[i][j] is the
+The bracket table holds one row per basis element: btable[i][j] is the
 tuple of terms (p, c) of [b_i, b_j] = sum of c * b_p, filled straight from
 the root system (the Cartan rows from each root's simple pairings, each
 root's row from its opposite and the sums in sums_from).
@@ -46,7 +46,6 @@ from bisect import bisect_right
 from operator import sub
 from typing import NamedTuple
 
-from .errors import ConfigurationError
 from .rootsys import Root, RootSystem
 
 BasisKey = tuple  # ("h", i) with 0 <= i < rank, or ("x", root)
@@ -95,33 +94,20 @@ def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
     return tuple(pos), table
 
 
-class StructureConstants:
-    """Complete bracket table, compared field by field; immutable by convention."""
-
-    def __init__(self, sys: RootSystem, n_table: dict[tuple[Root, Root], int],
-                 basis: tuple[BasisKey, ...], _index: dict[BasisKey, int],
-                 _btable: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
-        self.sys, self.n_table = sys, n_table
-        self.basis, self._index, self._btable = basis, _index, _btable
-
-    def __eq__(self, other):
-        if other.__class__ is not StructureConstants:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"StructureConstants({fields})"
+class StructureConstants(NamedTuple):
+    """Complete bracket table: btable[index[k1]][index[k2]] holds [k1, k2]."""
+    sys: RootSystem
+    n_table: dict[tuple[Root, Root], int]
+    basis: tuple[BasisKey, ...]
+    index: dict[BasisKey, int]
+    btable: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def n(self, a: Root, b: Root) -> int:
         """N(a, b), or 0 when a + b is not a root."""
         return self.n_table.get((a, b), 0)
 
-    def index(self, key: BasisKey) -> int:
-        return self._index[key]
-
     def bracket_basis(self, k1: BasisKey, k2: BasisKey) -> dict[BasisKey, int]:
-        terms = self._btable[self._index[k1]][self._index[k2]]
+        terms = self.btable[self.index[k1]][self.index[k2]]
         return {self.basis[i]: c for i, c in terms}
 
     def bracket(self, v1: dict[BasisKey, int], v2: dict[BasisKey, int]) -> dict[BasisKey, int]:
@@ -129,17 +115,15 @@ class StructureConstants:
         acc: dict[BasisKey, int] = {}
         for ka, ca in v1.items():
             for kb, cb in v2.items():
-                for i, c in self._btable[self._index[ka]][self._index[kb]]:
+                for i, c in self.btable[self.index[ka]][self.index[kb]]:
                     key = self.basis[i]
                     acc[key] = acc.get(key, 0) + ca * cb * c
         return {k: c for k, c in acc.items() if c != 0}
 
 
 def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
-    """Build the full structure-constant table for a simply laced system."""
-    if any(sys.pairing(r, r) != 2 for r in sys.simple_roots):
-        raise ConfigurationError("only simply laced systems are supported")
-
+    """Build the full structure-constant table of a simply laced (type A, D
+    or E) system; the precondition is not checked."""
     pos, npos = _positive_pair_table(sys)
     posset = set(pos)
     neg = {r: tuple(-x for x in r) for r in sys.roots}
@@ -175,8 +159,8 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
         for b, s in sys.sums_from[a]:
             row[at[b]] = ((at[s], n_table[(a, b)]),)
 
-    return StructureConstants(sys=sys, n_table=n_table, basis=tuple(basis), _index=index,
-                              _btable=tuple(map(tuple, rows)))
+    return StructureConstants(sys=sys, n_table=n_table, basis=tuple(basis), index=index,
+                              btable=tuple(map(tuple, rows)))
 
 
 class JacobiReport(NamedTuple):
@@ -194,7 +178,7 @@ class JacobiReport(NamedTuple):
 
 def check_antisymmetry(sc: StructureConstants) -> bool:
     """[b_j, b_i] == -[b_i, b_j] for every entry of the bracket table."""
-    rows = sc._btable
+    rows = sc.btable
     return all(dict(rows[j][i]) == {p: -c for p, c in terms}
                for i, row in enumerate(rows) for j, terms in enumerate(row[i:], i))
 
@@ -229,7 +213,7 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
     triple summed into a dict.  Violations come in increasing (i, j, k)
     order either way; all arithmetic is on ints.
     """
-    rows = sc._btable
+    rows = sc.btable
     n = len(sc.basis)
     w = _weights(sc)
     graded = all(w[p] == wi + wj
@@ -283,7 +267,7 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
 
 def killing_form(sc: StructureConstants, a: BasisKey, b: BasisKey) -> int:
     """Trace of ad(a).ad(b) computed from the bracket table."""
-    row_a, row_b = sc._btable[sc._index[a]], sc._btable[sc._index[b]]
+    row_a, row_b = sc.btable[sc.index[a]], sc.btable[sc.index[b]]
     total = 0
     for j, terms in enumerate(row_b):
         for m, c in terms:

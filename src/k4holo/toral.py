@@ -171,8 +171,10 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
     """Close a set of labelled involutions into an elementary abelian 2-group.
 
     Word labels are concatenations of base names in base order ("1" for the
-    identity).  A base element of order > 2 is rejected: the groups modelled
-    here are elementary abelian by construction.
+    identity); a word that base names spell twice labels its earliest
+    shortest product, the order element_order follows.  A base element of
+    order > 2 is rejected: the groups modelled here are elementary abelian
+    by construction.
     """
     base = tuple(base)
     for label, char in base:
@@ -182,21 +184,14 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
                 "expected an elementary abelian 2-group")
     k = len(base)
     labels: dict[str, TorusCharacter] = {}
-    by_popcount: list[tuple[int, int, str, TorusCharacter]] = []
-    for mask in range(1 << k):
+    first_word: dict[TorusCharacter, str] = {}
+    for mask in sorted(range(1 << k), key=lambda m: (m.bit_count(), m)):
         word = "".join(base[i][0] for i in range(k) if mask >> i & 1) or "1"
         char = identity_character()
         for i in range(k):
             if mask >> i & 1:
                 char = char * base[i][1]
-        labels[word] = char
-        by_popcount.append((mask.bit_count(), mask, word, char))
-    by_popcount.sort(key=lambda t: (t[0], t[1]))
-    seen: set[TorusCharacter] = set()
-    element_order = []
-    for _, _, word, char in by_popcount:
-        if char not in seen:
-            seen.add(char)
-            element_order.append((word, char))
+        labels.setdefault(word, char)
+        first_word.setdefault(char, word)
     return CharacterGroup(name=name, base=base, labels=labels,
-                          element_order=tuple(element_order))
+                          element_order=tuple((w, c) for c, w in first_word.items()))

@@ -148,22 +148,22 @@ def test_jacobi_report_shape():
 def _with_rows(sc, rows, n_table=None):
     """Copy of sc with the given bracket rows, frozen to tuples."""
     return StructureConstants(sc.sys, sc.n_table if n_table is None else n_table,
-                              sc.basis, sc._index, tuple(map(tuple, rows)))
+                              sc.basis, sc.index, tuple(map(tuple, rows)))
 
 
 def _with_flipped_sign(sc, a, b):
     """Copy of sc with N(a, b) and N(b, a) negated in both of its tables."""
-    n_table, rows = dict(sc.n_table), [list(row) for row in sc._btable]
+    n_table, rows = dict(sc.n_table), [list(row) for row in sc.btable]
     for x, y in ((a, b), (b, a)):
         n_table[(x, y)] = -n_table[(x, y)]
-        i, j = sc.index(("x", x)), sc.index(("x", y))
+        i, j = sc.index[("x", x)], sc.index[("x", y)]
         rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
     return _with_rows(sc, rows, n_table)
 
 
 def _with_moved_term(sc, i, j, p):
     """Copy of sc whose [b_i, b_j] has its first term moved onto b_p (one order only)."""
-    rows = [list(row) for row in sc._btable]
+    rows = [list(row) for row in sc.btable]
     (_, c), *rest = rows[i][j]
     rows[i][j] = ((p, c), *rest)
     return _with_rows(sc, rows)
@@ -171,7 +171,7 @@ def _with_moved_term(sc, i, j, p):
 
 def _reference_jacobi(sc, limit):
     """The full sweep: the Jacobi sum of every unordered triple, nothing skipped."""
-    rows = sc._btable
+    rows = sc.btable
     bad = []
     for i, j, k in combinations(range(len(sc.basis)), 3):
         acc = {}
@@ -213,7 +213,7 @@ def test_jacobi_check_fails_on_one_flipped_sign(limit):
     assert rep.triples_checked == 76076
     assert 1 <= len(rep.violations) <= limit
     assert rep.first_violation == rep.violations[0]
-    positions = [tuple(broken.index(k) for k in triple) for triple in rep.violations]
+    positions = [tuple(broken.index[k] for k in triple) for triple in rep.violations]
     assert all(i < j < k for i, j, k in positions)
     assert positions == sorted(positions)
     for triple in rep.violations:
@@ -224,7 +224,7 @@ def test_jacobi_check_fails_on_one_flipped_sign(limit):
 def test_jacobi_sweeps_an_ungraded_table_triple_by_triple():
     # [X_a1, X_a3] = N X_(a1+a3) moved onto X_a1, a basis element of the wrong weight
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
-    i, j = SC.index(("x", a1)), SC.index(("x", a3))
+    i, j = SC.index[("x", a1)], SC.index[("x", a3)]
     broken = _with_moved_term(SC, i, j, i)
     rep = check_jacobi(broken, limit=1000)
     assert rep.triples_checked == 76076
@@ -256,7 +256,7 @@ def test_weight_encoding_is_injective_on_triple_sums(family, rank):
         assert seen.setdefault(sum(codes[t] for t in triple), vec) == vec
 
 
-_NONEMPTY = [(i, j) for i, row in enumerate(SC._btable) for j, terms in enumerate(row) if terms]
+_NONEMPTY = [(i, j) for i, row in enumerate(SC.btable) for j, terms in enumerate(row) if terms]
 # flip negates an entry, move puts its first term on another basis element
 # (which usually leaves the table ungraded), and repeat adds its first term
 # once more, which keeps it graded, so the graded sweep is compared too.
@@ -266,7 +266,7 @@ _EDIT = st.one_of(
     st.tuples(st.just("repeat"), st.sampled_from(_NONEMPTY)))
 
 
-_A1_A3 = (SC.index(("x", E6.simple_roots[0])), SC.index(("x", E6.simple_roots[2])))
+_A1_A3 = (SC.index[("x", E6.simple_roots[0])], SC.index[("x", E6.simple_roots[2])])
 
 
 # Each example sweeps all 76,076 triples twice (about 0.1 s), so examples are few.
@@ -274,7 +274,7 @@ _A1_A3 = (SC.index(("x", E6.simple_roots[0])), SC.index(("x", E6.simple_roots[2]
 @given(st.lists(_EDIT, min_size=1, max_size=3))
 @example([("repeat", _A1_A3)])
 def test_jacobi_matches_the_full_sweep_on_corrupted_tables(edits):
-    rows = [list(row) for row in SC._btable]
+    rows = [list(row) for row in SC.btable]
     for kind, (i, j), *p in edits:
         if kind == "flip":
             rows[i][j] = tuple((q, -c) for q, c in rows[i][j])
@@ -293,8 +293,8 @@ def test_jacobi_matches_the_full_sweep_on_corrupted_tables(edits):
 def test_antisymmetry_check_fails_on_one_entry(corrupt):
     assert check_antisymmetry(SC)
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
-    i, j = SC.index(("x", a1)), SC.index(("x", a3))
-    rows = [list(row) for row in SC._btable]
+    i, j = SC.index[("x", a1)], SC.index[("x", a3)]
+    rows = [list(row) for row in SC.btable]
     if corrupt == "flip":
         rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
     elif corrupt == "move":
@@ -302,7 +302,7 @@ def test_antisymmetry_check_fails_on_one_entry(corrupt):
     elif corrupt == "drop":
         rows[i][j] = ()
     else:
-        h = SC.index(("h", 2))
+        h = SC.index[("h", 2)]
         rows[h][i] = tuple((p, 2 * c) for p, c in rows[h][i])
     broken = _with_rows(SC, rows)
     assert broken.n_table == SC.n_table

@@ -330,11 +330,11 @@ def test_selftest_reports_a_failing_antisymmetry_check(capsys, monkeypatch):
     def broken(sys):
         # [X_a1, X_a3] negated in the bracket rows only, in one order only
         sc = build(sys)
-        rows = [list(row) for row in sc._btable]
-        i, j = sc.index(("x", sys.simple_roots[0])), sc.index(("x", sys.simple_roots[2]))
+        rows = [list(row) for row in sc.btable]
+        i, j = sc.index[("x", sys.simple_roots[0])], sc.index[("x", sys.simple_roots[2])]
         rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
         return chevalley.StructureConstants(sc.sys, sc.n_table, sc.basis,
-                                            sc._index, tuple(map(tuple, rows)))
+                                            sc.index, tuple(map(tuple, rows)))
 
     monkeypatch.setattr(chevalley, "build_chevalley_basis", broken)
     code, out, _ = run_cli(["selftest"], capsys)
@@ -353,11 +353,11 @@ def _with_doubled_bracket(k1, k2):
 
     def broken(sys):
         sc = build(sys)
-        rows = [list(row) for row in sc._btable]
-        i, j = sc.index(k1), sc.index(k2)
+        rows = [list(row) for row in sc.btable]
+        i, j = sc.index[k1], sc.index[k2]
         rows[i][j] = tuple((p, 2 * c) for p, c in rows[i][j])
         return chevalley.StructureConstants(sc.sys, sc.n_table, sc.basis,
-                                            sc._index, tuple(map(tuple, rows)))
+                                            sc.index, tuple(map(tuple, rows)))
 
     return broken
 

@@ -186,6 +186,16 @@ def test_generate_group_rank3_labels():
     assert set(g.labels) == {"1", "x1", "x4", "x5", "x1x4", "x1x5", "x4x5", "x1x4x5"}
 
 
+def test_generate_group_labels_each_element_by_its_earliest_shortest_word():
+    a = embed_su6_sp1(UnitaryPairData(4, (0,) * 6, 2))            # x1 of x1x2x4
+    b = embed_su6_sp1(UnitaryPairData(4, (1, 1, 1, 3, 3, 3), 1))  # x2 of x1x2x4
+    g = generate_group([("a", a), ("b", b), ("c", a * b)])
+    assert [label for label, _ in g.element_order] == ["1", "a", "b", "c"]
+    assert g.order == 4 and g.rank == 2
+    assert g.canonical_label(a * b) == "c"
+    assert g.labels["ab"] == g.element("c")
+
+
 def test_generate_group_rejects_higher_order():
     chi = character_from_simple_values((1, 0, 0, 0, 0, 0), 4)
     with pytest.raises(ValidationError):
