@@ -19,8 +19,7 @@ from .reductive import (ConjClass, FixedSubalgebra, classify_involution,
 from .rootsys import (ReductiveType, Root, RootSystem, SubsystemComponent,
                       build_root_system, decompose_closed_subset,
                       identify_subsystem)
-from .toral import (CharacterGroup, TorusCharacter, UnitaryPairData,
-                    character_from_simple_values, embed_su6_sp1, generate_group,
+from .toral import (CharacterGroup, TorusCharacter, embed_su6_sp1, generate_group,
                     identity_character)
 
 __version__ = "0.1.0"

@@ -44,8 +44,7 @@ from . import chevalley, pipeline
 from .errors import EngineError, UsageError, VerificationError
 from .reductive import classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
-from .toral import (TorusCharacter, UnitaryPairData, character_from_simple_values,
-                    embed_su6_sp1)
+from .toral import TorusCharacter, embed_su6_sp1
 
 _FORMATS = ("json", "markdown", "plain")
 
@@ -104,7 +103,7 @@ def parse_char_spec(spec: str) -> TorusCharacter:
         chain = _parse_vector(positional[0], 6)
         # chain order alpha1,alpha3,alpha4,alpha5,alpha6,alpha2 -> internal order
         exps = (chain[0], chain[5], chain[1], chain[2], chain[3], chain[4])
-        return character_from_simple_values(exps, modulus())
+        return TorusCharacter(modulus(), exps)
     if kind == "su6sp1":
         if positional or set(fields) - {"m", "d", "y"}:
             raise UsageError(f"malformed su6sp1 spec {spec!r}")
@@ -116,7 +115,7 @@ def parse_char_spec(spec: str) -> TorusCharacter:
             y = int(fields["y"])
         except ValueError:
             raise UsageError(f"bad sp(1) token y={fields['y']!r}")
-        return embed_su6_sp1(UnitaryPairData(m, diag, y))
+        return embed_su6_sp1(m, diag, y)
     raise UsageError(f"unknown character kind {kind!r} (want chi or su6sp1)")
 
 
@@ -202,7 +201,7 @@ def _cmd_selftest(args) -> int:
 
     import random
     rng = random.Random(0)
-    chars = [character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
+    chars = [TorusCharacter(12, tuple(rng.randrange(12) for _ in range(6)))
              for _ in range(20)]
     moduli = [chi.modulus for chi in chars]
     # value[r][c] is in [0, m_c), so value[s] == (value[a] + value[b]) % m_c

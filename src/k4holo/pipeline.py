@@ -29,7 +29,7 @@ from .errors import PreconditionError, VerificationError
 from .realform import RealFormType, center_of_fixed, identify_real_form
 from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
 from .rootsys import ReductiveType, RootSystem, build_root_system
-from .toral import CharacterGroup, TorusCharacter, UnitaryPairData, embed_su6_sp1, generate_group
+from .toral import CharacterGroup, TorusCharacter, embed_su6_sp1, generate_group
 
 GROUP_NAMES = ("x1x2x4", "x1x4x5", "y1y3y4", "y3y4y5")
 
@@ -61,7 +61,7 @@ def builtin_groups() -> dict[str, CharacterGroup]:
     Each has order 8; the tests and selftest's involution census pin that."""
 
     def emb(diag, sp1):
-        return embed_su6_sp1(UnitaryPairData(4, diag, sp1))
+        return embed_su6_sp1(4, diag, sp1)
 
     minus_one = emb((0,) * 6, 2)            # (I6, -1)
     i3_i3_i = emb((1, 1, 1, 3, 3, 3), 1)    # (diag(i,i,i,-i,-i,-i), i)
@@ -281,7 +281,7 @@ def report_to_dict(report: K4Report) -> dict:
         {
             "name": g.group.name,
             "order": g.group.order,
-            "elements": [l for l, _ in g.group.element_order],
+            "elements": list(g.group.labels),
             "sigma2_elements": list(g.sigma2_labels),
             "fixed_subalgebra": g.fixed.rtype.render(),
             "fixed_dim": g.fixed.dim,

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InternalConsistencyError, PreconditionError
 from .rootsys import ReductiveType, Root, RootSystem, SubsystemComponent, reductive_type
-from .toral import TorusCharacter, character_from_simple_values
+from .toral import TorusCharacter
 
 
 class ConjClass(Enum):
@@ -28,12 +28,12 @@ class ConjClass(Enum):
 
 def sigma1_reference() -> TorusCharacter:
     """Reference involution with fixed subalgebra of type su(6)+sp(1)."""
-    return character_from_simple_values((0, 1, 0, 0, 0, 0), 2)
+    return TorusCharacter(2, (0, 1, 0, 0, 0, 0))
 
 
 def sigma2_reference() -> TorusCharacter:
     """Reference involution with fixed subalgebra of type so(10)+R."""
-    return character_from_simple_values((1, 0, 0, 0, 0, 1), 2)
+    return TorusCharacter(2, (1, 0, 0, 0, 0, 1))
 
 
 class FixedSubalgebra(NamedTuple):

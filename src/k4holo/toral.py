@@ -6,6 +6,9 @@ homomorphism from the root lattice to Z/m: we store the exponent it
 assigns to each of the six simple roots.  Characters are canonicalised on
 construction (the modulus is reduced to the element's order), which makes
 equality mean equality of automorphisms and keeps group closures exact.
+``embed_su6_sp1`` builds one from su(6)+sp(1) data; ``generate_group``
+closes commuting involutions into a group that labels each element by one
+word over the generator names, e.g. "x1x4" in x1x4x5.
 
 The su(6)+sp(1) dictionary: a diagonal special-unitary element with
 exponents d_1..d_6 together with an sp(1) torus exponent y acts on the
@@ -81,70 +84,49 @@ class TorusCharacter:
         return f"chi(m={self.modulus}, {list(self.exps)})"
 
 
-def character_from_simple_values(exps: Sequence[int], modulus: int) -> TorusCharacter:
-    """Character with value zeta_m^exps[i] on simple root alpha_{i+1}."""
-    return TorusCharacter(modulus, tuple(exps))
-
-
 def identity_character() -> TorusCharacter:
     return TorusCharacter(1, (0,) * RANK)
 
 
-class UnitaryPairData(NamedTuple("UnitaryPairData",
-                                  [("modulus", int), ("diag", tuple[int, ...]), ("sp1", int)])):
-    """Diagonal element of SU(6) x Sp(1), stored as torus exponents mod m.
-
-    Only diagonal unitary parts are representable here; that covers every
-    generator the builtin groups need.
-    """
-    __slots__ = ()
-
-    def __new__(cls, modulus: int, diag: tuple[int, ...], sp1: int):
-        if modulus < 1:
-            raise ValidationError("modulus must be >= 1")
-        if len(diag) != 6:
-            raise ValidationError("diagonal needs 6 exponents")
-        diag = tuple(d % modulus for d in diag)
-        if sum(diag) % modulus != 0:
-            raise ValidationError(
-                f"determinant violation: diagonal exponents {list(diag)} "
-                f"do not sum to 0 mod {modulus}")
-        return super().__new__(cls, modulus, diag, sp1 % modulus)
-
-
-def embed_su6_sp1(u: UnitaryPairData) -> TorusCharacter:
+def embed_su6_sp1(modulus: int, diag: Sequence[int], sp1: int) -> TorusCharacter:
     """Automorphism of e6 induced by a diagonal element of SU(6) x Sp(1).
 
-    The chain alpha_1, alpha_3, alpha_4, alpha_5, alpha_6 receives the
-    consecutive exponent differences of the diagonal; alpha_2 receives
-    sp1 + d_4 + d_5 + d_6.  The centre of the product group (generated by
-    the scalar cube root of unity and the simultaneous sign flip) maps to
-    the identity character, so the embedding factors through the quotient
-    that actually acts on e6.
+    ``diag`` holds six exponents mod ``modulus`` summing to 0 (only diagonal
+    unitary parts are representable; the builtin groups need no others) and
+    ``sp1`` the sp(1) exponent.  The chain alpha_1, alpha_3, alpha_4,
+    alpha_5, alpha_6 receives the consecutive exponent differences of the
+    diagonal; alpha_2 receives sp1 + d_4 + d_5 + d_6.  The centre of the
+    product group (the scalar cube root of unity and the simultaneous sign
+    flip) maps to the identity character, so the embedding factors through
+    the quotient that actually acts on e6.
     """
-    m, d, y = u.modulus, u.diag, u.sp1
+    if modulus < 1:
+        raise ValidationError("modulus must be >= 1")
+    if len(diag) != 6:
+        raise ValidationError("diagonal needs 6 exponents")
+    d = [e % modulus for e in diag]
+    if sum(d) % modulus != 0:
+        raise ValidationError(
+            f"determinant violation: diagonal exponents {d} "
+            f"do not sum to 0 mod {modulus}")
     chain = [d[i] - d[i + 1] for i in range(5)]
-    a2 = y + d[3] + d[4] + d[5]
+    a2 = sp1 + d[3] + d[4] + d[5]
     exps = (chain[0], a2, chain[1], chain[2], chain[3], chain[4])
-    return TorusCharacter(m, tuple(e % m for e in exps))
+    return TorusCharacter(modulus, exps)
 
 
 class CharacterGroup(NamedTuple):
-    """Finite group of torus characters with word labels over its base.
+    """Finite group of torus characters, each element labelled by one word.
 
-    ``labels`` maps every product word over the base generators (plus "1"
-    for the empty word) to its character; distinct automorphisms may be hit
-    by several words, in which case the earliest shortest word is the
-    canonical label.
+    ``labels`` maps each element's word over the base generators ("1" for
+    the empty word) to its character, shortest words first.
     """
     name: str
-    base: tuple[tuple[str, TorusCharacter], ...]
     labels: Mapping[str, TorusCharacter]
-    element_order: tuple[tuple[str, TorusCharacter], ...]
 
     @property
     def order(self) -> int:
-        return len(self.element_order)
+        return len(self.labels)
 
     @property
     def rank(self) -> int:
@@ -158,23 +140,22 @@ class CharacterGroup(NamedTuple):
         return self.labels[label]
 
     def canonical_label(self, char: TorusCharacter) -> str:
-        for label, c in self.element_order:
+        for label, c in self.labels.items():
             if c == char:
                 return label
         raise KeyError(f"{char!r} is not an element of {self.name}")
 
     def nonidentity(self) -> tuple[tuple[str, TorusCharacter], ...]:
-        return tuple((l, c) for l, c in self.element_order if c.order > 1)
+        return tuple((l, c) for l, c in self.labels.items() if c.order > 1)
 
 
 def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -> CharacterGroup:
     """Close a set of labelled involutions into an elementary abelian 2-group.
 
-    Word labels are concatenations of base names in base order ("1" for the
-    identity); a word that base names spell twice labels its earliest
-    shortest product, the order element_order follows.  A base element of
-    order > 2 is rejected: the groups modelled here are elementary abelian
-    by construction.
+    Each element's word joins, in base order, the names of the generators
+    it is the product of ("1" for the identity).  A generator of order > 2
+    is rejected, and so is a base whose 2**k words or 2**k products are not
+    all distinct (names "a", "b", "ab"; an identity or dependent generator).
     """
     base = tuple(base)
     for label, char in base:
@@ -184,14 +165,15 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
                 "expected an elementary abelian 2-group")
     k = len(base)
     labels: dict[str, TorusCharacter] = {}
-    first_word: dict[TorusCharacter, str] = {}
     for mask in sorted(range(1 << k), key=lambda m: (m.bit_count(), m)):
         word = "".join(base[i][0] for i in range(k) if mask >> i & 1) or "1"
         char = identity_character()
         for i in range(k):
             if mask >> i & 1:
                 char = char * base[i][1]
-        labels.setdefault(word, char)
-        first_word.setdefault(char, word)
-    return CharacterGroup(name=name, base=base, labels=labels,
-                          element_order=tuple((w, c) for c, w in first_word.items()))
+        labels[word] = char
+    if len(labels) != 1 << k or len(set(labels.values())) != 1 << k:
+        raise ValidationError(
+            f"base names {[label for label, _ in base]} do not give "
+            f"{1 << k} distinct elements {1 << k} distinct words")
+    return CharacterGroup(name=name, labels=labels)

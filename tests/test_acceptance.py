@@ -14,7 +14,7 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              sigma2_elements, symmetric_pair_survey)
 from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra, mu
 from k4holo.rootsys import _reflect, build_root_system, identify_subsystem
-from k4holo.toral import UnitaryPairData, character_from_simple_values, embed_su6_sp1
+from k4holo.toral import TorusCharacter, embed_su6_sp1
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -131,8 +131,7 @@ def test_criterion_7_property_suites():
         # character homomorphism law over all root pairs, sampled characters
         for _ in range(10):
             m = rng.choice((2, 3, 4, 6, 12))
-            chi = character_from_simple_values(
-                tuple(rng.randrange(m) for _ in range(6)), m)
+            chi = TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
             for a in E6.roots:
                 for b in E6.roots:
                     s = tuple(x + y for x, y in zip(a, b))
@@ -146,11 +145,9 @@ def test_criterion_7_property_suites():
             d = [rng.randrange(m) for _ in range(5)]
             d.append((-sum(d)) % m)
             y = rng.randrange(m)
-            base = embed_su6_sp1(UnitaryPairData(m, tuple(d), y))
-            flip = embed_su6_sp1(UnitaryPairData(
-                m, tuple((x + 6) % m for x in d), (y + 6) % m))
-            cube = embed_su6_sp1(UnitaryPairData(
-                m, tuple((x + 4) % m for x in d), y))
+            base = embed_su6_sp1(m, tuple(d), y)
+            flip = embed_su6_sp1(m, tuple((x + 6) % m for x in d), (y + 6) % m)
+            cube = embed_su6_sp1(m, tuple((x + 4) % m for x in d), y)
             assert base == flip == cube
 
         # fixed-set bracket closure for 50 random character sets
@@ -158,8 +155,7 @@ def test_criterion_7_property_suites():
         span_h = {("h", i) for i in range(6)}
         for _ in range(50):
             m = rng.choice((2, 3, 4, 6))
-            chars = [character_from_simple_values(
-                tuple(rng.randrange(m) for _ in range(6)), m)
+            chars = [TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
                 for _ in range(rng.randrange(1, 4))]
             fixed = {r for r in E6.roots
                      if all(c.evaluate(r) == 0 for c in chars)}
@@ -171,8 +167,7 @@ def test_criterion_7_property_suites():
         # Weyl invariance of subsystem identification, 100 random closed sets
         for _ in range(100):
             m = rng.choice((2, 3, 4, 6))
-            chars = [character_from_simple_values(
-                tuple(rng.randrange(m) for _ in range(6)), m)
+            chars = [TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
                 for _ in range(rng.randrange(1, 3))]
             subset = frozenset(r for r in E6.roots
                                if all(c.evaluate(r) == 0 for c in chars))

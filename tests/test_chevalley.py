@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from k4holo.chevalley import (StructureConstants, _positive_pair_table, build_chevalley_basis,
                               check_antisymmetry, check_jacobi, export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
-from k4holo.toral import character_from_simple_values
+from k4holo.toral import TorusCharacter
 
 E6 = build_root_system("E", 6)
 SC = build_chevalley_basis(E6)
@@ -381,8 +381,7 @@ def test_fixed_sets_are_bracket_closed():
     rng = random.Random(3)
     for _ in range(50):
         m = rng.choice((2, 3, 4, 6))
-        chars = [character_from_simple_values(
-            tuple(rng.randrange(m) for _ in range(6)), m)
+        chars = [TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
             for _ in range(rng.randrange(1, 4))]
         fixed = {r for r in E6.roots
                  if all(c.evaluate(r) == 0 for c in chars)}

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from k4holo import chevalley, cli, pipeline
 from k4holo.errors import EngineError
 from k4holo.rootsys import build_root_system
-from k4holo.toral import character_from_simple_values
+from k4holo.toral import TorusCharacter
 
 
 def run_cli(args, capsys):
@@ -98,7 +98,7 @@ def test_classify_chi_chain_order(capsys):
     assert code == 0
     assert out.strip() == "sigma1"
     chi = cli.parse_char_spec("chi m=2 [0,0,0,0,0,1]")
-    assert chi == character_from_simple_values((0, 1, 0, 0, 0, 0), 2)
+    assert chi == TorusCharacter(2, (0, 1, 0, 0, 0, 0))
 
 
 def test_fixed_without_chars_is_whole_algebra(capsys):
@@ -205,6 +205,13 @@ def test_spaced_vector_on_the_command_line(capsys):
     code, out, _ = run_cli(["fixed", "--chars", "chi m=2 [1, 0,0,0,1, 0]"], capsys)
     assert code == 0
     assert out.startswith("type: so(10)+c\n")
+
+
+def test_su6sp1_determinant_violation_exits_2(capsys):
+    code, out, err = run_cli(["classify", "--char", "su6sp1 m=4 d=[1,1,1,1,1,1] y=0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: determinant violation: diagonal exponents "
+                   "[1, 1, 1, 1, 1, 1] do not sum to 0 mod 4\n")
 
 
 def test_higher_order_char_rejected(capsys):
@@ -411,7 +418,7 @@ def _reference_homomorphism(sys):
     rng = random.Random(0)
     ok = True
     for _ in range(20):
-        chi = character_from_simple_values(tuple(rng.randrange(12) for _ in range(6)), 12)
+        chi = TorusCharacter(12, tuple(rng.randrange(12) for _ in range(6)))
         value = {r: chi.evaluate(r) for r in sys.roots}
         ok &= all(value[s] == (value[a] + value[b]) % chi.modulus
                   for a, pairs in sys.sums_from.items() for b, s in pairs)

@@ -13,7 +13,7 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              symmetric_pair_survey)
 from k4holo.reductive import fixed_subalgebra
 from k4holo.rootsys import build_root_system
-from k4holo.toral import UnitaryPairData, embed_su6_sp1, identity_character
+from k4holo.toral import embed_su6_sp1, identity_character
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -29,16 +29,16 @@ def test_builtin_groups_structure():
 
 def test_realisation_words_match_embedding_data():
     # the generator words carry exactly the diagonal data they were built from
-    m22 = embed_su6_sp1(UnitaryPairData(4, (2, 2, 0, 2, 2, 0), 0))
+    m22 = embed_su6_sp1(4, (2, 2, 0, 2, 2, 0), 0)
     assert GROUPS["x1x2x4"].element("x4") == m22
-    m2_p4 = embed_su6_sp1(UnitaryPairData(4, (2, 2, 0, 0, 0, 0), 0))
+    m2_p4 = embed_su6_sp1(4, (2, 2, 0, 0, 0, 0), 0)
     assert GROUPS["x1x4x5"].element("x1x4") == m2_p4
-    i3_i3_i = embed_su6_sp1(UnitaryPairData(4, (1, 1, 1, 3, 3, 3), 1))
+    i3_i3_i = embed_su6_sp1(4, (1, 1, 1, 3, 3, 3), 1)
     assert GROUPS["y1y3y4"].element("y1y4") == i3_i3_i
-    minus_one = embed_su6_sp1(UnitaryPairData(4, (0, 0, 0, 0, 0, 0), 2))
+    minus_one = embed_su6_sp1(4, (0, 0, 0, 0, 0, 0), 2)
     assert GROUPS["y1y3y4"].element("y1y3") == minus_one
     assert GROUPS["y3y4y5"].element("y3y4") == minus_one
-    i5_i = embed_su6_sp1(UnitaryPairData(4, (1, 1, 1, 1, 1, 3), 1))
+    i5_i = embed_su6_sp1(4, (1, 1, 1, 1, 1, 3), 1)
     assert GROUPS["y3y4y5"].element("y3") == i5_i
 
 
@@ -161,7 +161,7 @@ def test_candidate_lookup_accepts_exactly_the_pair_rule():
     for g in REPORT.groups:
         group = g.group
         sigma2 = sigma2_elements(group, E6)
-        labels = [label for label, _ in group.element_order]
+        labels = [label for label, _ in group.labels.items()]
         found = set()
         for theta in labels:
             for g1 in labels:

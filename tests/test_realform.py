@@ -89,10 +89,9 @@ def test_exceptional_ideal_is_unmapped():
 
 
 def test_theta_of_higher_order_rejected():
-    from k4holo.toral import character_from_simple_values
     fs = fixed_subalgebra([sigma1_reference()], E6)
     with pytest.raises(PreconditionError):
-        identify_real_form(fs, character_from_simple_values((1, 0, 0, 0, 0, 0), 3), E6)
+        identify_real_form(fs, TorusCharacter(3, (1, 0, 0, 0, 0, 0)), E6)
 
 
 def test_center_of_fixed_reference():

@@ -9,7 +9,7 @@ import pytest
 from k4holo import (CharacterGroup, FixedSubalgebra, GroupCandidates, JacobiReport,
                     K4Candidate, K4Report, RealFormLabel, RealFormType, ReductiveType,
                     RootSystem, StructureConstants, SubsystemComponent, SurveyResult,
-                    TorusCharacter, UnitaryPairData, build_chevalley_basis,
+                    TorusCharacter, build_chevalley_basis,
                     build_root_system, classify_all, symmetric_pair_survey)
 from k4holo.errors import ValidationError
 from k4holo.pipeline import KleinSubgroup, klein_four_subgroups
@@ -28,9 +28,8 @@ FROZEN = [
     (GROUP.fixed, ("fixed_roots", "components", "rtype", "dim")),
     (CANDIDATE.real_form.ideals[0], ("kind", "a", "b")),
     (CANDIDATE.real_form, ("ideals", "center")),
-    (GROUP.group.base[0][1], ("modulus", "exps")),
-    (UnitaryPairData(4, (2, 2, 0, 2, 2, 0), 1), ("modulus", "diag", "sp1")),
-    (GROUP.group, ("name", "base", "labels", "element_order")),
+    (GROUP.group.labels["x1"], ("modulus", "exps")),
+    (GROUP.group, ("name", "labels")),
     (klein_four_subgroups(GROUP.group)[0], ("labels", "chars")),
     (CANDIDATE, ("group_name", "theta_label", "gamma_labels", "compact_dual",
                  "real_form")),
@@ -41,7 +40,7 @@ FROZEN = [
     (build_chevalley_basis(E6), ("sys", "n_table", "basis", "index", "btable")),
 ]
 TYPES = (RootSystem, SubsystemComponent, ReductiveType, FixedSubalgebra, RealFormLabel,
-         RealFormType, TorusCharacter, UnitaryPairData, CharacterGroup, KleinSubgroup,
+         RealFormType, TorusCharacter, CharacterGroup, KleinSubgroup,
          K4Candidate, GroupCandidates, K4Report, SurveyResult, JacobiReport,
          StructureConstants)
 # Records holding a dict cannot be hashed.
@@ -119,13 +118,6 @@ def test_real_form_type_sorts_its_input_either_way():
         assert form == RealFormType(*expected)
         assert hash(form) == hash(expected)
     assert RealFormType(ideals, center).render() == "so(6,2)+su(2,1)+su(2)+2c"
-
-
-def test_unitary_pair_data_reduces_and_validates():
-    u = UnitaryPairData(sp1=5, diag=(6, -2, 0, 2, 2, 0), modulus=4)
-    assert (u.modulus, u.diag, u.sp1) == (4, (2, 2, 0, 2, 2, 0), 1)
-    with pytest.raises(ValidationError, match="determinant"):
-        UnitaryPairData(4, (1, 0, 0, 0, 0, 0), 0)
 
 
 def test_structure_constants_compare_field_by_field():

@@ -8,7 +8,7 @@ from k4holo.pipeline import builtin_groups
 from k4holo.reductive import (ConjClass, classify_involution, fixed_subalgebra,
                               mu, sigma1_reference, sigma2_reference)
 from k4holo.rootsys import build_root_system
-from k4holo.toral import character_from_simple_values, identity_character
+from k4holo.toral import TorusCharacter, identity_character
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -62,7 +62,7 @@ def test_classify_x2x4_is_sigma1():
 
 
 def test_classify_rejects_higher_order():
-    chi = character_from_simple_values((1, 0, 0, 0, 0, 0), 3)
+    chi = TorusCharacter(3, (1, 0, 0, 0, 0, 0))
     with pytest.raises(PreconditionError):
         classify_involution(chi, E6)
 
@@ -130,7 +130,7 @@ def test_sigma2_membership_in_y_groups():
 
 
 def test_involution_census_over_all_modulus_2_characters():
-    chars = [character_from_simple_values(exps, 2)
+    chars = [TorusCharacter(2, tuple(exps))
              for exps in product((0, 1), repeat=6) if any(exps)]
     classes = [classify_involution(chi, E6) for chi in chars]
     assert classes.count(ConjClass.SIGMA1) == 36
@@ -142,7 +142,7 @@ def _brute_kernel(chi):
 
 
 def test_kernel_of_every_modulus_2_character():
-    chars = [character_from_simple_values(exps, 2)
+    chars = [TorusCharacter(2, tuple(exps))
              for exps in product((0, 1), repeat=6) if any(exps)]
     assert len(chars) == 63
     for chi in chars:
@@ -153,7 +153,7 @@ def test_kernel_of_every_modulus_2_character():
 @given(st.lists(st.integers(0, 11), min_size=6, max_size=6), st.sampled_from((4, 12)))
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_brute_force(exps, m):
-    chi = character_from_simple_values(exps, m)
+    chi = TorusCharacter(m, tuple(exps))
     assert E6.kernel(chi) == _brute_kernel(chi)
 
 

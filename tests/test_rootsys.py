@@ -184,13 +184,12 @@ def test_component_counts_match_type():
 
 def closed_subsets_for_tests(count, seed=0):
     """Closed subsets generated as fixed sets of random characters."""
-    from k4holo.toral import character_from_simple_values
+    from k4holo.toral import TorusCharacter
     rng = random.Random(seed)
     subsets = []
     while len(subsets) < count:
         m = rng.choice((2, 2, 3, 4, 6))
-        chars = [character_from_simple_values(
-            tuple(rng.randrange(m) for _ in range(6)), m)
+        chars = [TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
             for _ in range(rng.randrange(1, 3))]
         subset = frozenset(r for r in E6.roots
                            if all(c.evaluate(r) == 0 for c in chars))
@@ -263,8 +262,8 @@ def test_root_tables_match_brute_force():
        st.sampled_from((2, 3, 4, 6, 12)))
 @settings(max_examples=60, deadline=None)
 def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
-    from k4holo.toral import character_from_simple_values
-    chi = character_from_simple_values(exps, m)
+    from k4holo.toral import TorusCharacter
+    chi = TorusCharacter(m, tuple(exps))
     subset = frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
     # Reference: a positive root of the subset is simple when it is not the
     # sum of two positive roots of the subset.
@@ -418,8 +417,8 @@ def test_decomposition_matches_the_reference_on_full_systems(family, rank):
 @settings(max_examples=100, deadline=None)
 def test_decomposition_matches_the_reference_on_kernel_intersections(specs):
     from k4holo import rootsys
-    from k4holo.toral import character_from_simple_values
-    subset = _kernel_subset([character_from_simple_values(exps, m) for m, exps in specs])
+    from k4holo.toral import TorusCharacter
+    subset = _kernel_subset([TorusCharacter(m, tuple(exps)) for m, exps in specs])
     # The reference validates the subset and keeps the checks _decompose
     # dropped, so this also shows kernel intersections are closed and
     # negation-symmetric, which fixed_subalgebra relies on to skip validation.
