@@ -1,14 +1,11 @@
 """End-to-end classification of Klein four symmetric pairs of holomorphic type.
 
-The four builtin rank-3 groups of commuting toral involutions are realised
-through the su(6)+sp(1) embedding from explicit diagonal data mod 4 (the
-characters are canonical, so no other modulus could change them); composite
-names are resolved multiplicatively (in x1x4x5 the datum given is x1*x4, so
-x4 = x1*(x1*x4); in y1y3y4 the data are y1*y3, y1*y4 and y4; in y3y4y5 they
-are y3*y4, y5 and y3).  Candidate pairs (theta, Gamma) with theta a
-Cartan-involution representative outside the Klein four subgroup Gamma are
-enumerated exhaustively, their real forms computed, and the deduplicated
-result checked verbatim against the embedded golden list of eight pairs.
+Over the four builtin rank-3 groups of commuting toral involutions
+(``toral.builtin_groups``, re-exported here), candidate pairs (theta, Gamma)
+with theta a Cartan-involution representative outside the Klein four
+subgroup Gamma are enumerated exhaustively, their real forms computed, and
+the deduplicated result checked verbatim against the embedded golden list
+of eight pairs.
 Each fixed subalgebra is computed and decomposed once, per Klein four
 subgroup and per group.  The report holds each fact once: a candidate
 keeps its group's name and its own labels and types, its maximal compact
@@ -29,9 +26,7 @@ from .errors import PreconditionError, VerificationError
 from .realform import RealFormType, center_of_fixed, identify_real_form
 from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
 from .rootsys import ReductiveType, RootSystem, build_root_system
-from .toral import CharacterGroup, TorusCharacter, embed_su6_sp1, generate_group
-
-GROUP_NAMES = ("x1x2x4", "x1x4x5", "y1y3y4", "y3y4y5")
+from .toral import GROUP_NAMES, CharacterGroup, TorusCharacter, builtin_groups
 
 # Golden list of the eight pairs; the exact spelling is part of the contract.
 GOLDEN_PAIRS = (
@@ -53,35 +48,6 @@ SURVEY_FORMS = (
     "so*(10)+so(2)",
     "so(10)+so(2)",
 )
-
-
-def builtin_groups() -> dict[str, CharacterGroup]:
-    """The four rank-3 groups of commuting involutions, with element labels.
-
-    Each has order 8; the tests and selftest's involution census pin that."""
-
-    def emb(diag, sp1):
-        return embed_su6_sp1(4, diag, sp1)
-
-    minus_one = emb((0,) * 6, 2)            # (I6, -1)
-    i3_i3_i = emb((1, 1, 1, 3, 3, 3), 1)    # (diag(i,i,i,-i,-i,-i), i)
-    i5_i = emb((1, 1, 1, 1, 1, 3), 1)       # (diag(i,i,i,i,i,-i), i)
-    m2_p4 = emb((2, 2, 0, 0, 0, 0), 0)      # (diag(-1,-1,1,1,1,1), 1)
-    m4_p2 = emb((2, 2, 2, 2, 0, 0), 0)      # (diag(-1,-1,-1,-1,1,1), 1)
-    m22 = emb((2, 2, 0, 2, 2, 0), 0)        # (diag(-1,-1,1,-1,-1,1), 1)
-
-    groups = {
-        "x1x2x4": generate_group(
-            [("x1", minus_one), ("x2", i3_i3_i), ("x4", m22)], "x1x2x4"),
-        "x1x4x5": generate_group(
-            [("x1", minus_one), ("x4", minus_one * m2_p4), ("x5", m4_p2)], "x1x4x5"),
-        "y1y3y4": generate_group(
-            [("y1", i3_i3_i * i5_i), ("y3", minus_one * i3_i3_i * i5_i), ("y4", i5_i)],
-            "y1y3y4"),
-        "y3y4y5": generate_group(
-            [("y3", i5_i), ("y4", minus_one * i5_i), ("y5", m4_p2)], "y3y4y5"),
-    }
-    return groups
 
 
 def sigma2_elements(group: CharacterGroup, sys: RootSystem) -> tuple[str, ...]:

@@ -18,6 +18,13 @@ With that convention the highest root always evaluates to 2y, and every
 root whose alpha_2 coefficient is odd evaluates to d_i + d_j + d_k +/- y
 for some index triple, matching the weights of the third exterior power of
 the defining representation tensored with the rank-one factor.
+
+The four builtin rank-3 groups of commuting toral involutions
+(``builtin_groups``) are realised through the su(6)+sp(1) embedding from
+explicit diagonal data mod 4 (the characters are canonical, so no other
+modulus could change them); composite names are resolved multiplicatively
+(in x1x4x5 the datum given is x1*x4, so x4 = x1*(x1*x4); in y1y3y4 the
+data are y1*y3, y1*y4 and y4; in y3y4y5 they are y3*y4, y5 and y3).
 """
 from __future__ import annotations
 
@@ -177,3 +184,35 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
             f"base names {[label for label, _ in base]} do not give "
             f"{1 << k} distinct elements {1 << k} distinct words")
     return CharacterGroup(name=name, labels=labels)
+
+
+GROUP_NAMES = ("x1x2x4", "x1x4x5", "y1y3y4", "y3y4y5")
+
+
+def builtin_groups() -> dict[str, CharacterGroup]:
+    """The four rank-3 groups of commuting involutions, with element labels.
+
+    Each has order 8; the tests and selftest's involution census pin that."""
+
+    def emb(diag, sp1):
+        return embed_su6_sp1(4, diag, sp1)
+
+    minus_one = emb((0,) * 6, 2)            # (I6, -1)
+    i3_i3_i = emb((1, 1, 1, 3, 3, 3), 1)    # (diag(i,i,i,-i,-i,-i), i)
+    i5_i = emb((1, 1, 1, 1, 1, 3), 1)       # (diag(i,i,i,i,i,-i), i)
+    m2_p4 = emb((2, 2, 0, 0, 0, 0), 0)      # (diag(-1,-1,1,1,1,1), 1)
+    m4_p2 = emb((2, 2, 2, 2, 0, 0), 0)      # (diag(-1,-1,-1,-1,1,1), 1)
+    m22 = emb((2, 2, 0, 2, 2, 0), 0)        # (diag(-1,-1,1,-1,-1,1), 1)
+
+    groups = {
+        "x1x2x4": generate_group(
+            [("x1", minus_one), ("x2", i3_i3_i), ("x4", m22)], "x1x2x4"),
+        "x1x4x5": generate_group(
+            [("x1", minus_one), ("x4", minus_one * m2_p4), ("x5", m4_p2)], "x1x4x5"),
+        "y1y3y4": generate_group(
+            [("y1", i3_i3_i * i5_i), ("y3", minus_one * i3_i3_i * i5_i), ("y4", i5_i)],
+            "y1y3y4"),
+        "y3y4y5": generate_group(
+            [("y3", i5_i), ("y4", minus_one * i5_i), ("y5", m4_p2)], "y3y4y5"),
+    }
+    return groups

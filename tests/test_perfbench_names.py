@@ -10,6 +10,8 @@ import ast
 import contextlib
 import importlib.util
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import k4holo
@@ -60,3 +62,14 @@ def test_setup_script_names_resolve_and_it_runs():
     with contextlib.redirect_stdout(out):
         exec(script, {})
     assert out.getvalue() == "sigma2\n"
+
+
+def test_setup_script_loads_only_the_layers_it_uses():
+    # a fresh process: the package imports each module when a name of it is read
+    code = _setup_script() + (
+        "import sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith('k4holo.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "sigma2\n['k4holo.errors', 'k4holo.reductive', 'k4holo.rootsys', 'k4holo.toral']\n")

@@ -216,6 +216,12 @@ def test_builtin_groups_label_each_element_once_in_report_order(capsys):
         assert list(labels) == elements[name]
 
 
+def test_pipeline_reexports_the_builtin_groups():
+    from k4holo import pipeline, toral
+    assert pipeline.builtin_groups is toral.builtin_groups
+    assert pipeline.GROUP_NAMES is toral.GROUP_NAMES
+
+
 def test_generate_group_rejects_higher_order():
     chi = TorusCharacter(4, (1, 0, 0, 0, 0, 0))
     with pytest.raises(ValidationError):
