@@ -4,12 +4,12 @@ Basis: the coroots h_1..h_rank of the simple roots plus one root vector
 X_a per root, normalised so [X_a, X_{-a}] = H_a (the coroot written in the
 h_i coordinates).  In the simply laced case every nonzero off-Cartan
 constant N(a, b) is +-1; the signs are fixed by the extraspecial-pair
-method: positive roots are ordered by (height, positivity value), each
-non-simple positive root takes N = +1 on the decomposition whose first
-member is minimal, and all remaining constants follow from antisymmetry,
-the opposite-pair rule N(-a, -b) = -N(a, b), the rotation rule
-N(a, b) = N(b, c) = N(c, a) for a + b + c = 0, and the four-term relation
-for a + b + c + d = 0.  Only the positive pairs are derived by the
+method: positive roots are taken in the (height, value) order that
+RootSystem.positive_roots keeps, each non-simple positive root takes
+N = +1 on the decomposition whose first member is minimal, and all
+remaining constants follow from antisymmetry, the opposite-pair rule
+N(-a, -b) = -N(a, b), the rotation rule N(a, b) = N(b, c) = N(c, a) for
+a + b + c = 0, and the four-term relation for a + b + c + d = 0.  Only the positive pairs are derived by the
 four-term relation; every other constant is read from them in one pass over
 sums_from: the zero-sum triple (a, b, -(a + b)) is rotated until its first
 two roots share a sign, and that pair is read from the positive pairs,
@@ -55,19 +55,20 @@ def _sub(a: Root, b: Root) -> Root:
     return tuple(map(sub, a, b))
 
 
-def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
+def _positive_pair_table(sys: RootSystem) -> dict[tuple[Root, Root], int]:
     """Signs N(a, b) for all pairs of positive roots a, b with a + b a root.
 
     Both orders of each pair are keyed, N(b, a) = -N(a, b).  The special
     pair of a sum has its first member strictly before the second in the
-    (height, value) order; processing sums by increasing height guarantees
-    every constant the four-term relation refers to is already known.  The
+    (height, value) order of sys.positive_roots; processing sums by
+    increasing height guarantees every constant the four-term relation
+    refers to is already known.  The
     relation never degenerates: simply laced gives (alpha, alpha1) +
     (alpha, beta1) = (alpha, alpha + beta) = 1, so exactly one of
     alpha - alpha1 and beta1 - alpha is a root, positive as alpha1 comes
     before alpha and alpha before beta: one of t2, t3 is +-1, the other 0.
     """
-    pos = sorted(sys.positive_roots, key=lambda r: (sys.height(r), sys.value(r)))
+    pos = sys.positive_roots
     rank = {r: i for i, r in enumerate(pos)}
     splits: dict[Root, list[tuple[Root, Root]]] = {}
     for a in pos:
@@ -91,7 +92,7 @@ def _positive_pair_table(sys: RootSystem) -> tuple[tuple[Root, ...], dict]:
             t3 = -table[(alpha1, d3)] * table[(beta, d4)] \
                 if d3 in rank and d4 in rank else 0
             table[(alpha, beta)], table[(beta, alpha)] = t2 + t3, -(t2 + t3)
-    return tuple(pos), table
+    return table
 
 
 class StructureConstants(NamedTuple):
@@ -124,7 +125,8 @@ class StructureConstants(NamedTuple):
 def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     """Build the full structure-constant table of a simply laced (type A, D
     or E) system; the precondition is not checked."""
-    pos, npos = _positive_pair_table(sys)
+    pos = sys.positive_roots
+    npos = _positive_pair_table(sys)
     posset = set(pos)
     neg = {r: tuple(-x for x in r) for r in sys.roots}
 

@@ -7,8 +7,11 @@ Subcommands
   fixed      --chars SPEC...      fixed subalgebra of the given characters
   classify   --char SPEC          involution class and mu value
   realform   --gamma L1 L2 --theta L [--group G]
-  theorem24  [--format F]         one-shot classification, verified
+  theorem24                       one-shot classification, verified
   survey     --theta L            real forms g^sigma for all builtin sigma
+
+Every subcommand takes --format json|plain (default plain); theorem24 also
+takes --format markdown, the one subcommand with a markdown rendering.
 
 selftest accepts --jobs N (N >= 1) for compatibility; it has no effect,
 because the Jacobi sweep takes less time than starting worker processes.
@@ -45,8 +48,6 @@ from .errors import EngineError, UsageError, VerificationError
 from .reductive import classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
 from .toral import TorusCharacter, embed_su6_sp1
-
-_FORMATS = ("json", "markdown", "plain")
 
 # A whitespace-free word, or one with a bracketed part that may hold spaces.
 _SPEC_TOKEN = re.compile(r"[^\s\[]*\[[^\]]*\]\S*|\S+")
@@ -334,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pairs of holomorphic type on e6(-14).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=_FORMATS, default="plain")
+    def common(p, formats=("json", "plain")):
+        p.add_argument("--format", choices=formats, default="plain")
 
     p = sub.add_parser("roots", help="dump a root system")
     p.add_argument("--type", required=True, help="e.g. E6, A5, D4")
@@ -370,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realform)
 
     p = sub.add_parser("theorem24", help="full classification run, verified")
-    common(p)
+    common(p, ("json", "markdown", "plain"))
     p.set_defaults(func=_cmd_theorem24)
 
     p = sub.add_parser("survey", help="symmetric-pair survey under one theta")

@@ -13,9 +13,10 @@ subalgebra (the group's fixed subalgebra) is read from the GroupCandidates
 that holds it, and the report's flat candidate list is derived from its
 groups.  The holomorphic-type condition holds by
 construction for toral sigma, so only its premise on theta (the so(10)+R
-class with a corank-1 centre) is checked, once per theta.  Deduplication is by real-form
-type equality, not by conjugacy: all raw candidates stay inspectable in the
-report.  Two of the candidate pairs in y3y4y5 yield the same type; whether
+class with a corank-1 centre) is checked, once per theta of each group:
+12 center_of_fixed calls per classify_all, on 9 distinct thetas.
+Deduplication is by real-form type equality, not by conjugacy: all raw
+candidates stay inspectable in the report.  Two of the candidate pairs in y3y4y5 yield the same type; whether
 they are actually conjugate is not decided here.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from .errors import PreconditionError, VerificationError
 from .realform import RealFormType, center_of_fixed, identify_real_form
 from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
-from .rootsys import ReductiveType, RootSystem, build_root_system
+from .rootsys import ReductiveType, RootSystem
 from .toral import GROUP_NAMES, CharacterGroup, TorusCharacter, builtin_groups
 
 # Golden list of the eight pairs; the exact spelling is part of the contract.
@@ -57,16 +58,18 @@ def sigma2_elements(group: CharacterGroup, sys: RootSystem) -> tuple[str, ...]:
 
 
 class KleinSubgroup(NamedTuple):
-    """An order-4 subgroup; its first two labels generate it."""
-    labels: tuple[str, str, str]
+    """An order-4 subgroup: the labels of its two earliest nonidentity
+    elements, which generate it, and its three nonidentity characters."""
+    labels: tuple[str, str]
     chars: frozenset[TorusCharacter]
 
 
 def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
-    """All order-4 subgroups (seven, for a rank-3 group), canonically labelled.
+    """All order-4 subgroups (seven, for a rank-3 group), each labelled by
+    its two generating elements.
 
     The i < j scan first meets a subgroup at its two earliest elements, so
-    its labels and the subgroups themselves come out in element order."""
+    its labels are those two, and the subgroups come out in label order."""
     nonid = group.nonidentity()
     seen: dict[frozenset[TorusCharacter], KleinSubgroup] = {}
     for i, (la, ca) in enumerate(nonid):
@@ -74,7 +77,7 @@ def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
             prod = ca * cb
             key = frozenset((ca, cb, prod))
             if key not in seen:
-                seen[key] = KleinSubgroup((la, lb, group.canonical_label(prod)), key)
+                seen[key] = KleinSubgroup((la, lb), key)
     return tuple(seen.values())
 
 
@@ -100,8 +103,9 @@ class GroupCandidates(NamedTuple):
 
     def find(self, theta_label: str, gamma_labels: tuple[str, str]) -> K4Candidate:
         """The candidate of theta and the subgroup that gamma_labels generate,
-        in either order and by any two of its nonidentity elements.  A pair
-        that is not a candidate raises PreconditionError."""
+        in either order and by any two of its nonidentity elements.  An
+        unknown label or a pair that is not a candidate raises
+        PreconditionError."""
         element = self.group.element
         theta = element(theta_label)
         a, b = map(element, gamma_labels)
@@ -158,7 +162,7 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
             out.append(K4Candidate(
                 group_name=group.name,
                 theta_label=theta_label,
-                gamma_labels=sub.labels[:2],
+                gamma_labels=sub.labels,
                 compact_dual=fixed_gamma.rtype,
                 real_form=identify_real_form(fixed_gamma, theta, sys),
             ))
@@ -166,10 +170,9 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
                            fixed=fixed, candidates=tuple(out))
 
 
-def classify_all(sys: RootSystem | None = None) -> K4Report:
-    """Run the whole classification and verify it against the golden list."""
-    if sys is None:
-        sys = build_root_system("E", 6)
+def classify_all(sys: RootSystem) -> K4Report:
+    """Run the whole classification on the E6 root system sys and verify it
+    against the golden list."""
     groups = builtin_groups()
     found = tuple(enumerate_candidates(groups[name], sys) for name in GROUP_NAMES)
     distinct = tuple(sorted({c.real_form.render() for g in found for c in g.candidates}))
@@ -195,15 +198,14 @@ def resolve_label(label: str, groups: dict[str, CharacterGroup],
     the first builtin group that has an element of that name.
     """
     gname, elem = label.split(":", 1) if ":" in label else (None, label)
-    if group_hint:
-        if gname and gname != group_hint:
+    if group_hint is not None:
+        if gname is not None and gname != group_hint:
             raise PreconditionError(f"label {label!r} conflicts with group {group_hint}")
         gname = group_hint
-    if gname:
+    if gname is not None:
         if gname not in groups:
             raise PreconditionError(f"unknown builtin group {gname!r}")
-        if elem not in groups[gname].labels:
-            raise PreconditionError(f"group {gname} has no element {elem!r}")
+        groups[gname].element(elem)  # raises when the group has no such element
         return gname, elem
     for name in GROUP_NAMES:
         if elem in groups[name].labels:
@@ -211,14 +213,12 @@ def resolve_label(label: str, groups: dict[str, CharacterGroup],
     raise PreconditionError(f"no builtin group has an element labelled {elem!r}")
 
 
-def symmetric_pair_survey(theta_label: str, sys: RootSystem | None = None) -> SurveyResult:
+def symmetric_pair_survey(theta_label: str, sys: RootSystem) -> SurveyResult:
     """Real form of the fixed algebra of every builtin involution, under theta.
 
     Values outside the five admissible symmetric-pair forms are a
     verification failure, not data.
     """
-    if sys is None:
-        sys = build_root_system("E", 6)
     groups = builtin_groups()
     gname, label = resolve_label(theta_label, groups)
     theta = groups[gname].element(label)

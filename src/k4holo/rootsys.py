@@ -8,8 +8,8 @@ simple roots, and arbitrary closed subsets are recognised by extracting a
 simple system and matching its diagram against the A/D/E6 catalog.
 
 Roots have one integer encoding, value(root), whose digits never carry on
-sums of up to three roots; it orders the positive roots and grades the
-Chevalley bracket table.  A RootSystem keeps one pair table, built on first
+sums of up to three roots; it breaks height ties in the one order of the
+positive roots, (height, value), and grades the Chevalley bracket table.  A RootSystem keeps one pair table, built on first
 use: sums_from[a] = [(b, a + b), ...] over the ordered pairs whose sum is a
 root, so listing roots never pays for |roots|^2 pairs.  It is read off the
 root codes: value is injective on a + b, so a + b is a root exactly when
@@ -116,8 +116,9 @@ class RootSystem(NamedTuple("RootSystem", [
         ("roots", frozenset[Root]), ("simple_roots", tuple[Root, ...]),
         ("positive_roots", tuple[Root, ...]), ("highest_root", Root),
         ("weights", tuple[int, ...])])):
-    """A root system with read-only fields.  Unlike the plain records it has
-    an instance __dict__, which holds the tables below once built."""
+    """A root system with read-only fields; positive_roots is in (height,
+    value) order.  Unlike the plain records it has an instance __dict__,
+    which holds the tables below once built."""
 
     @property
     def label(self) -> str:
@@ -189,9 +190,6 @@ class RootSystem(NamedTuple("RootSystem", [
     def is_positive(self, root: Sequence[int]) -> bool:
         return self.value(root) > 0
 
-    def height(self, root: Sequence[int]) -> int:
-        return sum(root)
-
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -201,8 +199,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     under all simple reflections.  Nothing is re-checked, as nothing can
     fail (Humphreys): every root is W-conjugate to a simple one (10.3), so
     all _ROOT_COUNT roots are reached, each of squared length 2 as W keeps
-    the form; roots are sign-coherent (10.1); the highest root dominates
-    every root (10.4, Lemma A).  selftest and the tests certify the result.
+    the form; roots are sign-coherent (10.1); the highest root is the only
+    root of greatest height (10.4, Lemma A), so it is the last positive
+    root in (height, value) order.  selftest and the tests certify the
+    result.
     """
     cartan = _cartan_matrix(family, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
@@ -221,8 +221,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     base = 6 * maxc + 1
     weights = tuple(base ** i for i in range(rank))
     positive = tuple(sorted((r for r in roots if sum(c * w for c, w in zip(r, weights)) > 0),
-                            key=lambda r: sum(c * w for c, w in zip(r, weights))))
-    # The highest root dominates every root, so its value is the largest.
+                            key=lambda r: (sum(r), sum(c * w for c, w in zip(r, weights)))))
+    # The highest root is the only root of greatest height, so it comes last.
     highest = positive[-1]
     return RootSystem(family=family, rank=rank, cartan=cartan,
                       roots=frozenset(roots), simple_roots=simple,

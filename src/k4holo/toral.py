@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 
 RANK = 6
 
@@ -143,14 +143,8 @@ class CharacterGroup(NamedTuple):
 
     def element(self, label: str) -> TorusCharacter:
         if label not in self.labels:
-            raise KeyError(f"{self.name} has no element labelled {label!r}")
+            raise PreconditionError(f"group {self.name} has no element {label!r}")
         return self.labels[label]
-
-    def canonical_label(self, char: TorusCharacter) -> str:
-        for label, c in self.labels.items():
-            if c == char:
-                return label
-        raise KeyError(f"{char!r} is not an element of {self.name}")
 
     def nonidentity(self) -> tuple[tuple[str, TorusCharacter], ...]:
         return tuple((l, c) for l, c in self.labels.items() if c.order > 1)

@@ -28,6 +28,11 @@ def test_coroot_normalisation():
         assert h == {("h", i): c for i, c in enumerate(r) if c}
 
 
+def test_basis_lists_the_positive_roots_in_stored_order():
+    assert SC.basis[:6] == tuple(("h", i) for i in range(6))
+    assert SC.basis[6:42] == tuple(("x", r) for r in E6.positive_roots)
+
+
 def test_nonadjacent_simple_roots_commute():
     a1, a2 = E6.simple_roots[0], E6.simple_roots[1]
     assert SC.bracket_basis(("x", a1), ("x", a2)) == {}
@@ -59,8 +64,8 @@ def _reference_n_table(sys):
     """N(a, b) for every ordered pair with a + b a root, each constant reduced
     recursively to the positive-pair table by the opposite-pair rule,
     antisymmetry and the rotation rule (x + y + z = 0: N(x, y) = N(y, z) = N(z, x))."""
-    pos, npos = _positive_pair_table(sys)
-    posset = set(pos)
+    npos = _positive_pair_table(sys)
+    posset = set(sys.positive_roots)
 
     def n_any(a, b):
         apos, bpos = a in posset, b in posset

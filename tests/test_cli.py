@@ -79,7 +79,7 @@ def test_classify_json_fields(capsys):
     assert doc["fixed_dim"] == 38
 
 
-@pytest.mark.parametrize("fmt", ["plain", "markdown"])
+@pytest.mark.parametrize("fmt", ["plain"])
 def test_classify_text_computes_only_the_class(fmt, capsys, monkeypatch):
     def unused(*args):
         raise AssertionError("plain classify read the fixed subalgebra or mu")
@@ -89,6 +89,19 @@ def test_classify_text_computes_only_the_class(fmt, capsys, monkeypatch):
     code, out, _ = run_cli(["classify", "--format", fmt, "--char", "chi m=2 [0,0,0,0,0,1]"],
                            capsys)
     assert (code, out) == (0, "sigma1\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["roots", "--type", "E6"],
+    ["selftest"],
+    ["fixed", "--chars", "chi m=2 [1,0,0,0,0,0]"],
+    ["classify", "--char", "chi m=2 [0,0,0,0,0,1]"],
+    ["realform", "--gamma", "y4", "y5", "--theta", "y3", "--group", "y3y4y5"],
+    ["survey", "--theta", "x4"],
+], ids=lambda args: args[0])
+def test_markdown_only_on_theorem24(args):
+    # argparse rejects the choice before any computation
+    assert _run_in_process([*args, "--format", "markdown"]) == (2, "")
 
 
 def test_classify_chi_chain_order(capsys):
@@ -284,6 +297,16 @@ def test_survey_subcommand(capsys):
     assert code == 0
     assert doc["theta_group"] == "x1x2x4"
     assert doc["values"]["x1x2x4"]["x1"] == "su(4,2)+su(2)"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["survey", "--theta", ":x4"], "error: unknown builtin group ''\n"),
+    (["realform", "--group", "y3y4y5", "--gamma", ":y4", "y5", "--theta", "y3"],
+     "error: label ':y4' conflicts with group y3y4y5\n"),
+    (["survey", "--theta", "x1x2x4:nope"], "error: group x1x2x4 has no element 'nope'\n"),
+], ids=["survey-empty-qualifier", "realform-empty-qualifier", "unknown-element"])
+def test_bad_group_qualifier_exits_2(args, err, capsys):
+    assert run_cli(args, capsys) == (2, "", err)
 
 
 def test_survey_rejects_sigma1_theta(capsys):

@@ -55,10 +55,11 @@ def test_klein_subgroup_enumeration():
         subs = klein_four_subgroups(group)
         assert len(subs) == 7
         for s in subs:
-            la, lb, lc = s.labels
-            assert pos[la] < pos[lb] < pos[lc]
-            assert lc == group.canonical_label(group.element(la) * group.element(lb))
-            assert s.chars == frozenset(map(group.element, s.labels))
+            la, lb = s.labels
+            a, b = group.element(la), group.element(lb)
+            assert s.chars == {a, b, a * b}
+            # the labels are the subgroup's two earliest elements
+            assert [l for l in pos if group.element(l) in s.chars][:2] == [la, lb]
         keys = [tuple(pos[l] for l in s.labels) for s in subs]
         assert keys == sorted(keys)
     subs = klein_four_subgroups(GROUPS["x1x2x4"])
@@ -185,6 +186,14 @@ def test_candidate_lookup_accepts_exactly_the_pair_rule():
                     assert {identity_character(), ca, cb, ca * cb} == gamma
                     found.add(cand)
         assert found == set(g.candidates)
+
+
+def test_candidate_lookup_rejects_an_unknown_label():
+    g = BY_GROUP["x1x2x4"]
+    with pytest.raises(PreconditionError, match=r"^group x1x2x4 has no element 'nope'$"):
+        g.find("nope", ("x1", "x2"))
+    with pytest.raises(PreconditionError, match=r"^group x1x2x4 has no element 'nope'$"):
+        g.find("x4", ("x1", "nope"))
 
 
 def test_distinct_pairs_match_golden_list():
@@ -363,6 +372,12 @@ def test_resolve_theta():
         resolve_label("nope", GROUPS)
     with pytest.raises(PreconditionError):
         resolve_label("x1x2x4:x4", GROUPS, "x1x4x5")  # conflicts with the hint
+    with pytest.raises(PreconditionError, match=r"^unknown builtin group ''$"):
+        resolve_label(":x4", GROUPS)  # an empty qualifier names no group
+    with pytest.raises(PreconditionError, match=r"^label ':y4' conflicts with group y3y4y5$"):
+        resolve_label(":y4", GROUPS, "y3y4y5")
+    with pytest.raises(PreconditionError, match=r"^group x1x2x4 has no element 'nope'$"):
+        resolve_label("x1x2x4:nope", GROUPS)
 
 
 def test_survey_values_and_coverage():

@@ -1,9 +1,12 @@
-"""The README's character-grammar examples run as documented.
+"""The README's command-line synopsis and character-grammar examples hold.
 
-Each ``k4holo ...`` line of the ``Examples:`` block runs in-process, and
-every comma-separated part of its trailing comment ("-> sigma2",
-"so(10)+c, dim 46") must appear in stdout; "dim 46" is printed "dim: 46".
+Each subcommand's synopsis line states the ``--format`` values the parser
+accepts.  Each ``k4holo ...`` line of the ``Examples:`` block runs
+in-process, and every comma-separated part of its trailing comment
+("-> sigma2", "so(10)+c, dim 46") must appear in stdout; "dim 46" is
+printed "dim: 46".
 """
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -15,6 +18,18 @@ from k4holo import cli
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCK = re.search(r"^Examples:\n\n```sh\n(.*?)^```", README, re.M | re.S).group(1)
 EXAMPLES = [line for line in BLOCK.splitlines() if line.startswith("k4holo ")]
+USAGE = re.search(r"^## Command-line usage\n\n```sh\n(.*?)^```", README, re.M | re.S).group(1)
+SYNOPSES = {line.split()[1]: line for line in USAGE.splitlines() if line.startswith("k4holo ")}
+
+
+def test_synopsis_states_each_subcommands_format_choices():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(SYNOPSES) == set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        choices = next(a.choices for a in sub._actions if a.dest == "format")
+        stated = re.search(r"\[--format ([\w|]+)\]", SYNOPSES[name]).group(1)
+        assert stated.split("|") == list(choices), name
 
 
 def test_the_examples_block_is_found():

@@ -51,6 +51,17 @@ def test_roots_have_norm_two_and_coherent_signs(family, rank):
         assert all(c <= h for c, h in zip(r, sys.highest_root))
 
 
+@pytest.mark.parametrize("family,rank", [("E", 6), ("A", 16), ("D", 16)])
+def test_positive_roots_in_height_value_order(family, rank):
+    sys = build_root_system(family, rank)
+    pos = sys.positive_roots
+    assert set(pos) == {r for r in sys.roots if sys.is_positive(r)}
+    assert list(pos) == sorted(pos, key=lambda r: (sum(r), sys.value(r)))
+    # the highest root is the one root of greatest height
+    assert sys.highest_root == pos[-1]
+    assert sum(pos[-2]) < sum(pos[-1])
+
+
 def test_reflection_closure():
     for r in E6.roots:
         for i in range(6):

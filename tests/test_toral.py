@@ -4,7 +4,7 @@ import random
 import pytest
 
 from k4holo import cli
-from k4holo.errors import ValidationError
+from k4holo.errors import PreconditionError, ValidationError
 from k4holo.pipeline import GROUP_NAMES, builtin_groups
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter, embed_su6_sp1, generate_group, identity_character
@@ -175,6 +175,8 @@ def test_generate_group_single_involution():
     assert g.order == 2 and g.rank == 1
     assert g.element("s") == SIGMA1
     assert g.element("1") == identity_character()
+    with pytest.raises(PreconditionError, match=r"^group s has no element 'nope'$"):
+        g.element("nope")
 
 
 def test_generate_group_rejects_identity_generator():
