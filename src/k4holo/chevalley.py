@@ -9,41 +9,30 @@ RootSystem.positive_roots keeps, each non-simple positive root takes
 N = +1 on the decomposition whose first member is minimal, and all
 remaining constants follow from antisymmetry, the opposite-pair rule
 N(-a, -b) = -N(a, b), the rotation rule N(a, b) = N(b, c) = N(c, a) for
-a + b + c = 0, and the four-term relation for a + b + c + d = 0.  Only the positive pairs are derived by the
-four-term relation; every other constant is read from them in one pass over
-sums_from: the zero-sum triple (a, b, -(a + b)) is rotated until its first
-two roots share a sign, and that pair is read from the positive pairs,
-negated when both are negative.  Any consistent sign set passes
-the certification suite; reproducibility of the table, not one specific
-table, is the contract.
+a + b + c = 0, and the four-term relation for a + b + c + d = 0.  Only the
+positive pairs are derived by the four-term relation; every other constant
+is read from them while the bracket rows are filled from sums_from: the
+zero-sum triple (a, b, -(a + b)) is rotated until its first two roots share
+a sign, and that pair is read from the positive pairs, negated when both
+are negative.  Any consistent sign set passes the certification suite;
+reproducibility of the table, not one specific table, is the contract.
 
 The bracket table holds one row per basis element: btable[i][j] is the
 tuple of terms (p, c) of [b_i, b_j] = sum of c * b_p, filled straight from
 the root system (the Cartan rows from each root's simple pairings, each
-root's row from its opposite and the sums in sums_from).
+root's row from its opposite and the sums in sums_from).  It is the only
+store of the constants: N(a, b) is the coefficient of X_(a+b) in
+[X_a, X_b], so the N-table dump reads the table that selftest certifies.
+Every reader adds the terms of an entry, a repeated target included.
 
-Certification (check_jacobi) sweeps all unordered basis triples.  It first
-checks once that the table is graded: each term b_p of [b_i, b_j] has
-weight w_p = w_i + w_j, where h has weight 0 and X_a weight a.  Given that,
-every term of a triple's Jacobi sum has weight w_i + w_j + w_k, so when this
-weight is neither a root nor 0 no basis element carries it and the sum is
-exactly zero.  Only the other triples are summed (14,876 of the 76,076 on
-E6).  When the weight is a nonzero root, X of that root is the one basis
-element carrying it, so all the terms lie on it and the triple is summed
-into one int (14,400 triples); only the 476 of weight 0, whose terms lie on
-the Cartan elements, are summed into a vector.  A table that is not graded
-has every triple summed as a vector.  The summed triples come from an
-inverted index built once, listing for each weight s every basis index k
-with s + w_k a root or 0, so a pair (i, j) looks up its partners k > j under
-w_i + w_j instead of testing each k.  A weight is the root system's one
-integer encoding of it, RootSystem.value, whose digits never carry on sums
-of three roots, so the argument involves no rounding: the result equals
-that of the full sweep.
+selftest certifies this table with check_antisymmetry, check_jacobi (its
+docstring gives the grading argument that spares most triples a sum) and
+killing_form.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .rootsys import Root, RootSystem
@@ -96,20 +85,18 @@ def _positive_pair_table(sys: RootSystem) -> dict[tuple[Root, Root], int]:
 
 
 class StructureConstants(NamedTuple):
-    """Complete bracket table: btable[index[k1]][index[k2]] holds [k1, k2]."""
+    """Bracket table, the only store of N: btable[index[k1]][index[k2]] holds [k1, k2]."""
     sys: RootSystem
-    n_table: dict[tuple[Root, Root], int]
     basis: tuple[BasisKey, ...]
     index: dict[BasisKey, int]
     btable: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def n(self, a: Root, b: Root) -> int:
-        """N(a, b), or 0 when a + b is not a root."""
-        return self.n_table.get((a, b), 0)
-
-    def bracket_basis(self, k1: BasisKey, k2: BasisKey) -> dict[BasisKey, int]:
-        terms = self.btable[self.index[k1]][self.index[k2]]
-        return {self.basis[i]: c for i, c in terms}
+        """N(a, b): the coefficient of X_(a+b) in [X_a, X_b], or 0 when
+        a + b is not a root (so n(a, -a) is 0)."""
+        target = self.index.get(("x", tuple(map(add, a, b))))  # None: no such root
+        terms = self.btable[self.index["x", a]][self.index["x", b]]
+        return sum(c for p, c in terms if p == target)
 
     def bracket(self, v1: dict[BasisKey, int], v2: dict[BasisKey, int]) -> dict[BasisKey, int]:
         """Bilinear extension of the basis bracket to sparse vectors."""
@@ -130,20 +117,7 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     posset = set(pos)
     neg = {r: tuple(-x for x in r) for r in sys.roots}
 
-    # N(a, b) for a + b = c a root, by the rotation rule N(x, y) = N(y, z) =
-    # N(z, x) on the zero-sum triple (a, b, -c): two of its roots share a
-    # sign, so at most two rotations bring such a pair to (x, y), which the
-    # opposite-pair rule N(-x, -y) = -N(x, y) reads from npos.
-    n_table: dict[tuple[Root, Root], int] = {}
-    for a, pairs in sys.sums_from.items():
-        for b, c in pairs:
-            x, y, z = a, b, neg[c]
-            while (x in posset) != (y in posset):
-                x, y, z = y, z, x
-            n_table[(a, b)] = npos[(x, y)] if x in posset else -npos[(neg[x], neg[y])]
-
-    rank = sys.rank
-    basis: list[BasisKey] = [("h", i) for i in range(rank)]
+    basis: list[BasisKey] = [("h", i) for i in range(sys.rank)]
     basis += [("x", r) for r in pos]
     basis += [("x", neg[r]) for r in pos]
     index = {k: i for i, k in enumerate(basis)}
@@ -159,9 +133,17 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
         row = rows[i]
         row[at[neg[a]]] = tuple((t, c) for t, c in enumerate(a) if c)
         for b, s in sys.sums_from[a]:
-            row[at[b]] = ((at[s], n_table[(a, b)]),)
+            # N(a, b) by the rotation rule N(x, y) = N(y, z) = N(z, x) on the
+            # zero-sum triple (a, b, -s): two of its roots share a sign, so at
+            # most two rotations bring such a pair to (x, y), which the
+            # opposite-pair rule N(-x, -y) = -N(x, y) reads from npos.
+            x, y, z = a, b, neg[s]
+            while (x in posset) != (y in posset):
+                x, y, z = y, z, x
+            n = npos[(x, y)] if x in posset else -npos[(neg[x], neg[y])]
+            row[at[b]] = ((at[s], n),)
 
-    return StructureConstants(sys=sys, n_table=n_table, basis=tuple(basis), index=index,
+    return StructureConstants(sys=sys, basis=tuple(basis), index=index,
                               btable=tuple(map(tuple, rows)))
 
 
@@ -179,10 +161,17 @@ class JacobiReport(NamedTuple):
 
 
 def check_antisymmetry(sc: StructureConstants) -> bool:
-    """[b_j, b_i] == -[b_i, b_j] for every entry of the bracket table."""
+    """[b_j, b_i] == -[b_i, b_j] for every entry of the bracket table, and
+    no entry lists a basis element twice (every reader adds the repeats)."""
     rows = sc.btable
-    return all(dict(rows[j][i]) == {p: -c for p, c in terms}
-               for i, row in enumerate(rows) for j, terms in enumerate(row[i:], i))
+    for i, row in enumerate(rows):
+        for j, terms in enumerate(row[i:], i):
+            back = rows[j][i]
+            if terms or back:  # most brackets are zero both ways
+                negated = {p: -c for p, c in terms}
+                if not len(terms) == len(negated) == len(back) or dict(back) != negated:
+                    return False
+    return True
 
 
 def _weights(sc: StructureConstants) -> tuple[int, ...]:
@@ -213,7 +202,7 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
     coefficient is; only the triples of weight 0 (476 on E6) are summed
     into a dict by basis index.  A table that is not graded has every
     triple summed into a dict.  Violations come in increasing (i, j, k)
-    order either way; all arithmetic is on ints.
+    order either way, as from the full sweep; all arithmetic is on ints.
     """
     rows = sc.btable
     n = len(sc.basis)
@@ -282,9 +271,16 @@ def killing_form(sc: StructureConstants, a: BasisKey, b: BasisKey) -> int:
 def export_n_table(sc: StructureConstants) -> str:
     """Deterministic text form of the N table for diffing across builds.
 
-    One line per ordered pair: comma-separated coordinates of each root,
-    then the constant, space-separated.
+    One line per ordered pair (a, b) with a + b a root, sorted: the
+    comma-separated coordinates of a and of b, then N(a, b) read from the
+    bracket table as by StructureConstants.n, all space-separated.
     """
     text = {r: ",".join(map(str, r)) for r in sc.sys.roots}
-    return "\n".join(f"{text[a]} {text[b]} {sc.n_table[(a, b)]}"
-                     for a, b in sorted(sc.n_table)) + "\n"
+    lines = []
+    for a, sums in sorted(sc.sys.sums_from.items()):
+        row = sc.btable[sc.index["x", a]]
+        for b, s in sorted(sums):
+            target = sc.index["x", s]
+            n = sum(c for p, c in row[sc.index["x", b]] if p == target)
+            lines.append(f"{text[a]} {text[b]} {n}")
+    return "\n".join(lines) + "\n"

@@ -50,7 +50,7 @@ from .rootsys import MAX_RANK, build_root_system
 from .toral import TorusCharacter, embed_su6_sp1
 
 # A whitespace-free word, or one with a bracketed part that may hold spaces.
-_SPEC_TOKEN = re.compile(r"[^\s\[]*\[[^\]]*\]\S*|\S+")
+_SPEC_TOKEN = r"[^\s\[]*\[[^\]]*\]\S*|\S+"
 
 # The modulus of a character spec that gives no m=M.
 _SPEC_MODULUS = 4
@@ -72,7 +72,7 @@ def _parse_vector(token: str, expect: int) -> tuple[int, ...]:
 
 def parse_char_spec(spec: str) -> TorusCharacter:
     """Parse one character spec; see the module docstring for the grammar."""
-    tokens = _SPEC_TOKEN.findall(spec)
+    tokens = re.findall(_SPEC_TOKEN, spec)
     if not tokens:
         raise UsageError("empty character spec")
     kind, rest = tokens[0], tokens[1:]
@@ -184,7 +184,7 @@ def _cmd_selftest(args) -> int:
                     f"{len(sys.roots)} roots, highest {list(sys.highest_root)}"))
 
     results.append(("antisymmetry", chevalley.check_antisymmetry(sc),
-                    f"{len(sc.n_table)} ordered pairs"))
+                    f"{sum(map(len, sys.sums_from.values()))} ordered pairs"))
 
     jac = chevalley.check_jacobi(sc)
     results.append(("jacobi", jac.ok,
@@ -385,6 +385,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or help
+        return exc.code
+    try:
         if args.command in ("selftest",) and args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         code = args.func(args)

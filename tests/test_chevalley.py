@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from k4holo.chevalley import (StructureConstants, _positive_pair_table, build_chevalley_basis,
-                              check_antisymmetry, check_jacobi, export_n_table, killing_form)
+from k4holo.chevalley import (_positive_pair_table, build_chevalley_basis, check_antisymmetry,
+                              check_jacobi, export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter
 
@@ -21,10 +21,23 @@ def add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def n_map(sc):
+    """N(a, b) read through sc.n for every pair in sums_from, in its order."""
+    return {(a, b): sc.n(a, b) for a, pairs in sc.sys.sums_from.items() for b, _ in pairs}
+
+
+N_E6 = n_map(SC)
+
+
+def bracket_keys(sc, k1, k2):
+    """[k1, k2] of two basis elements as a sparse vector."""
+    return sc.bracket({k1: 1}, {k2: 1})
+
+
 def test_coroot_normalisation():
     # [X_a, X_-a] = H_a in coroot coordinates, for every root
     for r in E6.roots:
-        h = SC.bracket_basis(("x", r), ("x", neg(r)))
+        h = bracket_keys(SC, ("x", r), ("x", neg(r)))
         assert h == {("h", i): c for i, c in enumerate(r) if c}
 
 
@@ -35,7 +48,7 @@ def test_basis_lists_the_positive_roots_in_stored_order():
 
 def test_nonadjacent_simple_roots_commute():
     a1, a2 = E6.simple_roots[0], E6.simple_roots[1]
-    assert SC.bracket_basis(("x", a1), ("x", a2)) == {}
+    assert bracket_keys(SC, ("x", a1), ("x", a2)) == {}
 
 
 def test_adjacent_simple_constant_is_unit():
@@ -46,17 +59,27 @@ def test_adjacent_simple_constant_is_unit():
 
 
 def test_all_constants_are_units():
-    for (a, b), v in SC.n_table.items():
+    for (a, b), v in N_E6.items():
         assert v in (1, -1)
         assert add(a, b) in E6.roots
 
 
+def test_n_is_zero_off_the_root_sums():
+    roots = sorted(E6.roots)
+    for a in roots:
+        assert SC.n(a, neg(a)) == 0
+        for b in roots:
+            if add(a, b) not in E6.roots:
+                assert SC.n(a, b) == 0
+    assert sum(1 for a in roots for b in roots if SC.n(a, b)) == len(N_E6) == 1440
+
+
 def test_antisymmetry_everywhere():
-    for (a, b), v in SC.n_table.items():
-        assert SC.n_table[(b, a)] == -v
+    for (a, b), v in N_E6.items():
+        assert N_E6[(b, a)] == -v
     for k1, k2 in combinations(SC.basis, 2):
-        left = SC.bracket_basis(k1, k2)
-        right = SC.bracket_basis(k2, k1)
+        left = bracket_keys(SC, k1, k2)
+        right = bracket_keys(SC, k2, k1)
         assert left == {k: -c for k, c in right.items()}
 
 
@@ -87,10 +110,15 @@ def _reference_n_table(sys):
     ("E", 6), ("A", 1), ("A", 3), ("A", 5), ("D", 4), ("D", 5), ("D", 8)])
 def test_n_table_matches_the_recursive_rule(family, rank):
     sys = build_root_system(family, rank)
-    n_table = build_chevalley_basis(sys).n_table
+    sc = build_chevalley_basis(sys)
+    n_table = n_map(sc)
     reference = _reference_n_table(sys)
     assert n_table == reference
     assert list(n_table) == list(reference)
+    # the dump is the reference table, rendered in sorted pair order
+    text = {r: ",".join(map(str, r)) for r in sys.roots}
+    assert export_n_table(sc) == "\n".join(f"{text[a]} {text[b]} {reference[(a, b)]}"
+                                           for a, b in sorted(reference)) + "\n"
     for (a, b), v in n_table.items():
         assert v in (1, -1)
         assert n_table[(b, a)] == -v
@@ -99,14 +127,14 @@ def test_n_table_matches_the_recursive_rule(family, rank):
 
 
 def test_opposite_pair_rule():
-    for (a, b), v in SC.n_table.items():
-        assert SC.n_table[(neg(a), neg(b))] == -v
+    for (a, b), v in N_E6.items():
+        assert N_E6[(neg(a), neg(b))] == -v
 
 
 def test_cartan_acts_diagonally():
     for i in range(6):
         for r in list(E6.roots)[:20]:
-            out = SC.bracket_basis(("h", i), ("x", r))
+            out = bracket_keys(SC, ("h", i), ("x", r))
             c = E6.pairing(r, E6.simple_roots[i])
             assert out == ({("x", r): c} if c else {})
 
@@ -150,20 +178,18 @@ def test_jacobi_report_shape():
     assert rep.triples_checked == 78 * 77 * 76 // 6
 
 
-def _with_rows(sc, rows, n_table=None):
+def _with_rows(sc, rows):
     """Copy of sc with the given bracket rows, frozen to tuples."""
-    return StructureConstants(sc.sys, sc.n_table if n_table is None else n_table,
-                              sc.basis, sc.index, tuple(map(tuple, rows)))
+    return sc._replace(btable=tuple(map(tuple, rows)))
 
 
 def _with_flipped_sign(sc, a, b):
-    """Copy of sc with N(a, b) and N(b, a) negated in both of its tables."""
-    n_table, rows = dict(sc.n_table), [list(row) for row in sc.btable]
+    """Copy of sc with N(a, b) and N(b, a) negated in its bracket table."""
+    rows = [list(row) for row in sc.btable]
     for x, y in ((a, b), (b, a)):
-        n_table[(x, y)] = -n_table[(x, y)]
         i, j = sc.index[("x", x)], sc.index[("x", y)]
         rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
-    return _with_rows(sc, rows, n_table)
+    return _with_rows(sc, rows)
 
 
 def _with_moved_term(sc, i, j, p):
@@ -294,7 +320,7 @@ def test_jacobi_matches_the_full_sweep_on_corrupted_tables(edits):
     assert rep.violations == _reference_jacobi(broken, 1000)
 
 
-@pytest.mark.parametrize("corrupt", ["flip", "move", "drop", "cartan"])
+@pytest.mark.parametrize("corrupt", ["flip", "move", "drop", "cartan", "repeat", "repeat_back"])
 def test_antisymmetry_check_fails_on_one_entry(corrupt):
     assert check_antisymmetry(SC)
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
@@ -306,11 +332,17 @@ def test_antisymmetry_check_fails_on_one_entry(corrupt):
         rows[j][i] = ((i, rows[j][i][0][1]),)
     elif corrupt == "drop":
         rows[i][j] = ()
+    elif corrupt == "repeat":
+        # the one term of [X_a1, X_a3] listed twice, which every reader adds
+        rows[i][j] = rows[i][j] * 2
+        assert _with_rows(SC, rows).n(a1, a3) == 2 * SC.n(a1, a3)
+    elif corrupt == "repeat_back":
+        rows[j][i] = rows[j][i] * 2
     else:
         h = SC.index[("h", 2)]
         rows[h][i] = tuple((p, 2 * c) for p, c in rows[h][i])
     broken = _with_rows(SC, rows)
-    assert broken.n_table == SC.n_table
+    assert sum(e != f for r, s in zip(broken.btable, SC.btable) for e, f in zip(r, s)) == 1
     assert not check_antisymmetry(broken)
 
 
@@ -345,8 +377,8 @@ def test_killing_symmetric_and_invariant():
     # invariance kappa([a,b],c) = kappa(a,[b,c]) on sampled triples
     for _ in range(40):
         a, b, c = (rng.choice(keys) for _ in range(3))
-        ab = SC.bracket_basis(a, b)
-        bc = SC.bracket_basis(b, c)
+        ab = bracket_keys(SC, a, b)
+        bc = bracket_keys(SC, b, c)
         left = sum(coeff * killing_form(SC, k, c) for k, coeff in ab.items())
         right = sum(coeff * killing_form(SC, a, k) for k, coeff in bc.items())
         assert left == right
@@ -376,7 +408,7 @@ def test_n_table_export_is_deterministic():
     text = export_n_table(SC)
     again = export_n_table(build_chevalley_basis(E6))
     assert text == again
-    assert len(text.splitlines()) == len(SC.n_table)
+    assert len(text.splitlines()) == len(N_E6)
     line = text.splitlines()[0].split()
     assert len(line) == 3 and line[2] in ("1", "-1")
 
@@ -393,5 +425,5 @@ def test_fixed_sets_are_bracket_closed():
         span = {("h", i) for i in range(6)} | {("x", r) for r in fixed}
         for a in fixed:
             for b in fixed:
-                out = SC.bracket_basis(("x", a), ("x", b))
+                out = bracket_keys(SC, ("x", a), ("x", b))
                 assert set(out) <= span

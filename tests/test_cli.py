@@ -173,11 +173,18 @@ def test_parse_char_spec_raises_only_engine_errors(spec):
 def _run_in_process(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(args)
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+        code = cli.main(args)
     return code, out.getvalue()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["roots", "--format", "markdown"], 2), (["nosuch"], 2), (["theorem24", "-h"], 0)])
+def test_argparse_exits_return_their_code_in_process(args, code, capsys):
+    # argparse prints its usage or help itself; main returns its exit code
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    assert (captured.out.startswith("usage: k4holo") if code == 0
+            else captured.err.startswith("usage: k4holo"))
 
 
 _HOSTILE_SPECS = st.one_of(
@@ -358,13 +365,12 @@ def test_selftest_reports_a_failing_antisymmetry_check(capsys, monkeypatch):
     build = chevalley.build_chevalley_basis
 
     def broken(sys):
-        # [X_a1, X_a3] negated in the bracket rows only, in one order only
+        # [X_a1, X_a3] negated in one order only
         sc = build(sys)
         rows = [list(row) for row in sc.btable]
         i, j = sc.index[("x", sys.simple_roots[0])], sc.index[("x", sys.simple_roots[2])]
         rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
-        return chevalley.StructureConstants(sc.sys, sc.n_table, sc.basis,
-                                            sc.index, tuple(map(tuple, rows)))
+        return sc._replace(btable=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(chevalley, "build_chevalley_basis", broken)
     code, out, _ = run_cli(["selftest"], capsys)
@@ -386,8 +392,7 @@ def _with_doubled_bracket(k1, k2):
         rows = [list(row) for row in sc.btable]
         i, j = sc.index[k1], sc.index[k2]
         rows[i][j] = tuple((p, 2 * c) for p, c in rows[i][j])
-        return chevalley.StructureConstants(sc.sys, sc.n_table, sc.basis,
-                                            sc.index, tuple(map(tuple, rows)))
+        return sc._replace(btable=tuple(map(tuple, rows)))
 
     return broken
 

@@ -37,7 +37,7 @@ FROZEN = [
     (REPORT, ("groups", "distinct_pairs", "verified", "missing", "unexpected")),
     (symmetric_pair_survey("x4", E6), ("theta_group", "theta_label", "values")),
     (JacobiReport(76076, ()), ("triples_checked", "violations")),
-    (build_chevalley_basis(E6), ("sys", "n_table", "basis", "index", "btable")),
+    (build_chevalley_basis(E6), ("sys", "basis", "index", "btable")),
 ]
 TYPES = (RootSystem, SubsystemComponent, ReductiveType, FixedSubalgebra, RealFormLabel,
          RealFormType, TorusCharacter, CharacterGroup, KleinSubgroup,
