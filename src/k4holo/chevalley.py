@@ -2,20 +2,21 @@
 
 Basis: the coroots h_1..h_rank of the simple roots plus one root vector
 X_a per root, normalised so [X_a, X_{-a}] = H_a (the coroot written in the
-h_i coordinates).  In the simply laced case every nonzero off-Cartan
-constant N(a, b) is +-1; the signs are fixed by the extraspecial-pair
-method: positive roots are taken in the (height, value) order that
-RootSystem.positive_roots keeps, each non-simple positive root takes
-N = +1 on the decomposition whose first member is minimal, and all
-remaining constants follow from antisymmetry, the opposite-pair rule
-N(-a, -b) = -N(a, b), the rotation rule N(a, b) = N(b, c) = N(c, a) for
-a + b + c = 0, and the four-term relation for a + b + c + d = 0.  Only the
-positive pairs are derived by the four-term relation; every other constant
-is read from them while the bracket rows are filled from sums_from: the
-zero-sum triple (a, b, -(a + b)) is rotated until its first two roots share
-a sign, and that pair is read from the positive pairs, negated when both
-are negative.  Any consistent sign set passes the certification suite;
-reproducibility of the table, not one specific table, is the contract.
+h_i coordinates).  Every nonzero off-Cartan constant is +-1, given by one
+closed formula, N(a, b) = eps(a, b) * c(a) * c(b) * c(a + b).
+
+eps(a, b) = (-1)^(a.U.b), U the identity plus the diagram's edges i < j,
+is the Frenkel-Kac cocycle (Frenkel and Kac, Invent. Math. 62, 1980; Kac,
+Infinite-Dimensional Lie Algebras, 7.8): the vectors E_a with [E_a, E_b] =
+eps(a, b) E_(a+b) and [E_a, E_{-a}] = -H_a span the Lie algebra.  c is a
+sign per root, X_a = c(a) E_a: c(-g) = -c(g), c is 1 on the simple roots,
+and every other positive root g takes c(g) = eps(a, b) * c(a) * c(b) on
+its extraspecial pair (a, b), its first split into positive roots in the
+(height, value) order of RootSystem.positive_roots, so N = +1 there.
+Those signs, N(-a, -b) = -N(a, b) and [X_a, X_{-a}] = H_a fix the whole
+table (Carter, Simple Groups of Lie Type, 4.2).  Any consistent sign set
+passes the certification suite; reproducibility of the table, not one
+specific table, is the contract.
 
 The bracket table holds one row per basis element: btable[i][j] is the
 tuple of terms (p, c) of [b_i, b_j] = sum of c * b_p, filled straight from
@@ -32,56 +33,12 @@ killing_form.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add, sub
-from typing import NamedTuple
+from operator import add
+from typing import Callable, NamedTuple
 
 from .rootsys import Root, RootSystem
 
 BasisKey = tuple  # ("h", i) with 0 <= i < rank, or ("x", root)
-
-
-def _sub(a: Root, b: Root) -> Root:
-    return tuple(map(sub, a, b))
-
-
-def _positive_pair_table(sys: RootSystem) -> dict[tuple[Root, Root], int]:
-    """Signs N(a, b) for all pairs of positive roots a, b with a + b a root.
-
-    Both orders of each pair are keyed, N(b, a) = -N(a, b).  The special
-    pair of a sum has its first member strictly before the second in the
-    (height, value) order of sys.positive_roots; processing sums by
-    increasing height guarantees every constant the four-term relation
-    refers to is already known.  The
-    relation never degenerates: simply laced gives (alpha, alpha1) +
-    (alpha, beta1) = (alpha, alpha + beta) = 1, so exactly one of
-    alpha - alpha1 and beta1 - alpha is a root, positive as alpha1 comes
-    before alpha and alpha before beta: one of t2, t3 is +-1, the other 0.
-    """
-    pos = sys.positive_roots
-    rank = {r: i for i, r in enumerate(pos)}
-    splits: dict[Root, list[tuple[Root, Root]]] = {}
-    for a in pos:
-        for b, gamma in sys.sums_from[a]:
-            if b in rank and rank[a] < rank[b]:
-                splits.setdefault(gamma, []).append((a, b))
-    table: dict[tuple[Root, Root], int] = {}
-    for gamma in pos:
-        pairs = sorted(splits.get(gamma, ()), key=lambda p: rank[p[0]])
-        if not pairs:
-            continue
-        alpha1, beta1 = pairs[0]
-        table[(alpha1, beta1)], table[(beta1, alpha1)] = 1, -1
-        for alpha, beta in pairs[1:]:
-            d1 = _sub(beta1, alpha)
-            d2 = _sub(beta, alpha1)
-            t2 = table[(alpha, d1)] * table[(alpha1, d2)] \
-                if d1 in rank and d2 in rank else 0
-            d3 = _sub(alpha, alpha1)
-            d4 = _sub(beta1, beta)
-            t3 = -table[(alpha1, d3)] * table[(beta, d4)] \
-                if d3 in rank and d4 in rank else 0
-            table[(alpha, beta)], table[(beta, alpha)] = t2 + t3, -(t2 + t3)
-    return table
 
 
 class StructureConstants(NamedTuple):
@@ -109,13 +66,49 @@ class StructureConstants(NamedTuple):
         return {k: c for k, c in acc.items() if c != 0}
 
 
+def _cocycle(sys: RootSystem) -> Callable[[Root, Root], int]:
+    """The cocycle eps of the module docstring on the roots of sys: the
+    parity of a's odd coordinates ANDed with those of U.b, as bit masks."""
+    upper = [[j for j in range(i + 1, sys.rank) if sys.cartan[i][j]] for i in range(sys.rank)]
+
+    def odd_mask(v) -> int:
+        return sum(1 << i for i, x in enumerate(v) if x & 1)
+
+    left = {r: odd_mask(r) for r in sys.roots}
+    right = {r: odd_mask([x + sum(r[j] for j in up) for x, up in zip(r, upper)])
+             for r in sys.roots}
+
+    def eps(a: Root, b: Root) -> int:
+        return -1 if (left[a] & right[b]).bit_count() & 1 else 1
+
+    return eps
+
+
 def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     """Build the full structure-constant table of a simply laced (type A, D
-    or E) system; the precondition is not checked."""
+    or E) system by the closed formula of the module docstring; the
+    precondition is not checked."""
     pos = sys.positive_roots
-    npos = _positive_pair_table(sys)
-    posset = set(pos)
     neg = {r: tuple(-x for x in r) for r in sys.roots}
+    eps = _cocycle(sys)
+
+    # Each non-simple positive root's extraspecial pair: scanning first roots
+    # in order, the first split met has the earliest first member.
+    posset = set(pos)
+    split: dict[Root, tuple[Root, Root]] = {}
+    for a in pos:
+        for b, s in sys.sums_from[a]:
+            if b in posset:
+                split.setdefault(s, (a, b))
+    # Both roots of a split are lower than their sum, so c is known for them.
+    c: dict[Root, int] = {}
+    for g in pos:
+        if g in split:
+            a, b = split[g]
+            c[g] = eps(a, b) * c[a] * c[b]
+        else:  # a simple root
+            c[g] = 1
+        c[neg[g]] = -c[g]
 
     basis: list[BasisKey] = [("h", i) for i in range(sys.rank)]
     basis += [("x", r) for r in pos]
@@ -126,22 +119,14 @@ def build_chevalley_basis(sys: RootSystem) -> StructureConstants:
     # Row i holds [b_i, b_j] for every j; an empty tuple is a zero bracket.
     rows: list[list[tuple[tuple[int, int], ...]]] = [[()] * len(basis) for _ in basis]
     for r, j in at.items():
-        for t, c in enumerate(sys.simple_pairings(r)):  # [h_t, X_r] = (r, alpha_t) X_r
-            if c:
-                rows[t][j], rows[j][t] = ((j, c),), ((j, -c),)
+        for t, v in enumerate(sys.simple_pairings(r)):  # [h_t, X_r] = (r, alpha_t) X_r
+            if v:
+                rows[t][j], rows[j][t] = ((j, v),), ((j, -v),)
     for a, i in at.items():
         row = rows[i]
-        row[at[neg[a]]] = tuple((t, c) for t, c in enumerate(a) if c)
+        row[at[neg[a]]] = tuple((t, x) for t, x in enumerate(a) if x)
         for b, s in sys.sums_from[a]:
-            # N(a, b) by the rotation rule N(x, y) = N(y, z) = N(z, x) on the
-            # zero-sum triple (a, b, -s): two of its roots share a sign, so at
-            # most two rotations bring such a pair to (x, y), which the
-            # opposite-pair rule N(-x, -y) = -N(x, y) reads from npos.
-            x, y, z = a, b, neg[s]
-            while (x in posset) != (y in posset):
-                x, y, z = y, z, x
-            n = npos[(x, y)] if x in posset else -npos[(neg[x], neg[y])]
-            row[at[b]] = ((at[s], n),)
+            row[at[b]] = ((at[s], eps(a, b) * c[a] * c[b] * c[s]),)
 
     return StructureConstants(sys=sys, basis=tuple(basis), index=index,
                               btable=tuple(map(tuple, rows)))

@@ -139,10 +139,10 @@ def _quiet_stream(stream) -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
-def _diagnose(message: str) -> None:
+def _diagnose(message: str, end: str = "\n") -> None:
     """Write a diagnostic to stderr; a closed stderr loses it quietly."""
     try:
-        print(message, file=_sys.stderr, flush=True)
+        print(message, end=end, file=_sys.stderr, flush=True)
     except BrokenPipeError:
         _quiet_stream(_sys.stderr)
 
@@ -328,8 +328,20 @@ def _cmd_survey(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that its writes fail as the commands' do,
+    where argparse drops the error: a closed stdout under -h reaches main,
+    and a closed stderr loses a usage error quietly."""
+
+    def _print_message(self, message, file=None):
+        if file is _sys.stderr:
+            _diagnose(message, end="")
+        else:
+            file.write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k4holo",
         description="Exact classification engine for Klein four symmetric "
                     "pairs of holomorphic type on e6(-14).")
@@ -384,13 +396,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed its usage or help
-        return exc.code
-    try:
-        if args.command in ("selftest",) and args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has written its usage or help
+            code = exc.code
+        else:
+            if args.command in ("selftest",) and args.jobs < 1:
+                raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+            code = args.func(args)
         _sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from k4holo.chevalley import (_positive_pair_table, build_chevalley_basis, check_antisymmetry,
-                              check_jacobi, export_n_table, killing_form)
+from k4holo.chevalley import (_cocycle, build_chevalley_basis, check_antisymmetry, check_jacobi,
+                              export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter
 
@@ -19,6 +19,10 @@ def neg(r):
 
 def add(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def n_map(sc):
@@ -83,11 +87,55 @@ def test_antisymmetry_everywhere():
         assert left == {k: -c for k, c in right.items()}
 
 
+def _four_term_positive_pairs(sys):
+    """N(a, b) for all pairs of positive roots a, b with a + b a root, by the
+    extraspecial-pair recursion (Carter, Simple Groups of Lie Type, 4.2).
+
+    Both orders of each pair are keyed, N(b, a) = -N(a, b).  Each sum's
+    extraspecial pair has its first member earliest in the (height, value)
+    order of sys.positive_roots and takes N = +1; every other split
+    (alpha, beta) of the sum follows from the four-term relation for
+    alpha + beta + (-alpha1) + (-beta1) = 0.  Sums are processed by
+    increasing height, so every constant the relation refers to is already
+    known.  The relation never degenerates: simply laced gives
+    (alpha, alpha1) + (alpha, beta1) = (alpha, alpha + beta) = 1, so
+    exactly one of alpha - alpha1 and beta1 - alpha is a root, positive as
+    alpha1 comes before alpha and alpha before beta: one of t2, t3 is +-1,
+    the other 0.
+    """
+    pos = sys.positive_roots
+    rank = {r: i for i, r in enumerate(pos)}
+    splits = {}
+    for a in pos:
+        for b, gamma in sys.sums_from[a]:
+            if b in rank and rank[a] < rank[b]:
+                splits.setdefault(gamma, []).append((a, b))
+    table = {}
+    for gamma in pos:
+        pairs = sorted(splits.get(gamma, ()), key=lambda p: rank[p[0]])
+        if not pairs:
+            continue
+        alpha1, beta1 = pairs[0]
+        table[(alpha1, beta1)], table[(beta1, alpha1)] = 1, -1
+        for alpha, beta in pairs[1:]:
+            d1 = sub(beta1, alpha)
+            d2 = sub(beta, alpha1)
+            t2 = table[(alpha, d1)] * table[(alpha1, d2)] \
+                if d1 in rank and d2 in rank else 0
+            d3 = sub(alpha, alpha1)
+            d4 = sub(beta1, beta)
+            t3 = -table[(alpha1, d3)] * table[(beta, d4)] \
+                if d3 in rank and d4 in rank else 0
+            table[(alpha, beta)], table[(beta, alpha)] = t2 + t3, -(t2 + t3)
+    return table
+
+
 def _reference_n_table(sys):
     """N(a, b) for every ordered pair with a + b a root, each constant reduced
-    recursively to the positive-pair table by the opposite-pair rule,
-    antisymmetry and the rotation rule (x + y + z = 0: N(x, y) = N(y, z) = N(z, x))."""
-    npos = _positive_pair_table(sys)
+    recursively to the four-term positive-pair table by the opposite-pair
+    rule, antisymmetry and the rotation rule (x + y + z = 0: N(x, y) =
+    N(y, z) = N(z, x)).  Shares no sign code with k4holo.chevalley."""
+    npos = _four_term_positive_pairs(sys)
     posset = set(sys.positive_roots)
 
     def n_any(a, b):
@@ -107,7 +155,8 @@ def _reference_n_table(sys):
 
 
 @pytest.mark.parametrize("family, rank", [
-    ("E", 6), ("A", 1), ("A", 3), ("A", 5), ("D", 4), ("D", 5), ("D", 8)])
+    ("E", 6), ("A", 1), ("A", 3), ("A", 5), ("A", 8), ("A", 16), ("D", 4), ("D", 5), ("D", 8),
+    ("D", 16)])
 def test_n_table_matches_the_recursive_rule(family, rank):
     sys = build_root_system(family, rank)
     sc = build_chevalley_basis(sys)
@@ -124,6 +173,23 @@ def test_n_table_matches_the_recursive_rule(family, rank):
         assert n_table[(b, a)] == -v
         minus_c = neg(add(a, b))
         assert v == n_table[(b, minus_c)] == n_table[(minus_c, a)]
+
+
+@pytest.mark.parametrize("family, rank", [("E", 6), ("D", 5), ("A", 5)])
+def test_cocycle_identities(family, rank):
+    # eps(a, a) = -1 and eps(a, b) eps(b, a) = (-1)^((a, b)) on every pair of
+    # roots, and eps is multiplicative in its first argument on root sums
+    sys = build_root_system(family, rank)
+    eps = _cocycle(sys)
+    roots = sorted(sys.roots)
+    for a in roots:
+        assert eps(a, a) == -1
+        for b in roots:
+            assert eps(a, b) * eps(b, a) == (-1) ** (sys.pairing(a, b) % 2)
+    for a, pairs in sys.sums_from.items():
+        for b, s in pairs:
+            for c in roots:
+                assert eps(s, c) == eps(a, c) * eps(b, c)
 
 
 def test_opposite_pair_rule():

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -551,10 +552,26 @@ def test_closed_stdout_ends_without_traceback():
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
 
 
-@pytest.mark.parametrize("args", [["survey", "--theta", "zz"], ["roots", "--type", "Q9"]])
+def test_closed_stdout_on_help_exits_2():
+    # argparse drops the error of its own help write, which once ended in exit 0
+    for args in (["-h"], ["theorem24", "-h"]):
+        proc = subprocess.Popen([sys.executable, "-m", "k4holo", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
+
+
+@pytest.mark.parametrize("args", [["survey", "--theta", "zz"], ["roots", "--type", "Q9"],
+                                  ["nosuch"]])
 def test_closed_stderr_keeps_exit_code_2(args):
+    # stderr buffered, as without PYTHONUNBUFFERED: argparse's usage error
+    # once left its text in the buffer, and the final flush exited 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen([sys.executable, "-m", "k4holo", *args],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stderr.close()
     out = proc.stdout.read()
     proc.stdout.close()
