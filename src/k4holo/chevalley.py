@@ -33,7 +33,6 @@ killing_form.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add
 from typing import Callable, NamedTuple
 
 from .rootsys import Root, RootSystem
@@ -47,23 +46,6 @@ class StructureConstants(NamedTuple):
     basis: tuple[BasisKey, ...]
     index: dict[BasisKey, int]
     btable: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-
-    def n(self, a: Root, b: Root) -> int:
-        """N(a, b): the coefficient of X_(a+b) in [X_a, X_b], or 0 when
-        a + b is not a root (so n(a, -a) is 0)."""
-        target = self.index.get(("x", tuple(map(add, a, b))))  # None: no such root
-        terms = self.btable[self.index["x", a]][self.index["x", b]]
-        return sum(c for p, c in terms if p == target)
-
-    def bracket(self, v1: dict[BasisKey, int], v2: dict[BasisKey, int]) -> dict[BasisKey, int]:
-        """Bilinear extension of the basis bracket to sparse vectors."""
-        acc: dict[BasisKey, int] = {}
-        for ka, ca in v1.items():
-            for kb, cb in v2.items():
-                for i, c in self.btable[self.index[ka]][self.index[kb]]:
-                    key = self.basis[i]
-                    acc[key] = acc.get(key, 0) + ca * cb * c
-        return {k: c for k, c in acc.items() if c != 0}
 
 
 def _cocycle(sys: RootSystem) -> Callable[[Root, Root], int]:
@@ -168,11 +150,12 @@ def _weights(sc: StructureConstants) -> tuple[int, ...]:
     return tuple(value(key[1]) if key[0] == "x" else 0 for key in sc.basis)
 
 
-def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
+def check_jacobi(sc: StructureConstants) -> JacobiReport:
     """Exhaustively verify the Jacobi identity over all unordered basis triples.
 
-    Failure is reported as data, never raised.  The sweep first checks once
-    that the table is graded: every term b_p of every [b_i, b_j] has weight
+    Failure is reported as data, never raised: every violating triple is
+    listed.  The sweep first checks once that the table is graded: every
+    term b_p of every [b_i, b_j] has weight
     w_p = w_i + w_j (weights as in _weights).  Then each term of
     [[b_i, b_j], b_k] and its two rotations has weight w_i + w_j + w_k, so a
     triple whose weight sum is neither a root nor 0 has an empty Jacobi sum
@@ -235,7 +218,7 @@ def check_jacobi(sc: StructureConstants, limit: int = 10) -> JacobiReport:
                             for p, c2 in rows[m][z]:
                                 acc[p] = acc.get(p, 0) + c * c2
                     broken = any(acc.values())
-                if broken and len(bad) < limit:
+                if broken:
                     bad.append((i, j, k))
     violations = tuple((sc.basis[i], sc.basis[j], sc.basis[k]) for i, j, k in bad)
     return JacobiReport(triples_checked=n * (n - 1) * (n - 2) // 6, violations=violations)
@@ -257,8 +240,9 @@ def export_n_table(sc: StructureConstants) -> str:
     """Deterministic text form of the N table for diffing across builds.
 
     One line per ordered pair (a, b) with a + b a root, sorted: the
-    comma-separated coordinates of a and of b, then N(a, b) read from the
-    bracket table as by StructureConstants.n, all space-separated.
+    comma-separated coordinates of a and of b, then N(a, b), the
+    coefficient of X_(a+b) in the bracket table's [X_a, X_b], all
+    space-separated.
     """
     text = {r: ",".join(map(str, r)) for r in sc.sys.roots}
     lines = []

@@ -16,8 +16,14 @@ construction for toral sigma, so only its premise on theta (the so(10)+R
 class with a corank-1 centre) is checked, once per theta of each group:
 12 center_of_fixed calls per classify_all, on 9 distinct thetas.
 Deduplication is by real-form type equality, not by conjugacy: all raw
-candidates stay inspectable in the report.  Two of the candidate pairs in y3y4y5 yield the same type; whether
-they are actually conjugate is not decided here.
+candidates stay inspectable in the report, and "eight" counts types.  An
+automorphism carrying (theta, Gamma) to (theta', Gamma') carries each g^sigma,
+sigma in Gamma minus 1, onto a g^sigma' with theta onto theta', so it keeps
+the multiset of their real forms under theta.  The 48 candidates carry 9
+distinct (type, multiset) pairs, so they fall into at least nine conjugacy
+classes: y3y4y5's su(4,1)+2c candidates are not all conjugate, as 8 have
+{so(8,2)+so(2), so*(10)+so(2), su(5,1)+sl(2,R)} and 4 have
+{so(8,2)+so(2), so(8,2)+so(2), su(4,2)+su(2)}.
 """
 from __future__ import annotations
 

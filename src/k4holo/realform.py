@@ -26,7 +26,7 @@ Each name is dimension-checked: its compact part must have the dimension
 of theta's fixed roots in the ideal plus the rank.  The name reads theta
 on the n simple roots only and the count reads it on every root of the
 ideal, so the check compares two independent derivations.  The
-complexification is not checked: each name has its ideal's type.
+complexification is not computed: each name has its ideal's type.
 
 The centre of the subalgebra is a count of lines, each of them compact
 (spelled c, or so(2) in survey style): toral characters fix the Cartan
@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import ReductiveType, RootSystem, SubsystemComponent, render_summands
+from .rootsys import RootSystem, SubsystemComponent, render_summands
 from .toral import TorusCharacter
 
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2}
@@ -81,10 +81,6 @@ class RealFormLabel(NamedTuple):
             return self.a * (2 * self.a - 1) + self.b * (2 * self.b - 1)
         return self.a ** 2
 
-    @property
-    def complex_type(self) -> tuple[str, int]:
-        return ("A" if self.kind == "su" else "D", self.complex_rank)
-
     def sort_key(self) -> tuple:
         return (1 if self.is_compact else 0, -self.complex_rank,
                 _KIND_ORDER[self.kind], -self.a, -self.b)
@@ -107,11 +103,6 @@ class RealFormType(NamedTuple("RealFormType", [("ideals", tuple[RealFormLabel, .
 
     def __new__(cls, ideals: tuple[RealFormLabel, ...], center: int):
         return super().__new__(cls, tuple(sorted(ideals, key=RealFormLabel.sort_key)), center)
-
-    def complexification(self) -> ReductiveType:
-        comps = sorted((l.complex_type for l in self.ideals),
-                       key=lambda c: (-c[1], c[0]))
-        return ReductiveType(components=tuple(comps), center_dim=self.center)
 
     def render(self, style: str = "plain") -> str:
         return render_summands([l.render(style) for l in self.ideals], self.center,
@@ -146,7 +137,7 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
     FixedSubalgebra the engine builds: _ideal_label names A_n su(p, q) with
     p + q = n + 1 and D_n so(2p, 2q), so*(2n) or so(6,2), of complex rank
     n; the centre is sub.rtype's; both sides sort by (-rank, family).  The
-    tests check complexification() on every candidate.
+    tests recompute it from the labels (tests/oracles.py) on every candidate.
     """
     if theta.order > 2:
         raise PreconditionError("theta must be an involution or the identity")

@@ -1,10 +1,11 @@
 """Fixed-point subalgebras of toral character sets and involution classes.
 
 Inner involutions of e6 fall into exactly two conjugacy classes, told apart
-by the dimension of their fixed subalgebra (su(6)+sp(1) versus so(10)+R).
-Both reference dimensions are read from the reference characters' kernels
-on the caller's root system rather than hard-coded, so a broken character
-engine fails loudly here instead of silently misclassifying.
+by the dimension of their fixed subalgebra (su(6)+sp(1) versus so(10)+R),
+that is by the number of roots they fix (the Cartan subalgebra is fixed
+by both).  Both reference counts are read from the reference characters'
+kernels on the caller's root system rather than hard-coded, so a broken
+character engine fails loudly here instead of silently misclassifying.
 """
 from __future__ import annotations
 
@@ -59,26 +60,22 @@ def fixed_subalgebra(chars: Iterable[TorusCharacter], sys: RootSystem) -> FixedS
                            rtype=reductive_type(comps, sys), dim=len(fixed) + sys.rank)
 
 
-def _fixed_dim(chi: TorusCharacter, sys: RootSystem) -> int:
-    return sys.rank + len(sys.kernel(chi))
-
-
 def classify_involution(chi: TorusCharacter, sys: RootSystem) -> ConjClass:
     """Conjugacy class of a toral involution of e6: that of the reference
-    character with the same fixed dimension on sys (38 or 46, never equal)."""
+    character that fixes as many roots of sys (32 or 40, never equal)."""
     if (sys.family, sys.rank) != ("E", 6):
         raise PreconditionError("involution classification is specific to E6")
     if chi.order > 2:
         raise PreconditionError(f"character has order {chi.order}, not an involution")
     if chi.order == 1:
         return ConjClass.IDENTITY
-    d = _fixed_dim(chi, sys)
-    if d == _fixed_dim(sigma1_reference(), sys):
+    fixed = len(sys.kernel(chi))
+    if fixed == len(sys.kernel(sigma1_reference())):
         return ConjClass.SIGMA1
-    if d == _fixed_dim(sigma2_reference(), sys):
+    if fixed == len(sys.kernel(sigma2_reference())):
         return ConjClass.SIGMA2
     raise InternalConsistencyError(
-        f"inner involution with fixed dimension {d}; the character engine is broken")
+        f"inner involution fixing {fixed} roots; the character engine is broken")
 
 
 def mu(chi: TorusCharacter, sys: RootSystem) -> int:

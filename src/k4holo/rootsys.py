@@ -52,13 +52,6 @@ _E6_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6))
 # and D32 already takes about half a second.
 MAX_RANK = 32
 
-# Root counts of the recognisable types, read by ReductiveType.dim.
-_ROOT_COUNT = {
-    "A": lambda r: r * (r + 1),
-    "D": lambda r: 2 * r * (r - 1),
-    "E": lambda r: 72,
-}
-
 # Compact real form of each recognisable type.
 _COMPACT_NAME = {
     "A": lambda r: f"su({r + 1})",
@@ -124,10 +117,6 @@ class RootSystem(NamedTuple("RootSystem", [
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Bilinear form (a, b) = a.A.b for arbitrary lattice vectors."""
-        return sum(map(mul, a, [sum(map(mul, row, b)) for row in self.cartan]))
-
     def simple_pairings(self, root: Sequence[int]) -> tuple[int, ...]:
         """(root, alpha_i) for each simple root alpha_i: the simple roots are
         the unit vectors, so this is the (symmetric) Cartan matrix times root."""
@@ -187,9 +176,6 @@ class RootSystem(NamedTuple("RootSystem", [
         """
         return sum(map(mul, root, self.weights))
 
-    def is_positive(self, root: Sequence[int]) -> bool:
-        return self.value(root) > 0
-
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -198,11 +184,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     Starts from the simple roots (unit coordinate vectors) and closes
     under all simple reflections.  Nothing is re-checked, as nothing can
     fail (Humphreys): every root is W-conjugate to a simple one (10.3), so
-    all _ROOT_COUNT roots are reached, each of squared length 2 as W keeps
-    the form; roots are sign-coherent (10.1); the highest root is the only
-    root of greatest height (10.4, Lemma A), so it is the last positive
-    root in (height, value) order.  selftest and the tests certify the
-    result.
+    every root is reached, each of squared length 2 as W keeps the form;
+    roots are sign-coherent (10.1); the highest root is the only root of
+    greatest height (10.4, Lemma A), so it is the last positive root in
+    (height, value) order.  selftest and the tests certify the result.
     """
     cartan = _cartan_matrix(family, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
@@ -246,13 +231,6 @@ class ReductiveType(NamedTuple):
     """Isomorphism type of a reductive subalgebra: simple parts + centre."""
     components: tuple[tuple[str, int], ...]
     center_dim: int
-
-    @property
-    def dim(self) -> int:
-        total = self.center_dim
-        for family, rank in self.components:
-            total += _ROOT_COUNT[family](rank) + rank
-        return total
 
     def render(self) -> str:
         """Canonical compact-form spelling, e.g. 'su(4)+2su(2)+c'."""
@@ -351,7 +329,7 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
 
 
 def _decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
-    pos = {r for r in sset if sys.is_positive(r)}
+    pos = {r for r in sset if sys.value(r) > 0}
     sums_from = sys.sums_from
     # comp[r] is the set of positives merged with r so far, shared by all of
     # them.  Each a + b merges a with the sum, and b when the scan reaches b.

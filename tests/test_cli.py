@@ -207,7 +207,10 @@ _LABEL_PIECES = st.sampled_from(
     ["x1", "x2", "x4", "x5", "y1", "y3", "y4", "y5", "1", ":", "x1x2x4", "y3y4y5", "-"])
 _HOSTILE_LABELS = st.one_of(
     st.text(max_size=12),
-    st.lists(st.one_of(_LABEL_PIECES, st.text(max_size=2)), max_size=4).map("".join))
+    st.lists(st.one_of(_LABEL_PIECES, st.text(max_size=2)), max_size=4).map("".join),
+    # two colons: a group qualifier whose element part holds a colon
+    st.lists(st.one_of(_LABEL_PIECES, st.text(max_size=2)), min_size=3, max_size=3)
+    .map(":".join))
 
 
 @given(_HOSTILE_LABELS, _HOSTILE_LABELS, _HOSTILE_LABELS,
@@ -312,7 +315,14 @@ def test_survey_subcommand(capsys):
     (["realform", "--group", "y3y4y5", "--gamma", ":y4", "y5", "--theta", "y3"],
      "error: label ':y4' conflicts with group y3y4y5\n"),
     (["survey", "--theta", "x1x2x4:nope"], "error: group x1x2x4 has no element 'nope'\n"),
-], ids=["survey-empty-qualifier", "realform-empty-qualifier", "unknown-element"])
+    # two colons: the qualifier is split off at the first, the rest names no element
+    (["survey", "--theta", "x1x2x4:x1:x2"], "error: group x1x2x4 has no element 'x1:x2'\n"),
+    (["realform", "--gamma", "x1x2x4:x1:x2", "x4", "--theta", "x4"],
+     "error: group x1x2x4 has no element 'x1:x2'\n"),
+    (["realform", "--gamma", "x1", "x2", "--theta", "x1x2x4:x1:x2"],
+     "error: group x1x2x4 has no element 'x1:x2'\n"),
+], ids=["survey-empty-qualifier", "realform-empty-qualifier", "unknown-element",
+        "survey-two-colons", "realform-gamma-two-colons", "realform-theta-two-colons"])
 def test_bad_group_qualifier_exits_2(args, err, capsys):
     assert run_cli(args, capsys) == (2, "", err)
 
@@ -351,7 +361,7 @@ def test_selftest_unwritable_ntable_out_exits_2(target, tmp_path, capsys):
 def test_selftest_reports_a_failing_jacobi_check(capsys, monkeypatch):
     triple = (("x", (1, 0, 0, 0, 0, 0)), ("x", (0, 0, 1, 0, 0, 0)), ("x", (0, 0, 0, 1, 0, 0)))
     failed = chevalley.JacobiReport(triples_checked=76076, violations=(triple,))
-    monkeypatch.setattr(chevalley, "check_jacobi", lambda sc, limit=10: failed)
+    monkeypatch.setattr(chevalley, "check_jacobi", lambda sc: failed)
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 1
     assert f"check jacobi: FAIL (76076 triples, first violation {triple})" in out.splitlines()

@@ -2,9 +2,11 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import PreconditionError
 from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
@@ -13,9 +15,11 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              klein_four_subgroups, report_to_dict,
                              report_to_markdown, resolve_label, sigma2_elements,
                              symmetric_pair_survey)
-from k4holo.reductive import fixed_subalgebra
+from k4holo.realform import identify_real_form
+from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra
 from k4holo.rootsys import build_root_system
-from k4holo.toral import embed_su6_sp1, identity_character
+from k4holo.toral import TorusCharacter, embed_su6_sp1, identity_character
+from oracles import complexification, reductive_dim
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -140,7 +144,7 @@ def test_candidate_invariants():
     for g in REPORT.groups:
         assert g.group == GROUPS[g.group.name]
         for c in g.candidates:
-            assert c.real_form.complexification() == c.compact_dual
+            assert complexification(c.real_form) == c.compact_dual
             a, b = (g.group.element(label) for label in c.gamma_labels)
             gamma = {identity_character(), a, b, a * b}
             assert len(gamma) == 4
@@ -148,7 +152,7 @@ def test_candidate_invariants():
             # maximal compact dimension equals the compact parts of the form
             compact = sum(l.compact_part_dim for l in c.real_form.ideals)
             compact += c.real_form.center
-            assert g.fixed.rtype.dim == compact
+            assert reductive_dim(g.fixed.rtype) == compact
 
 
 def test_report_candidates_are_the_groups_candidates_in_order():
@@ -201,6 +205,74 @@ def test_distinct_pairs_match_golden_list():
     assert len(REPORT.distinct_pairs) == 8
     assert set(REPORT.distinct_pairs) == set(GOLDEN_PAIRS)
     assert REPORT.missing == () and REPORT.unexpected == ()
+
+
+@pytest.mark.parametrize("extra, drop", [(True, False), (False, True)],
+                         ids=["only-missing", "only-unexpected"])
+def test_a_report_with_missing_or_unexpected_pairs_alone_is_not_verified(extra, drop,
+                                                                         monkeypatch):
+    from k4holo import pipeline
+    golden = GOLDEN_PAIRS[drop:] + ("su(9)",) * extra
+    monkeypatch.setattr(pipeline, "GOLDEN_PAIRS", golden)
+    report = classify_all(E6)
+    assert report.missing == ("su(9)",) * extra
+    assert report.unexpected == GOLDEN_PAIRS[:drop]
+    assert report.verified is False
+
+
+def _sigma_forms(theta, gamma):
+    """The multiset, sorted, of the real forms under theta of the fixed
+    algebras g^sigma, sigma in Gamma = <gamma> minus 1 (survey spelling).
+    An automorphism carrying (theta, Gamma) to (theta', Gamma') carries each
+    g^sigma onto a g^sigma' and theta onto theta', so it keeps this."""
+    a, b = gamma
+    return tuple(sorted(identify_real_form(fixed_subalgebra([s], E6), theta, E6).render("survey")
+                        for s in (a, b, a * b)))
+
+
+def _candidate_chars(group, cand):
+    return group.element(cand.theta_label), [group.element(l) for l in cand.gamma_labels]
+
+
+CANDIDATES = [(g.group, c) for g in REPORT.groups for c in g.candidates]
+
+
+def test_candidates_fall_into_at_least_nine_conjugacy_classes():
+    # "eight" counts real-form types; the sigma multiset splits one type
+    classes = Counter((c.real_form.render(), _sigma_forms(*_candidate_chars(group, c)))
+                      for group, c in CANDIDATES)
+    assert len(CANDIDATES) == 48
+    assert sorted(classes.values()) == [3, 3, 4, 4, 4, 4, 6, 8, 12]
+    assert {form for form, _ in classes} == set(GOLDEN_PAIRS)
+    assert {forms: count for (form, forms), count in classes.items()
+            if form == "su(4,1)+2c"} == {
+        ("so(8,2)+so(2)", "so*(10)+so(2)", "su(5,1)+sl(2,R)"): 8,
+        ("so(8,2)+so(2)", "so(8,2)+so(2)", "su(4,2)+su(2)"): 4}
+    assert {c.group_name for _, c in CANDIDATES if c.real_form.render() == "su(4,1)+2c"} \
+        == {"y3y4y5"}
+
+
+def _reflect_character(chi, i):
+    """The simple reflection s_i on a character, chi composed with s_i: on
+    the exponents, e_j -> e_j - A[i][j] * e_i."""
+    e = chi.exps
+    return TorusCharacter(chi.modulus,
+                          tuple(ej - aij * e[i] for ej, aij in zip(e, E6.cartan[i])))
+
+
+@given(st.lists(st.integers(0, 5), max_size=36), st.sampled_from(CANDIDATES))
+@settings(max_examples=25, deadline=None)
+def test_real_form_and_sigma_forms_are_weyl_invariant(word, candidate):
+    group, cand = candidate
+    theta, gamma = _candidate_chars(group, cand)
+    forms = _sigma_forms(theta, gamma)
+    for i in word:
+        theta = _reflect_character(theta, i)
+        gamma = [_reflect_character(c, i) for c in gamma]
+    assert classify_involution(theta, E6) is ConjClass.SIGMA2
+    fs = fixed_subalgebra(gamma, E6)
+    assert identify_real_form(fs, theta, E6).render() == cand.real_form.render()
+    assert _sigma_forms(theta, gamma) == forms
 
 
 def test_report_deterministic():

@@ -12,6 +12,7 @@ from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
 from k4holo.rootsys import Root, RootSystem, _reflect, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
+from oracles import complexification, pairing
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -79,7 +80,7 @@ def test_compact_real_forms_spell_like_their_complex_types(monkeypatch):
 
 def test_complexification_matches_compact_dual():
     fs, form = forms_of("y1y3y4", ("y1", "y4"), "y3")
-    assert form.complexification() == fs.rtype
+    assert complexification(form) == fs.rtype
 
 
 def test_exceptional_ideal_is_unmapped():
@@ -99,8 +100,8 @@ def test_center_of_fixed_reference():
     assert len(basis) == 1
     z = basis[0]
     fixed = [r for r in E6.roots if sigma2_reference().evaluate(r) == 0]
-    assert all(E6.pairing(r, z) == 0 for r in fixed)
-    assert any(E6.pairing(r, z) != 0 for r in E6.roots)
+    assert all(pairing(E6, r, z) == 0 for r in fixed)
+    assert any(pairing(E6, r, z) != 0 for r in E6.roots)
 
 
 @pytest.mark.parametrize("group,label", [
@@ -112,7 +113,7 @@ def test_center_of_fixed_for_builtin_thetas(group, label):
     basis = center_of_fixed(theta, E6)
     assert len(basis) == 1
     fixed = [r for r in E6.roots if theta.evaluate(r) == 0]
-    assert all(E6.pairing(r, basis[0]) == 0 for r in fixed)
+    assert all(pairing(E6, r, basis[0]) == 0 for r in fixed)
 
 
 def test_center_of_fixed_rejects_sigma1():
@@ -125,6 +126,10 @@ def test_holomorphic_type_check():
     assert holomorphic_type_check(g1.element("x1"), g1.element("x4"), E6)
     assert holomorphic_type_check(g1.element("x2"), g1.element("x4"), E6)
     assert holomorphic_type_check(identity_character(), sigma2_reference(), E6)
+    for order in (3, 4):
+        sigma = TorusCharacter(order, (1, 0, 0, 0, 0, 0))
+        with pytest.raises(PreconditionError, match="sigma must be an involution"):
+            holomorphic_type_check(sigma, sigma2_reference(), E6)
 
 
 def test_centre_coweight_orbit_has_27_elements_without_its_negative():
@@ -163,6 +168,7 @@ def test_label_rendering_styles():
     assert RealFormLabel("so_star", 5).render() == "so*(10)"
     assert RealFormLabel("so", 5).render() == "so(10)"
     assert RealFormLabel("su", 4).render() == "su(4)"
+    assert RealFormLabel("so", 2, 2).render() == "so(4,4)"
 
 
 def test_form_rendering_and_ordering():
@@ -174,6 +180,14 @@ def test_form_rendering_and_ordering():
     survey = RealFormType(
         ideals=(RealFormLabel("so", 4, 1),), center=1)
     assert survey.render("survey") == "so(8,2)+so(2)"
+    # The order every rendering follows, written out by hand: noncompact
+    # ideals first, then larger complex rank, then su, so, so*, then larger
+    # a and larger b.
+    expected = (RealFormLabel("su", 3, 3), RealFormLabel("so", 4, 1), RealFormLabel("so_star", 5),
+                RealFormLabel("su", 3, 2), RealFormLabel("so", 3, 1), RealFormLabel("so_star", 4),
+                RealFormLabel("su", 2, 1), RealFormLabel("so", 1, 1), RealFormLabel("su", 1, 1),
+                RealFormLabel("su", 4), RealFormLabel("so", 3), RealFormLabel("su", 2))
+    assert RealFormType(expected[::-1], 0).ideals == expected
 
 
 def test_compact_part_dimensions():
@@ -246,7 +260,7 @@ def test_integer_nullspace_matches_rational_elimination(matrix):
 def test_integer_nullspace_of_the_centre_rows():
     # The rows center_of_fixed eliminates for the sigma2 reference.
     fixed = sorted(E6.kernel(sigma2_reference()))
-    rows = [tuple(E6.pairing(r, s) for s in E6.simple_roots) for r in fixed]
+    rows = [tuple(pairing(E6, r, s) for s in E6.simple_roots) for r in fixed]
     assert _integer_nullspace(rows, 6) == _fraction_nullspace(rows, 6)
     assert center_of_fixed(sigma2_reference(), E6) == _fraction_nullspace(rows, 6)
 
@@ -259,7 +273,7 @@ _T2 = st.integers(0, 63).map(lambda n: TorusCharacter(2, tuple(n >> i & 1 for i 
 @settings(max_examples=50, deadline=None)
 def test_identify_real_form_passes_its_bookkeeping_on_t2(gamma, theta):
     fs = fixed_subalgebra(gamma, E6)
-    assert identify_real_form(fs, theta, E6).complexification() == fs.rtype
+    assert complexification(identify_real_form(fs, theta, E6)) == fs.rtype
 
 
 def _d_shape(k: int) -> tuple[tuple[tuple[str, int], ...], int]:

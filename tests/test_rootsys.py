@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
-from k4holo.rootsys import (MAX_RANK, _ROOT_COUNT, Root, RootSystem, SubsystemComponent,
+from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
                             build_root_system, decompose_closed_subset, identify_subsystem,
                             _cartan_matrix, _component_sort_key, _reflect, _validate_closed)
+from oracles import ROOT_COUNT, is_positive, pairing
 
 
 E6 = build_root_system("E", 6)
@@ -46,7 +47,7 @@ def test_a1_roots():
 def test_roots_have_norm_two_and_coherent_signs(family, rank):
     sys = build_root_system(family, rank)
     for r in sys.roots:
-        assert sys.pairing(r, r) == 2
+        assert pairing(sys, r, r) == 2
         assert all(c >= 0 for c in r) or all(c <= 0 for c in r)
         assert all(c <= h for c, h in zip(r, sys.highest_root))
 
@@ -55,7 +56,7 @@ def test_roots_have_norm_two_and_coherent_signs(family, rank):
 def test_positive_roots_in_height_value_order(family, rank):
     sys = build_root_system(family, rank)
     pos = sys.positive_roots
-    assert set(pos) == {r for r in sys.roots if sys.is_positive(r)}
+    assert set(pos) == {r for r in sys.roots if is_positive(sys, r)}
     assert list(pos) == sorted(pos, key=lambda r: (sum(r), sys.value(r)))
     # the highest root is the one root of greatest height
     assert sys.highest_root == pos[-1]
@@ -93,9 +94,9 @@ def test_inner_product_examples():
     a1 = E6.simple_roots[0]
     a2 = E6.simple_roots[1]
     a3 = E6.simple_roots[2]
-    assert E6.pairing(a1, a1) == 2
-    assert E6.pairing(a1, a3) == -1
-    assert E6.pairing(a1, a2) == 0
+    assert pairing(E6, a1, a1) == 2
+    assert pairing(E6, a1, a3) == -1
+    assert pairing(E6, a1, a2) == 0
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("E", 7), ("E", 8), ("D", 3), ("A", 0), ("F", 4),
@@ -224,11 +225,9 @@ def test_identify_negation_invariance():
 
 
 def test_subset_size_forced_by_type():
-    sizes = {"A": lambda r: r * (r + 1), "D": lambda r: 2 * r * (r - 1),
-             "E": lambda r: 72}
     for subset in closed_subsets_for_tests(30, seed=5):
         t = identify_subsystem(subset, E6)
-        assert len(subset) == sum(sizes[f](r) for f, r in t.components)
+        assert len(subset) == sum(ROOT_COUNT[f](r) for f, r in t.components)
 
 
 def test_reductive_type_render():
@@ -257,8 +256,8 @@ def test_root_tables_match_brute_force():
             for b in sys.roots:
                 rule = (2 if b == a else -2 if b == negate(a) else -1 if b in partners
                         else 1 if negate(b) in partners else 0)
-                assert sys.pairing(a, b) == rule
-            assert sys.simple_pairings(a) == tuple(sys.pairing(a, s) for s in sys.simple_roots)
+                assert pairing(sys, a, b) == rule
+            assert sys.simple_pairings(a) == tuple(pairing(sys, a, s) for s in sys.simple_roots)
         brute = {}
         for a in sys.roots:
             for b in sys.roots:
@@ -278,7 +277,7 @@ def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
     subset = frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
     # Reference: a positive root of the subset is simple when it is not the
     # sum of two positive roots of the subset.
-    pos = [r for r in subset if E6.is_positive(r)]
+    pos = [r for r in subset if is_positive(E6, r)]
     posset = set(pos)
     expected = {s for s in pos
                 if not any(tuple(x - y for x, y in zip(s, a)) in posset for a in pos)}
@@ -288,14 +287,14 @@ def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
     assert set(extracted) == expected
     # Each A and D component's simple roots are stored in diagram order.
     for c in (c for c in comps if c.family in ("A", "D")):
-        pairings = tuple(tuple(E6.pairing(a, b) for b in c.simple) for a in c.simple)
+        pairings = tuple(tuple(pairing(E6, a, b) for b in c.simple) for a in c.simple)
         assert pairings == _cartan_matrix(c.family, c.rank)
 
 
 # The decomposition as it was before sums_from became the only pair table:
 # simple roots merged into diagram components one at a time, then every root
 # assigned to the one component it pairs with.  Kept verbatim, with its
-# pairings read through RootSystem.pairing, as the oracle for
+# pairings read through oracles.pairing, as the reference for
 # decompose_closed_subset.
 def _reference_classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tuple[Root, ...]]:
     """Match the diagram of a connected simple system against A/D/E6.
@@ -311,7 +310,7 @@ def _reference_classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[st
     if k == 1:
         return ("A", 1, tuple(simple))
     adj = [[j for j in range(k)
-            if j != i and sys.pairing(simple[i], simple[j]) != 0]
+            if j != i and pairing(sys, simple[i], simple[j]) != 0]
            for i in range(k)]
     degs = [len(ns) for ns in adj]
     nedges = sum(degs) // 2
@@ -352,21 +351,21 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
     _validate_closed(sset, sys)
     if not sset:
         return ()
-    pos = {r for r in sset if sys.is_positive(r)}
+    pos = {r for r in sset if is_positive(sys, r)}
     sums_from = sys.sums_from
     decomposable = {s for a in pos for b, s in sums_from[a] if b in pos}
     simple = [s for s in pos if s not in decomposable]
 
     for a, b in ((x, y) for i, x in enumerate(simple) for y in simple[i + 1:]):
-        if sys.pairing(a, b) not in (0, -1):
+        if pairing(sys, a, b) not in (0, -1):
             raise InternalConsistencyError(
-                f"extracted simple system is not valid: ({a},{b}) = {sys.pairing(a, b)}")
+                f"extracted simple system is not valid: ({a},{b}) = {pairing(sys, a, b)}")
 
     # Connected components of the extracted diagram: each simple root
     # merges the components it is joined to.
     groups: list[list[Root]] = []
     for s in simple:
-        joined = [g for g in groups if any(sys.pairing(s, t) for t in g)]
+        joined = [g for g in groups if any(pairing(sys, s, t) for t in g)]
         groups = [g for g in groups if g not in joined] + [[s] + sum(joined, [])]
 
     components = []
@@ -374,7 +373,7 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
         components.append((*_reference_classify_diagram(grp, sys), set()))
 
     for r in sset:
-        homes = [c for c in components if any(sys.pairing(r, s) != 0 for s in c[2])]
+        homes = [c for c in components if any(pairing(sys, r, s) != 0 for s in c[2])]
         if len(homes) != 1:
             raise InternalConsistencyError(
                 f"root {r} pairs with {len(homes)} components of its subsystem")
@@ -382,7 +381,7 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
 
     out = []
     for family, rank, csimple, croots in components:
-        expected = _ROOT_COUNT[family](rank)
+        expected = ROOT_COUNT[family](rank)
         if len(croots) != expected:
             raise InternalConsistencyError(
                 f"{family}{rank} component carries {len(croots)} roots, expected {expected}")
