@@ -301,10 +301,18 @@ def _jacobiator(sc, x, y, z):
     return {k: v for k, v in total.items() if v}
 
 
-def test_jacobi_check_fails_on_one_flipped_sign():
-    a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
-    broken = _with_flipped_sign(SC, a1, a3)
-    assert n(broken, a1, a3) == -n(SC, a1, a3) and n(broken, a3, a1) == -n(SC, a3, a1)
+# pairs (a, b) of positive roots, a before b in positive_roots, with a + b a root;
+# the first is (alpha_1, alpha_3)
+SUMMABLE_PAIRS = [(a, b) for i, a in enumerate(E6.positive_roots)
+                  for b in E6.positive_roots[i + 1:] if add(a, b) in E6.roots]
+
+
+@pytest.mark.parametrize("pair", [0, 1, 3, 10])
+def test_jacobi_check_fails_on_one_flipped_sign(pair):
+    a, b = SUMMABLE_PAIRS[pair]
+    assert SUMMABLE_PAIRS[0] == (E6.simple_roots[0], E6.simple_roots[2])
+    broken = _with_flipped_sign(SC, a, b)
+    assert n(broken, a, b) == -n(SC, a, b) and n(broken, b, a) == -n(SC, b, a)
     rep = check_jacobi(broken)
     assert not rep.ok
     assert rep.triples_checked == 76076
