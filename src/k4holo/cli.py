@@ -32,9 +32,9 @@ inside the first builtin group containing them unless qualified as
 "group:label" or pinned with --group.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error or
-stdout closed before the output was complete (no traceback then).
-stdout carries pure data; diagnostics go to stderr, and a closed stderr
-loses them without changing the exit code.
+stdout closed or not writable before the output was complete (no traceback
+then).  stdout carries pure data; diagnostics go to stderr, and a closed or
+unwritable stderr loses them without changing the exit code.
 """
 from __future__ import annotations
 
@@ -134,16 +134,20 @@ def _emit(doc, fmt: str, text_lines) -> None:
 
 
 def _quiet_stream(stream) -> None:
-    """Point a closed-for-reading stream at the null device, so the
+    """Point a stream whose writes fail at the null device, so the
     interpreter's final flush of what is left stays quiet too."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _diagnose(message: str, end: str = "\n") -> None:
-    """Write a diagnostic to stderr; a closed stderr loses it quietly."""
+    """Write a diagnostic to stderr; a closed or unwritable stderr loses it
+    quietly.  A stderr closed at start is None, and print would then write
+    to stdout."""
+    if _sys.stderr is None:
+        return
     try:
         print(message, end=end, file=_sys.stderr, flush=True)
-    except BrokenPipeError:
+    except OSError:
         _quiet_stream(_sys.stderr)
 
 
@@ -331,12 +335,15 @@ def _cmd_survey(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that its writes fail as the commands' do,
     where argparse drops the error: a closed stdout under -h reaches main,
-    and a closed stderr loses a usage error quietly."""
+    and a usage error goes to _diagnose (argparse would print the usage on
+    stdout when stderr is None)."""
+
+    def error(self, message):
+        _diagnose(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(2)
 
     def _print_message(self, message, file=None):
-        if file is _sys.stderr:
-            _diagnose(message, end="")
-        else:
+        if file is not None:  # None: stdout was closed at start, which main reports
             file.write(message)
 
 
@@ -404,10 +411,13 @@ def main(argv=None) -> int:
             if args.command in ("selftest",) and args.jobs < 1:
                 raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
             code = args.func(args)
+        if _sys.stdout is None:  # closed at start: print wrote nothing
+            return 2
         _sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout early.
+    except OSError:
+        # A write to stdout failed: the reader closed it early, or it is not
+        # writable.  The commands do no other I/O that can raise here.
         _quiet_stream(_sys.stdout)
         return 2
     except UsageError as exc:

@@ -33,18 +33,20 @@ The centre of the subalgebra is a count of lines, each of them compact
 subalgebra pointwise.  Ideals and centre are spelled by the summand
 renderer that ReductiveType.render uses too, rootsys.render_summands.
 
-theta's fixed roots are read from the root system's kernel of theta, which
-is computed once per character, and the centre of theta's fixed subalgebra
-is found by fraction-free integer elimination: no rational arithmetic.
+theta's fixed roots and their components are read from the root system,
+which keeps each once computed.  The centre of theta's fixed subalgebra is
+a closed formula, the generalised cross product of the simple_pairings
+rows of their five simple roots (entry c: (-1)^c times the determinant with
+column c deleted), made primitive with its last nonzero coordinate positive.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import RootSystem, SubsystemComponent, render_summands
+from .rootsys import RootSystem, SubsystemComponent, reductive_type, render_summands
 from .toral import TorusCharacter
 
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2}
@@ -153,66 +155,38 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
     return RealFormType(ideals=tuple(ideals), center=sub.rtype.center_dim)
 
 
-def _primitive(row: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
-def _integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of the right kernel of an integer matrix.
-
-    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot
-    column by scaling it with the pivot and subtracting a multiple of the
-    pivot row, then divided by the gcd of its entries; duplicate rows and
-    zero rows are dropped.  There is one basis vector per free column f,
-    with entry 1 scaled to positive at f and 0 at the other free columns,
-    divided by the gcd of its entries: the same basis that reduced row
-    echelon form over the rationals gives.
-    """
-    pending = list(dict.fromkeys(_primitive(row) for row in rows if any(row)))
-    echelon: list[tuple[int, tuple[int, ...]]] = []
-    for c in range(ncols):
-        pivot = next((row for row in pending if row[c]), None)
-        if pivot is None:
-            continue
-        p = pivot[c]
-
-        def clear(row):
-            f = row[c]
-            return _primitive([x * p - f * y for x, y in zip(row, pivot)]) if f else row
-
-        echelon = [(pc, clear(row)) for pc, row in echelon]
-        echelon.append((c, pivot))
-        pending = list(dict.fromkeys(r for r in map(clear, pending) if any(r)))
-    pivots = {pc for pc, _ in echelon}
-    scale = lcm(*(row[pc] for pc, row in echelon))
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = scale
-        for pc, row in echelon:
-            vec[pc] = -scale * row[fc] // row[pc]
-        basis.append(_primitive(vec))
-    return tuple(basis)
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant by Laplace expansion along the first row, zero entries skipped."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
 
 
 def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Basis of the centraliser directions {H : a(H) = 0 for all fixed roots a}.
 
     For any involution in the so(10)+R class the fixed subsystem has corank
-    one, so the result must be a single coweight line.
+    one, so the result is a single coweight line: the kernel of the 5 x 6
+    matrix M of its simple roots' simple_pairings rows, spanned by their
+    generalised cross product, entry c = (-1)^c det(M without column c).
+    Divided by its gcd, its last nonzero coordinate made positive, it is
+    the basis vector that row echelon form over the rationals gives.
     """
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError("center_of_fixed expects an involution of the so(10)+R class")
-    fixed = sorted(sys.kernel(theta))
-    rows = [sys.simple_pairings(r) for r in fixed]
-    basis = _integer_nullspace(rows, sys.rank)
-    if len(basis) != 1:
+    comps = sys.decomposition(sys.kernel(theta))
+    corank = reductive_type(comps, sys).center_dim
+    if corank != 1:
         raise InternalConsistencyError(
-            f"centre of the fixed subalgebra has dimension {len(basis)}, expected 1")
-    return basis
+            f"centre of the fixed subalgebra has dimension {corank}, expected 1")
+    rows = [sys.simple_pairings(s) for comp in comps for s in comp.simple]
+    cross = [(-1) ** c * _det([row[:c] + row[c + 1:] for row in rows])
+             for c in range(sys.rank)]
+    g = gcd(*cross)
+    if next(x for x in reversed(cross) if x) < 0:
+        g = -g
+    return (tuple(x // g for x in cross),)
 
 
 def holomorphic_type_check(sigma: TorusCharacter, theta: TorusCharacter,

@@ -589,6 +589,35 @@ def test_closed_stderr_keeps_exit_code_2(args):
     assert out == b""
 
 
+def _run_with_fd(args, fd, how, **pipes):
+    """Run the module with fd 1 or 2 closed before exec (Python then sets
+    that sys stream to None) or opened read-only (its writes fail with
+    EBADF)."""
+    with open(os.devnull, "rb") as readonly:
+        if how == "closed":
+            pipes["preexec_fn"] = lambda: os.close(fd)
+        else:
+            pipes["stdout" if fd == 1 else "stderr"] = readonly
+        return subprocess.run([sys.executable, "-m", "k4holo", *args], timeout=60, **pipes)
+
+
+@pytest.mark.parametrize("how", ["closed", "read-only"])
+@pytest.mark.parametrize("args", [["survey", "--theta", "zz"], ["nosuch"]])
+def test_closed_or_unwritable_stderr_exits_2_with_empty_stdout(args, how):
+    # a None stderr once sent the diagnostic, or argparse's usage, to stdout;
+    # a read-only one once raised EBADF out of _diagnose, exit 1
+    proc = _run_with_fd(args, 2, how, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize("args,how", [(["theorem24"], "closed"), (["selftest"], "closed"),
+                                      (["-h"], "closed"), (["theorem24"], "read-only")])
+def test_closed_or_unwritable_stdout_exits_2_without_traceback(args, how):
+    # each once ended in an AttributeError or OSError traceback, exit 1
+    proc = _run_with_fd(args, 1, how, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "k4holo", "classify", "--char",
@@ -621,6 +650,6 @@ def test_both_launchers_use_one_entry_function(monkeypatch):
     monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 7)
     assert entry.run() == 7
     assert calls == ["freeze", "main"]
-    pyproject = Path(entry.__file__).parents[2] / "pyproject.toml"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"k4holo": "k4holo.__main__:run"}

@@ -315,7 +315,9 @@ def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
 
 def test_classify_all_decomposes_each_distinct_subset_once_unvalidated(monkeypatch):
     # Every subset classify_all decomposes is a kernel intersection, closed
-    # by construction, so none goes through the public boundary's validation.
+    # by construction, so none goes through the public boundary's validation:
+    # the 25 distinct fixed-root sets of its 28 fixed subalgebras, and the
+    # 9 distinct theta kernels whose simple roots center_of_fixed reads.
     from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
     validated, decomposed = [], []
@@ -333,7 +335,7 @@ def test_classify_all_decomposes_each_distinct_subset_once_unvalidated(monkeypat
     monkeypatch.setattr(rootsys, "_validate_closed", validating)
     monkeypatch.setattr(rootsys, "_decompose", decomposing)
     assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
-    assert len(decomposed) == len(set(decomposed)) == 25
+    assert len(decomposed) == len(set(decomposed)) == 34
     assert validated == []
 
 

@@ -8,14 +8,38 @@ from k4holo.errors import InternalConsistencyError, PreconditionError, UnmappedP
 from k4holo.pipeline import builtin_groups
 from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              holomorphic_type_check, identify_real_form,
-                             _ideal_label, _integer_nullspace)
+                             _ideal_label)
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
-from k4holo.rootsys import Root, RootSystem, _reflect, build_root_system, decompose_closed_subset
+from k4holo.rootsys import Root, RootSystem, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
 from oracles import complexification, pairing
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
+
+
+def _t2(n: int) -> TorusCharacter:
+    """The element of T[2] whose exponents on the six simple roots are the bits of n."""
+    return TorusCharacter(2, tuple(n >> i & 1 for i in range(6)))
+
+
+# The 27 sigma2 elements of T[2], told by their 40 fixed roots with evaluate alone.
+SIGMA2_T2 = [t for t in map(_t2, range(64)) if sum(t.evaluate(r) == 0 for r in E6.roots) == 40]
+
+
+def _w_orbit(v: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """W-orbit of a vector in simple-root coordinates, closed under the
+    simple reflections v -> v - (v, alpha_i) alpha_i."""
+    orbit, frontier = {v}, [v]
+    while frontier:
+        u = frontier.pop()
+        for i, alpha in enumerate(E6.simple_roots):
+            w = list(u)
+            w[i] -= pairing(E6, u, alpha)
+            if (w := tuple(w)) not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
 
 
 def forms_of(group_name, gamma_labels, theta_label):
@@ -137,16 +161,29 @@ def test_centre_coweight_orbit_has_27_elements_without_its_negative():
     # subalgebra to -H0.  Automorphisms of the E6 root system are W x {+-1},
     # so every one that fixes H0 lies in W.
     h0 = center_of_fixed(sigma2_reference(), E6)[0]
-    orbit, frontier = {h0}, [h0]
-    while frontier:
-        v = frontier.pop()
-        for i in range(E6.rank):
-            w = _reflect(E6.cartan, v, i)
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
+    orbit = _w_orbit(h0)
     assert len(orbit) == 27
     assert tuple(-c for c in h0) not in orbit
+
+
+def test_centres_grade_the_roots_and_are_one_orbit_up_to_sign():
+    # Independent of the engine's linear algebra: z generates the centre of
+    # k = g^theta, so ad z has eigenvalues -3, 0, 3 on g = p- + k + p+
+    # (Knapp, Lie Groups Beyond an Introduction, VII.9), 0 exactly on the
+    # roots theta fixes; and the centres are W-conjugate up to sign.
+    assert len(SIGMA2_T2) == 27
+    centres = set()
+    for theta in SIGMA2_T2:
+        z = center_of_fixed(theta, E6)[0]
+        for r in E6.roots:
+            assert pairing(E6, r, z) in (-3, 0, 3)
+            assert (pairing(E6, r, z) == 0) == (theta.evaluate(r) == 0)
+        centres |= {z, tuple(-c for c in z)}
+    z0 = center_of_fixed(sigma2_reference(), E6)[0]
+    orbit = _w_orbit(z0)
+    assert len(orbit) == 27
+    assert centres == orbit | _w_orbit(tuple(-c for c in z0))
+    assert len(centres) == 54
 
 
 def test_theta_shift_by_gamma_is_invisible():
@@ -197,14 +234,6 @@ def test_compact_part_dimensions():
     assert RealFormLabel("so", 5).compact_part_dim == 45
 
 
-def test_nullspace_helper():
-    rows = [(1, 0, -1), (0, 1, 0)]
-    basis = _integer_nullspace(rows, 3)
-    assert basis == ((1, 0, 1),)
-    assert _integer_nullspace([(1, 2, 3)], 3) == ((-2, 1, 0), (-3, 0, 1))
-    assert _integer_nullspace([(2, 4)], 2) == ((-2, 1),)
-
-
 def _fraction_nullspace(rows, ncols):
     """Reference: reduced row echelon form over the rationals, then one
     primitive integer vector per free column (entry 1 there, scaled)."""
@@ -237,36 +266,22 @@ def _fraction_nullspace(rows, ncols):
     return tuple(basis)
 
 
-_MATRICES = st.integers(0, 7).flatmap(
-    lambda ncols: st.tuples(
-        st.lists(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
-                 .map(tuple), max_size=9),
-        st.just(ncols)))
+def test_fraction_nullspace_on_hand_worked_matrices():
+    assert _fraction_nullspace([(1, 0, -1), (0, 1, 0)], 3) == ((1, 0, 1),)
+    assert _fraction_nullspace([(1, 2, 3)], 3) == ((-2, 1, 0), (-3, 0, 1))
+    assert _fraction_nullspace([(2, 4)], 2) == ((-2, 1),)
 
 
-@given(_MATRICES)
-@settings(max_examples=200, deadline=None)
-def test_integer_nullspace_matches_rational_elimination(matrix):
-    rows, ncols = matrix
-    # Repeated and negated rows exercise the duplicate-row dropping.
-    rows = rows + rows[:2] + [tuple(-x for x in row) for row in rows[:1]]
-    basis = _integer_nullspace(rows, ncols)
-    assert basis == _fraction_nullspace(rows, ncols)
-    for vec in basis:
-        assert gcd(*vec) == 1
-        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+def test_center_of_fixed_matches_rational_elimination_on_t2():
+    # The reference eliminates all 40 fixed-root rows; the engine reads
+    # only the five simple roots' rows.
+    for theta in SIGMA2_T2:
+        fixed = sorted(r for r in E6.roots if theta.evaluate(r) == 0)
+        rows = [tuple(pairing(E6, r, s) for s in E6.simple_roots) for r in fixed]
+        assert center_of_fixed(theta, E6) == _fraction_nullspace(rows, 6)
 
 
-def test_integer_nullspace_of_the_centre_rows():
-    # The rows center_of_fixed eliminates for the sigma2 reference.
-    fixed = sorted(E6.kernel(sigma2_reference()))
-    rows = [tuple(pairing(E6, r, s) for s in E6.simple_roots) for r in fixed]
-    assert _integer_nullspace(rows, 6) == _fraction_nullspace(rows, 6)
-    assert center_of_fixed(sigma2_reference(), E6) == _fraction_nullspace(rows, 6)
-
-
-# An element of T[2]: its exponents on the six simple roots, as the bits of 0..63.
-_T2 = st.integers(0, 63).map(lambda n: TorusCharacter(2, tuple(n >> i & 1 for i in range(6))))
+_T2 = st.integers(0, 63).map(_t2)
 
 
 @given(st.lists(_T2.filter(lambda c: c.order == 2), min_size=1, max_size=2), _T2)

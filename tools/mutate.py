@@ -11,7 +11,8 @@ left alone: the package never evaluates them.
 
 For each mutant the package is copied to a temporary directory with the
 mutated module in place, and the module's test subset (TESTS) runs on the
-copy with `pytest -x` and a fixed hypothesis seed.  A mutant is killed when
+copy with `pytest -x`, a fixed hypothesis seed and the "mutate" hypothesis
+profile of tests/conftest.py, which skips shrinking.  A mutant is killed when
 the tests fail or run out of time, and survives when they pass.  The tests
 must pass on the unmutated package first.  The score goes to stdout, and
 the survivors, with their line and change, to FILE (default mutants.json).
@@ -182,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     for module in args.modules:
         tests = [str(ROOT / "tests" / name) for name in TESTS[module]]
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", f"--rootdir={ROOT}", *tests]
+                   "--hypothesis-seed=0", "--hypothesis-profile=mutate", f"--rootdir={ROOT}",
+                   *tests]
         result = run(PACKAGE / f"{module}.py", command)
         results.append(result)
         print(f"{module}: {result['killed']} of {result['mutants']} mutants killed, "
