@@ -28,7 +28,7 @@ _EXPORTS = {
     "reductive": ("ConjClass", "FixedSubalgebra", "classify_involution",
                   "fixed_subalgebra", "mu", "sigma1_reference", "sigma2_reference"),
     "rootsys": ("ReductiveType", "Root", "RootSystem", "SubsystemComponent",
-                "build_root_system", "decompose_closed_subset", "identify_subsystem"),
+                "build_root_system", "decompose_closed_subset"),
     "toral": ("GROUP_NAMES", "CharacterGroup", "TorusCharacter", "builtin_groups",
               "embed_su6_sp1", "generate_group", "identity_character"),
 }

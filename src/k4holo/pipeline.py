@@ -11,10 +11,8 @@ subgroup and per group.  The report holds each fact once: a candidate
 keeps its group's name and its own labels and types, its maximal compact
 subalgebra (the group's fixed subalgebra) is read from the GroupCandidates
 that holds it, and the report's flat candidate list is derived from its
-groups.  The holomorphic-type condition holds by
-construction for toral sigma, so only its premise on theta (the so(10)+R
-class with a corank-1 centre) is checked, once per theta of each group:
-12 center_of_fixed calls per classify_all, on 9 distinct thetas.
+groups.  Every candidate is of holomorphic type by construction, as the
+realform module docstring argues: theta is chosen by sigma2_elements.
 Deduplication is by real-form type equality, not by conjugacy: all raw
 candidates stay inspectable in the report, and "eight" counts types.  An
 automorphism carrying (theta, Gamma) to (theta', Gamma') carries each g^sigma,
@@ -30,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError, VerificationError
-from .realform import RealFormType, center_of_fixed, identify_real_form
+from .realform import RealFormType, identify_real_form
 from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
 from .rootsys import ReductiveType, RootSystem
 from .toral import GROUP_NAMES, CharacterGroup, TorusCharacter, builtin_groups
@@ -143,10 +141,7 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
 
     theta runs over the Cartan-involution-class elements, Gamma over the
     Klein four subgroups not containing theta; commutation is automatic on
-    a shared torus.  Every sigma in Gamma fixes the centre generator of
-    theta's fixed subalgebra, because it lies in the Cartan subalgebra that
-    toral characters fix pointwise; only the premise on theta (its class
-    and the corank-1 centre) can fail, so center_of_fixed checks it once.
+    a shared torus, and so is holomorphic type (see realform).
 
     Each Gamma's fixed subalgebra is computed once, however many thetas it
     pairs with.  Gamma and theta together generate the whole rank-3 group,
@@ -161,7 +156,6 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
               if any(theta not in sub.chars for _, theta in thetas)]
     out = []
     for theta_label, theta in thetas:
-        center_of_fixed(theta, sys)
         for sub, fixed_gamma in gammas:
             if theta in sub.chars:
                 continue

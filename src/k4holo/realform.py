@@ -37,11 +37,19 @@ theta's fixed roots and their components are read from the root system,
 which keeps each once computed.  The centre of theta's fixed subalgebra is
 a closed formula, the generalised cross product of the simple_pairings
 rows of their five simple roots (entry c: (-1)^c times the determinant with
-column c deleted), made primitive with its last nonzero coordinate positive.
+column c deleted), signed so that its last nonzero coordinate is positive.
+
+A pair (theta, Gamma) is of holomorphic type when every sigma in Gamma
+fixes that centre.  For toral sigma this holds by construction: the centre
+lies in the Cartan subalgebra, which toral characters fix pointwise.  What
+is left is the premise on theta, its so(10)+R class, and the pipeline
+settles it where it chooses theta: sigma2_elements keeps exactly the
+elements of that class, and D5 is the only closed subsystem of E6 with 40
+roots, so the centre of their fixed subalgebra is one line.  Nothing in
+the classification calls center_of_fixed or holomorphic_type_check.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
@@ -170,8 +178,9 @@ def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, 
     one, so the result is a single coweight line: the kernel of the 5 x 6
     matrix M of its simple roots' simple_pairings rows, spanned by their
     generalised cross product, entry c = (-1)^c det(M without column c).
-    Divided by its gcd, its last nonzero coordinate made positive, it is
-    the basis vector that row echelon form over the rationals gives.
+    It is primitive on every accepted input, pinned by the T[2] test; with
+    its last nonzero coordinate made positive, it is the basis vector that
+    row echelon form over the rationals gives.
     """
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError("center_of_fixed expects an involution of the so(10)+R class")
@@ -183,22 +192,17 @@ def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, 
     rows = [sys.simple_pairings(s) for comp in comps for s in comp.simple]
     cross = [(-1) ** c * _det([row[:c] + row[c + 1:] for row in rows])
              for c in range(sys.rank)]
-    g = gcd(*cross)
     if next(x for x in reversed(cross) if x) < 0:
-        g = -g
-    return (tuple(x // g for x in cross),)
+        cross = [-x for x in cross]
+    return (tuple(cross),)
 
 
 def holomorphic_type_check(sigma: TorusCharacter, theta: TorusCharacter,
                            sys: RootSystem) -> bool:
     """Whether sigma fixes the centre generator of theta's fixed subalgebra.
 
-    The generator lies in the Cartan subalgebra and toral characters act
-    trivially there, so for the automorphisms representable in this engine
-    the answer is always True; only the per-theta premise (theta's class
-    and corank) can fail, and that raises.  A non-toral automorphism could
-    fail the condition, but none is representable here, which is why the
-    classification pipeline calls center_of_fixed once per theta instead.
+    Always True for the toral sigma this engine represents (see the module
+    docstring); a theta outside the so(10)+R class raises.
     """
     if sigma.order > 2:
         raise PreconditionError("sigma must be an involution or the identity")

@@ -354,11 +354,6 @@ def _decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemCompone
     return tuple(out)
 
 
-def identify_subsystem(subset: Iterable[Root], sys: RootSystem) -> ReductiveType:
-    """Name the reductive type of a closed root subset."""
-    return reductive_type(decompose_closed_subset(subset, sys), sys)
-
-
 def reductive_type(comps: Iterable[SubsystemComponent], sys: RootSystem) -> ReductiveType:
     """Reductive type of a subsystem given by its irreducible components.
 

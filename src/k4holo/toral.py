@@ -176,7 +176,7 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
     if len(labels) != 1 << k or len(set(labels.values())) != 1 << k:
         raise ValidationError(
             f"base names {[label for label, _ in base]} do not give "
-            f"{1 << k} distinct elements {1 << k} distinct words")
+            f"{1 << k} distinct elements and {1 << k} distinct words")
     return CharacterGroup(name=name, labels=labels)
 
 

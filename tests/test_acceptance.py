@@ -13,7 +13,8 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
                              builtin_groups, classify_all, report_to_dict,
                              sigma2_elements, symmetric_pair_survey)
 from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra, mu
-from k4holo.rootsys import _reflect, build_root_system, identify_subsystem
+from k4holo.rootsys import (_reflect, build_root_system, decompose_closed_subset,
+                            reductive_type)
 from k4holo.toral import TorusCharacter, embed_su6_sp1
 from oracles import bracket, n, pairing
 
@@ -173,9 +174,9 @@ def test_criterion_7_property_suites():
                 for _ in range(rng.randrange(1, 3))]
             subset = frozenset(r for r in E6.roots
                                if all(c.evaluate(r) == 0 for c in chars))
-            t = identify_subsystem(subset, E6)
+            t = reductive_type(decompose_closed_subset(subset, E6), E6)
             word = [rng.randrange(6) for _ in range(rng.randrange(1, 12))]
             image = subset
             for i in word:
                 image = frozenset(_reflect(E6.cartan, r, i) for r in image)
-            assert identify_subsystem(image, E6) == t
+            assert reductive_type(decompose_closed_subset(image, E6), E6) == t

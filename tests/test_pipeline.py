@@ -280,21 +280,22 @@ def test_report_deterministic():
     assert report_to_dict(again) == report_to_dict(REPORT)
 
 
-def test_classify_all_checks_each_sigma2_theta_once(monkeypatch):
-    from k4holo import pipeline, realform
+def test_classify_all_and_realform_never_compute_the_centre(monkeypatch, capsys):
+    # theta's holomorphic-type premise is settled where sigma2_elements
+    # chooses theta; neither path re-checks it through center_of_fixed.
+    from k4holo import cli, pipeline, realform
     seen = []
-    original = realform.center_of_fixed
 
-    def counting(theta, sys):
+    def recording(theta, sys):
         seen.append(theta)
-        return original(theta, sys)
 
     # Patch the name wherever the classification can reach it.
-    monkeypatch.setattr(realform, "center_of_fixed", counting)
-    monkeypatch.setattr(pipeline, "center_of_fixed", counting, raising=False)
+    monkeypatch.setattr(realform, "center_of_fixed", recording)
+    monkeypatch.setattr(pipeline, "center_of_fixed", recording, raising=False)
     assert classify_all(E6).distinct_pairs == REPORT.distinct_pairs
-    assert len(seen) == 1 + 3 + 3 + 5
-    assert len(seen) == sum(len(sigma2_elements(GROUPS[n], E6)) for n in GROUP_NAMES)
+    assert cli.main(["realform", "--gamma", "y3", "y4", "--theta", "y5", "--group", "y3y4y5"]) == 0
+    assert capsys.readouterr().out == "su(4,1)+2c\n"
+    assert seen == []
 
 
 def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
@@ -316,8 +317,7 @@ def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
 def test_classify_all_decomposes_each_distinct_subset_once_unvalidated(monkeypatch):
     # Every subset classify_all decomposes is a kernel intersection, closed
     # by construction, so none goes through the public boundary's validation:
-    # the 25 distinct fixed-root sets of its 28 fixed subalgebras, and the
-    # 9 distinct theta kernels whose simple roots center_of_fixed reads.
+    # the 25 distinct fixed-root sets of its 28 fixed subalgebras.
     from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
     validated, decomposed = [], []
@@ -335,7 +335,7 @@ def test_classify_all_decomposes_each_distinct_subset_once_unvalidated(monkeypat
     monkeypatch.setattr(rootsys, "_validate_closed", validating)
     monkeypatch.setattr(rootsys, "_decompose", decomposing)
     assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
-    assert len(decomposed) == len(set(decomposed)) == 34
+    assert len(decomposed) == len(set(decomposed)) == 25
     assert validated == []
 
 

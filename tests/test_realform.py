@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
-from k4holo.pipeline import builtin_groups
+from k4holo.pipeline import GROUP_NAMES, builtin_groups, sigma2_elements
 from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              holomorphic_type_check, identify_real_form,
                              _ideal_label)
@@ -128,12 +128,15 @@ def test_center_of_fixed_reference():
     assert any(pairing(E6, r, z) != 0 for r in E6.roots)
 
 
-@pytest.mark.parametrize("group,label", [
-    ("x1x2x4", "x4"), ("x1x4x5", "x4"), ("x1x4x5", "x5"),
-    ("y1y3y4", "y3"), ("y3y4y5", "y5"),
-])
+# Every theta the classification pairs: its holomorphic-type premise, which
+# the pipeline does not re-check, holds on each.
+@pytest.mark.parametrize("group,label", [(name, label) for name in GROUP_NAMES
+                                         for label in sigma2_elements(GROUPS[name], E6)])
 def test_center_of_fixed_for_builtin_thetas(group, label):
     theta = GROUPS[group].element(label)
+    rtype = fixed_subalgebra([theta], E6).rtype
+    assert rtype.components == (("D", 5),)
+    assert rtype.center_dim == 1
     basis = center_of_fixed(theta, E6)
     assert len(basis) == 1
     fixed = [r for r in E6.roots if theta.evaluate(r) == 0]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
 from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
-                            build_root_system, decompose_closed_subset, identify_subsystem,
+                            build_root_system, decompose_closed_subset, reductive_type,
                             _cartan_matrix, _component_sort_key, _reflect, _validate_closed)
 from oracles import ROOT_COUNT, is_positive, pairing
 
@@ -15,6 +15,12 @@ E6 = build_root_system("E", 6)
 
 def negate(r):
     return tuple(-c for c in r)
+
+
+def subsystem_type(subset):
+    """Reductive type of a closed subset of E6, decomposed through the
+    validating public boundary."""
+    return reductive_type(decompose_closed_subset(subset, E6), E6)
 
 
 def weyl_image(subset, word, sys):
@@ -107,34 +113,34 @@ def test_unsupported_types_rejected(family, rank):
 
 
 def test_identify_whole_system():
-    t = identify_subsystem(E6.roots, E6)
+    t = subsystem_type(E6.roots)
     assert t.components == (("E", 6),)
     assert t.center_dim == 0
 
 
 def test_identify_alpha2_kernel_is_a5():
     subset = {r for r in E6.roots if r[1] == 0}
-    t = identify_subsystem(subset, E6)
+    t = subsystem_type(subset)
     assert t.components == (("A", 5),)
     assert t.center_dim == 1
 
 
 def test_identify_alpha6_kernel_is_d5():
     subset = {r for r in E6.roots if r[5] == 0}
-    t = identify_subsystem(subset, E6)
+    t = subsystem_type(subset)
     assert t.components == (("D", 5),)
     assert t.center_dim == 1
 
 
 def test_identify_alpha4_kernel():
     subset = {r for r in E6.roots if r[3] == 0}
-    t = identify_subsystem(subset, E6)
+    t = subsystem_type(subset)
     assert t.components == (("A", 2), ("A", 2), ("A", 1))
     assert t.center_dim == 1
 
 
 def test_identify_empty_subset():
-    t = identify_subsystem(set(), E6)
+    t = subsystem_type(set())
     assert t.components == ()
     assert t.center_dim == 6
 
@@ -142,12 +148,12 @@ def test_identify_empty_subset():
 def test_closure_violations_rejected():
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
     with pytest.raises(PreconditionError):
-        identify_subsystem({a1}, E6)  # missing -a1
+        decompose_closed_subset({a1}, E6)  # missing -a1
     with pytest.raises(PreconditionError):
         # a1 + a3 is a root but absent
-        identify_subsystem({a1, negate(a1), a3, negate(a3)}, E6)
+        decompose_closed_subset({a1, negate(a1), a3, negate(a3)}, E6)
     with pytest.raises(PreconditionError):
-        identify_subsystem({(1, 1, 1, 1, 1, 2)}, E6)  # not a root at all
+        decompose_closed_subset({(1, 1, 1, 1, 1, 2)}, E6)  # not a root at all
 
 
 def test_invalid_subset_raises_on_every_call():
@@ -212,29 +218,29 @@ def closed_subsets_for_tests(count, seed=0):
 def test_identify_weyl_invariance_100_random_closed_subsets():
     rng = random.Random(1)
     for subset in closed_subsets_for_tests(100):
-        t = identify_subsystem(subset, E6)
+        t = subsystem_type(subset)
         word = [rng.randrange(6) for _ in range(rng.randrange(1, 12))]
         image = weyl_image(subset, word, E6)
-        assert identify_subsystem(image, E6) == t
+        assert subsystem_type(image) == t
 
 
 def test_identify_negation_invariance():
     for subset in closed_subsets_for_tests(20, seed=3):
-        t = identify_subsystem(subset, E6)
-        assert identify_subsystem({negate(r) for r in subset}, E6) == t
+        t = subsystem_type(subset)
+        assert subsystem_type({negate(r) for r in subset}) == t
 
 
 def test_subset_size_forced_by_type():
     for subset in closed_subsets_for_tests(30, seed=5):
-        t = identify_subsystem(subset, E6)
+        t = subsystem_type(subset)
         assert len(subset) == sum(ROOT_COUNT[f](r) for f, r in t.components)
 
 
 def test_reductive_type_render():
-    t = identify_subsystem({r for r in E6.roots if r[1] == 0}, E6)
+    t = subsystem_type({r for r in E6.roots if r[1] == 0})
     assert t.render() == "su(6)+c"
-    assert identify_subsystem(set(), E6).render() == "6c"
-    assert identify_subsystem(E6.roots, E6).render() == "e6"
+    assert subsystem_type(set()).render() == "6c"
+    assert subsystem_type(E6.roots).render() == "e6"
 
 
 def test_root_tables_are_built_on_first_use():

@@ -161,6 +161,7 @@ def test_embed_rejects_determinant_violation():
 
 def test_embed_su6_sp1_reduces_and_validates():
     assert embed_su6_sp1(4, (6, -2, 0, 2, 2, 0), 5) == embed_su6_sp1(4, (2, 2, 0, 2, 2, 0), 1)
+    assert embed_su6_sp1(1, (5, 0, 0, 0, 0, 0), 3) == identity_character()
     with pytest.raises(ValidationError, match=r"^modulus must be >= 1$"):
         embed_su6_sp1(0, (0,) * 6, 0)
     with pytest.raises(ValidationError, match=r"^diagonal needs 6 exponents$"):
@@ -197,7 +198,8 @@ def test_generate_group_rank3_labels():
 def test_generate_group_rejects_dependent_base():
     a = embed_su6_sp1(4, (0,) * 6, 2)            # x1 of x1x2x4
     b = embed_su6_sp1(4, (1, 1, 1, 3, 3, 3), 1)  # x2 of x1x2x4
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^base names \['a', 'b', 'c'\] do not give "
+                       r"8 distinct elements and 8 distinct words$"):
         generate_group([("a", a), ("b", b), ("c", a * b)])
 
 
@@ -225,6 +227,7 @@ def test_pipeline_reexports_the_builtin_groups():
 
 
 def test_generate_group_rejects_higher_order():
-    chi = TorusCharacter(4, (1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValidationError):
-        generate_group([("bad", chi)])
+    for order in (3, 4):
+        chi = TorusCharacter(order, (1, 0, 0, 0, 0, 0))
+        with pytest.raises(ValidationError, match=f"^generator 'bad' has order {order} > 2;"):
+            generate_group([("bad", chi)])

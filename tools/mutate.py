@@ -41,7 +41,7 @@ JOBS = min(2, os.cpu_count() or 1)
 _CORE = ("test_realform.py", "test_golden.py", "test_reductive.py", "test_pipeline.py")
 TESTS = {
     "rootsys": ("test_rootsys.py", *_CORE),
-    "toral": ("test_toral.py", *_CORE),
+    "toral": ("test_toral.py", "test_records.py", *_CORE),
     "reductive": ("test_reductive.py", "test_realform.py", "test_golden.py", "test_pipeline.py"),
     "realform": _CORE,
     "pipeline": ("test_pipeline.py", "test_golden.py", "test_realform.py", "test_reductive.py",
