@@ -31,9 +31,11 @@ Element labels (x1, x2, x4, x5, y1, y3, y4, y5 and their products) resolve
 inside the first builtin group containing them unless qualified as
 "group:label" or pinned with --group.
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error or
-stdout closed or not writable before the output was complete (no traceback
-then).  stdout carries pure data; diagnostics go to stderr, and a closed or
+Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error
+("usage error:" on stderr), input the engine rejects (roots --type E7, a
+refused realform pair) or an engine fault ("error:" on stderr), or stdout
+closed or not writable before the output was complete (no traceback then).
+stdout carries pure data; diagnostics go to stderr, and a closed or
 unwritable stderr loses them without changing the exit code.
 """
 from __future__ import annotations

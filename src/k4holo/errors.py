@@ -1,7 +1,9 @@
 """Exception hierarchy for the engine.
 
 Everything user-facing derives from EngineError so the CLI can map the
-whole family onto exit codes without enumerating causes.
+whole family onto exit codes without enumerating causes: a VerificationError
+exits 1, a UsageError exits 2 after "usage error:", and any other
+EngineError exits 2 after "error:".
 """
 from __future__ import annotations
 
@@ -10,24 +12,14 @@ class EngineError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigurationError(EngineError):
-    """Unsupported type/rank or invalid global configuration."""
-
-
 class PreconditionError(EngineError):
-    """An operation was called on input violating its stated precondition."""
-
-
-class ValidationError(EngineError):
-    """Constructed data failed a structural validity check."""
+    """An operation was called on input violating its stated precondition,
+    such as an unsupported type or rank, bad character or group data, or an
+    ideal with no real-form vocabulary."""
 
 
 class InternalConsistencyError(EngineError):
     """A condition that must hold for any correct build failed; this is a bug."""
-
-
-class UnmappedPatternError(EngineError):
-    """A simple ideal has no entry in the real-form vocabulary."""
 
 
 class VerificationError(EngineError):

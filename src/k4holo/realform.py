@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
+from .errors import InternalConsistencyError, PreconditionError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
 from .rootsys import RootSystem, SubsystemComponent, reductive_type, render_summands
 from .toral import TorusCharacter
@@ -122,7 +122,7 @@ class RealFormType(NamedTuple("RealFormType", [("ideals", tuple[RealFormLabel, .
 def _ideal_label(comp: SubsystemComponent, theta: TorusCharacter) -> RealFormLabel:
     family, n = comp.family, comp.rank
     if family not in ("A", "D"):
-        raise UnmappedPatternError(f"no real-form vocabulary for an {family}{n} ideal")
+        raise PreconditionError(f"no real-form vocabulary for an {family}{n} ideal")
     paints = [theta.evaluate(s) != 0 for s in comp.simple]
     if family == "D" and paints[-2] != paints[-1]:
         # so*(8) and so(6,2) are the same algebra; the so(6,2) spelling wins.

@@ -39,7 +39,7 @@ from itertools import groupby
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import PreconditionError
 
 if TYPE_CHECKING:
     from .toral import TorusCharacter
@@ -62,22 +62,22 @@ _COMPACT_NAME = {
 
 def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     if rank > MAX_RANK:
-        raise ConfigurationError(f"{family}{rank} is above the largest supported rank {MAX_RANK}")
+        raise PreconditionError(f"{family}{rank} is above the largest supported rank {MAX_RANK}")
     if family == "A":
         if rank < 1:
-            raise ConfigurationError(f"A{rank} is not a valid type (need rank >= 1)")
+            raise PreconditionError(f"A{rank} is not a valid type (need rank >= 1)")
         edges = [(i, i + 1) for i in range(1, rank)]
     elif family == "D":
         if rank < 4:
-            raise ConfigurationError(f"D{rank} is not a valid type here (need rank >= 4)")
+            raise PreconditionError(f"D{rank} is not a valid type here (need rank >= 4)")
         edges = [(i, i + 1) for i in range(1, rank - 1)]
         edges.append((rank - 2, rank))
     elif family == "E":
         if rank != 6:
-            raise ConfigurationError(f"E{rank} is not supported (only E6)")
+            raise PreconditionError(f"E{rank} is not supported (only E6)")
         edges = list(_E6_EDGES)
     else:
-        raise ConfigurationError(f"unsupported family {family!r} (want A, D or E)")
+        raise PreconditionError(f"unsupported family {family!r} (want A, D or E)")
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in edges:
         a[i - 1][j - 1] = -1

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 
 RANK = 6
 
@@ -49,9 +49,9 @@ class TorusCharacter:
 
     def __init__(self, modulus: int, exps: tuple[int, ...]):
         if modulus < 1:
-            raise ValidationError("character modulus must be >= 1")
+            raise PreconditionError("character modulus must be >= 1")
         if len(exps) != RANK:
-            raise ValidationError(f"need {RANK} exponents, got {len(exps)}")
+            raise PreconditionError(f"need {RANK} exponents, got {len(exps)}")
         exps = tuple(e % modulus for e in exps)
         g = reduce(gcd, exps, modulus)
         object.__setattr__(self, "modulus", modulus // g)
@@ -108,12 +108,12 @@ def embed_su6_sp1(modulus: int, diag: Sequence[int], sp1: int) -> TorusCharacter
     the quotient that actually acts on e6.
     """
     if modulus < 1:
-        raise ValidationError("modulus must be >= 1")
+        raise PreconditionError("modulus must be >= 1")
     if len(diag) != 6:
-        raise ValidationError("diagonal needs 6 exponents")
+        raise PreconditionError("diagonal needs 6 exponents")
     d = [e % modulus for e in diag]
     if sum(d) % modulus != 0:
-        raise ValidationError(
+        raise PreconditionError(
             f"determinant violation: diagonal exponents {d} "
             f"do not sum to 0 mod {modulus}")
     chain = [d[i] - d[i + 1] for i in range(5)]
@@ -161,7 +161,7 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
     base = tuple(base)
     for label, char in base:
         if char.order > 2:
-            raise ValidationError(
+            raise PreconditionError(
                 f"generator {label!r} has order {char.order} > 2; "
                 "expected an elementary abelian 2-group")
     k = len(base)
@@ -174,7 +174,7 @@ def generate_group(base: Iterable[tuple[str, TorusCharacter]], name: str = "") -
                 char = char * base[i][1]
         labels[word] = char
     if len(labels) != 1 << k or len(set(labels.values())) != 1 << k:
-        raise ValidationError(
+        raise PreconditionError(
             f"base names {[label for label, _ in base]} do not give "
             f"{1 << k} distinct elements and {1 << k} distinct words")
     return CharacterGroup(name=name, labels=labels)

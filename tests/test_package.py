@@ -1,22 +1,25 @@
 """The package's export table: each name, its home module, and what
 importing the package loads."""
+import ast
+import builtins
 import importlib
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import k4holo
+from k4holo import errors
 from k4holo.toral import TorusCharacter
 
 # Every name the package exports, by home module.
 EXPORTS = {
     "chevalley": ("JacobiReport", "StructureConstants", "build_chevalley_basis",
                   "check_jacobi", "export_n_table", "killing_form"),
-    "errors": ("ConfigurationError", "EngineError", "InternalConsistencyError",
-               "PreconditionError", "UnmappedPatternError", "UsageError",
-               "ValidationError", "VerificationError"),
+    "errors": ("EngineError", "InternalConsistencyError", "PreconditionError",
+               "UsageError", "VerificationError"),
     "pipeline": ("GOLDEN_PAIRS", "SURVEY_FORMS", "GroupCandidates", "K4Candidate",
                  "K4Report", "SurveyResult", "classify_all", "enumerate_candidates",
                  "klein_four_subgroups", "report_to_dict", "report_to_markdown",
@@ -32,10 +35,32 @@ EXPORTS = {
 }
 
 
-def test_all_lists_the_52_exports():
+def test_all_lists_the_49_exports():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == len(set(names)) == 52
+    assert len(names) == len(set(names)) == 49
     assert sorted(k4holo.__all__) == names
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    """The class name a raise statement names (its call's callee, or the
+    bare name); None for a bare re-raise."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if exc is None:
+        return None
+    return exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def test_errors_defines_exactly_the_five_classes_and_nothing_raises_another():
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert classes == set(EXPORTS["errors"])
+    assert all(issubclass(getattr(errors, name), errors.EngineError) for name in classes)
+    raised = set()
+    for path in Path(k4holo.__file__).parent.glob("*.py"):
+        raised |= {_raised_name(node) for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Raise)}
+    raised -= {None, *(name for name in raised if hasattr(builtins, name))}
+    assert raised and raised <= classes
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k4holo.errors import InternalConsistencyError, PreconditionError, UnmappedPatternError
+from k4holo.errors import InternalConsistencyError, PreconditionError
 from k4holo.pipeline import GROUP_NAMES, builtin_groups, sigma2_elements
 from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              holomorphic_type_check, identify_real_form,
@@ -109,7 +109,7 @@ def test_complexification_matches_compact_dual():
 
 def test_exceptional_ideal_is_unmapped():
     fs = fixed_subalgebra([], E6)
-    with pytest.raises(UnmappedPatternError):
+    with pytest.raises(PreconditionError):
         identify_real_form(fs, sigma1_reference(), E6)
 
 
@@ -314,7 +314,7 @@ def _reference_ideal_label(family: str, n: int, comp_roots: frozenset[Root],
             return RealFormLabel("su", n + 1)
         if family == "D":
             return RealFormLabel("so", n)
-        raise UnmappedPatternError(
+        raise PreconditionError(
             f"no real-form vocabulary for a compact {family}{n} ideal")
 
     sub = decompose_closed_subset(fixed_in, sys)
@@ -328,7 +328,7 @@ def _reference_ideal_label(family: str, n: int, comp_roots: frozenset[Root],
             p, q = ranks[0] + 1, ranks[1] + 1
             if p + q == n + 1:
                 return RealFormLabel("su", p, q)
-        raise UnmappedPatternError(
+        raise PreconditionError(
             f"fixed pattern {comps} + {inner_center} centre inside A{n} "
             "matches no equal-rank real form")
 
@@ -344,11 +344,11 @@ def _reference_ideal_label(family: str, n: int, comp_roots: frozenset[Root],
             # For n = 4 this pattern is already caught above as so(6,2),
             # which is the same algebra as so*(8).
             return RealFormLabel("so_star", n)
-        raise UnmappedPatternError(
+        raise PreconditionError(
             f"fixed pattern {comps} + {inner_center} centre inside D{n} "
             "matches no equal-rank real form")
 
-    raise UnmappedPatternError(f"no real-form vocabulary for an {family}{n} ideal")
+    raise PreconditionError(f"no real-form vocabulary for an {family}{n} ideal")
 
 
 def test_sign_rule_matches_the_pattern_lookup_on_every_t2_ideal():

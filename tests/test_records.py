@@ -11,7 +11,7 @@ from k4holo import (CharacterGroup, FixedSubalgebra, GroupCandidates, JacobiRepo
                     RootSystem, StructureConstants, SubsystemComponent, SurveyResult,
                     TorusCharacter, build_chevalley_basis,
                     build_root_system, classify_all, symmetric_pair_survey)
-from k4holo.errors import ValidationError
+from k4holo.errors import PreconditionError
 from k4holo.pipeline import KleinSubgroup, klein_four_subgroups
 
 E6 = build_root_system("E", 6)
@@ -105,7 +105,7 @@ def test_torus_character_is_canonical():
 
 @pytest.mark.parametrize("modulus, exps", [(0, (0,) * 6), (2, (1, 0))])
 def test_torus_character_rejects_bad_input(modulus, exps):
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         TorusCharacter(modulus, exps)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k4holo.errors import ConfigurationError, InternalConsistencyError, PreconditionError
+from k4holo.errors import InternalConsistencyError, PreconditionError
 from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
                             build_root_system, decompose_closed_subset, reductive_type,
                             _cartan_matrix, _component_sort_key, _reflect, _validate_closed)
@@ -108,8 +108,37 @@ def test_inner_product_examples():
 @pytest.mark.parametrize("family,rank", [("B", 3), ("E", 7), ("E", 8), ("D", 3), ("A", 0), ("F", 4),
                                          ("A", MAX_RANK + 1), ("D", MAX_RANK + 1)])
 def test_unsupported_types_rejected(family, rank):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(PreconditionError):
         build_root_system(family, rank)
+
+
+@pytest.mark.parametrize("family,rank,message", [
+    ("A", 33, r"^A33 is above the largest supported rank 32$"),
+    ("D", 33, r"^D33 is above the largest supported rank 32$"),
+    ("A", 0, r"^A0 is not a valid type \(need rank >= 1\)$"),
+    ("D", 3, r"^D3 is not a valid type here \(need rank >= 4\)$"),
+    ("E", 7, r"^E7 is not supported \(only E6\)$"),
+    ("B", 3, r"^unsupported family 'B' \(want A, D or E\)$"),
+])
+def test_unsupported_types_name_the_rule(family, rank, message):
+    # Literal ranks: the largest is the documented 32, whatever MAX_RANK holds.
+    with pytest.raises(PreconditionError, match=message):
+        build_root_system(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", [("E", 6), ("D", 5), ("A", 4)])
+def test_value_is_injective_and_signed_on_sums_of_three_roots(family, rank):
+    # value's digits never carry on a sum of at most three roots, so it is
+    # injective there, and its sign is that of the last nonzero coordinate.
+    sys = build_root_system(family, rank)
+    terms = [(0,) * rank, *sys.roots]
+    sums = {tuple(map(sum, zip(a, b, c)))
+            for i, a in enumerate(terms) for j, b in enumerate(terms[i:], i) for c in terms[j:]}
+    values = {sys.value(s): s for s in sums}
+    assert len(values) == len(sums)
+    for v, s in values.items():
+        last = next((c for c in reversed(s) if c), 0)
+        assert (v > 0) - (v < 0) == (last > 0) - (last < 0), s
 
 
 def test_identify_whole_system():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from k4holo import cli
-from k4holo.errors import PreconditionError, ValidationError
+from k4holo.errors import PreconditionError
 from k4holo.pipeline import GROUP_NAMES, builtin_groups
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter, embed_su6_sp1, generate_group, identity_character
@@ -155,18 +155,18 @@ def test_embed_highest_root_value_is_2y():
 
 
 def test_embed_rejects_determinant_violation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         embed_su6_sp1(4, (1, 0, 0, 0, 0, 0), 0)
 
 
 def test_embed_su6_sp1_reduces_and_validates():
     assert embed_su6_sp1(4, (6, -2, 0, 2, 2, 0), 5) == embed_su6_sp1(4, (2, 2, 0, 2, 2, 0), 1)
     assert embed_su6_sp1(1, (5, 0, 0, 0, 0, 0), 3) == identity_character()
-    with pytest.raises(ValidationError, match=r"^modulus must be >= 1$"):
+    with pytest.raises(PreconditionError, match=r"^modulus must be >= 1$"):
         embed_su6_sp1(0, (0,) * 6, 0)
-    with pytest.raises(ValidationError, match=r"^diagonal needs 6 exponents$"):
+    with pytest.raises(PreconditionError, match=r"^diagonal needs 6 exponents$"):
         embed_su6_sp1(4, (0,) * 5, 0)
-    with pytest.raises(ValidationError, match=r"^determinant violation: diagonal exponents "
+    with pytest.raises(PreconditionError, match=r"^determinant violation: diagonal exponents "
                                               r"\[1, 0, 0, 0, 0, 0\] do not sum to 0 mod 4$"):
         embed_su6_sp1(4, (5, 0, 0, 0, 0, 0), 0)
 
@@ -181,7 +181,7 @@ def test_generate_group_single_involution():
 
 
 def test_generate_group_rejects_identity_generator():
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         generate_group([("s", SIGMA1), ("e", identity_character())])
 
 
@@ -198,7 +198,7 @@ def test_generate_group_rank3_labels():
 def test_generate_group_rejects_dependent_base():
     a = embed_su6_sp1(4, (0,) * 6, 2)            # x1 of x1x2x4
     b = embed_su6_sp1(4, (1, 1, 1, 3, 3, 3), 1)  # x2 of x1x2x4
-    with pytest.raises(ValidationError, match=r"^base names \['a', 'b', 'c'\] do not give "
+    with pytest.raises(PreconditionError, match=r"^base names \['a', 'b', 'c'\] do not give "
                        r"8 distinct elements and 8 distinct words$"):
         generate_group([("a", a), ("b", b), ("c", a * b)])
 
@@ -206,7 +206,7 @@ def test_generate_group_rejects_dependent_base():
 def test_generate_group_rejects_a_word_that_names_two_elements():
     x1x2x4 = builtin_groups()["x1x2x4"]
     a, b, c = (x1x2x4.element(label) for label in ("x1", "x2", "x4"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(PreconditionError):
         generate_group([("a", a), ("b", b), ("ab", c)])
 
 
@@ -229,5 +229,5 @@ def test_pipeline_reexports_the_builtin_groups():
 def test_generate_group_rejects_higher_order():
     for order in (3, 4):
         chi = TorusCharacter(order, (1, 0, 0, 0, 0, 0))
-        with pytest.raises(ValidationError, match=f"^generator 'bad' has order {order} > 2;"):
+        with pytest.raises(PreconditionError, match=f"^generator 'bad' has order {order} > 2;"):
             generate_group([("bad", chi)])
