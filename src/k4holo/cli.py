@@ -46,7 +46,7 @@ import re
 import sys as _sys
 
 from . import chevalley, pipeline
-from .errors import EngineError, UsageError, VerificationError
+from .errors import EngineError, PreconditionError, UsageError, VerificationError
 from .reductive import classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
 from .toral import TorusCharacter, embed_su6_sp1
@@ -159,8 +159,8 @@ def _cmd_roots(args) -> int:
     if family not in ("A", "D", "E") or not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"bad type token {args.type!r} (want e.g. E6, A5, D4)")
     rank = digits.lstrip("0") or "0"
-    if len(rank) > len(str(MAX_RANK)):
-        raise UsageError(f"{args.type} is above the largest supported rank {MAX_RANK}")
+    if len(rank) > len(str(MAX_RANK)):  # int() never sees thousands of digits
+        raise PreconditionError(f"{family}{rank} is above the largest supported rank {MAX_RANK}")
     sys = build_root_system(family, int(rank))
     doc = {
         "type": sys.label,

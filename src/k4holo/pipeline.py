@@ -7,12 +7,13 @@ subgroup Gamma are enumerated exhaustively, their real forms computed, and
 the deduplicated result checked verbatim against the embedded golden list
 of eight pairs.
 Each fixed subalgebra is computed and decomposed once, per Klein four
-subgroup and per group.  The report holds each fact once: a candidate
-keeps its group's name and its own labels and types, its maximal compact
-subalgebra (the group's fixed subalgebra) is read from the GroupCandidates
-that holds it, and the report's flat candidate list is derived from its
-groups.  Every candidate is of holomorphic type by construction, as the
-realform module docstring argues: theta is chosen by sigma2_elements.
+subgroup and per group, and the survey names each character's form once.
+The report holds each fact once: a candidate keeps its group's name and
+its own labels and types, its maximal compact subalgebra (the group's
+fixed subalgebra) is read from the GroupCandidates that holds it, and the
+report's flat candidate list is derived from its groups.  Every candidate
+is of holomorphic type by construction, as the realform module docstring
+argues: theta is chosen by sigma2_elements.
 Deduplication is by real-form type equality, not by conjugacy: all raw
 candidates stay inspectable in the report, and "eight" counts types.  An
 automorphism carrying (theta, Gamma) to (theta', Gamma') carries each g^sigma,
@@ -217,7 +218,8 @@ def symmetric_pair_survey(theta_label: str, sys: RootSystem) -> SurveyResult:
     """Real form of the fixed algebra of every builtin involution, under theta.
 
     Values outside the five admissible symmetric-pair forms are a
-    verification failure, not data.
+    verification failure, not data.  The four groups' 28 elements are 19
+    characters, and each character's form is computed once.
     """
     groups = builtin_groups()
     gname, label = resolve_label(theta_label, groups)
@@ -225,17 +227,21 @@ def symmetric_pair_survey(theta_label: str, sys: RootSystem) -> SurveyResult:
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError(
             f"{theta_label!r} is not a sigma2-class element of a builtin group")
+    forms: dict[TorusCharacter, RealFormType] = {}
     values: dict[str, dict[str, RealFormType]] = {}
     for name in GROUP_NAMES:
         group = groups[name]
         per: dict[str, RealFormType] = {}
         for slabel, schar in group.nonidentity():
-            form = identify_real_form(fixed_subalgebra([schar], sys), theta, sys)
-            rendered = form.render("survey")
-            if rendered not in SURVEY_FORMS:
-                raise VerificationError(
-                    f"survey value {rendered} for ({name}, {slabel}) is outside "
-                    f"the admissible list {list(SURVEY_FORMS)}")
+            form = forms.get(schar)
+            if form is None:
+                form = forms[schar] = identify_real_form(fixed_subalgebra([schar], sys),
+                                                         theta, sys)
+                rendered = form.render("survey")
+                if rendered not in SURVEY_FORMS:
+                    raise VerificationError(
+                        f"survey value {rendered} for ({name}, {slabel}) is outside "
+                        f"the admissible list {list(SURVEY_FORMS)}")
             per[slabel] = form
         values[name] = per
     return SurveyResult(theta_group=gname, theta_label=label, values=values)

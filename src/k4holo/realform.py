@@ -33,8 +33,10 @@ The centre of the subalgebra is a count of lines, each of them compact
 subalgebra pointwise.  Ideals and centre are spelled by the summand
 renderer that ReductiveType.render uses too, rootsys.render_summands.
 
-theta's fixed roots and their components are read from the root system,
-which keeps each once computed.  The centre of theta's fixed subalgebra is
+identify_real_form decomposes nothing: it reads the components the
+FixedSubalgebra carries, and theta's kernel, which the root system keeps.
+center_of_fixed decomposes theta's kernel on each call, as the root system
+keeps no decomposition.  The centre of theta's fixed subalgebra is
 a closed formula, the generalised cross product of the simple_pairings
 rows of their five simple roots (entry c: (-1)^c times the determinant with
 column c deleted), signed so that its last nonzero coordinate is positive.
@@ -54,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import RootSystem, SubsystemComponent, reductive_type, render_summands
+from .rootsys import RootSystem, SubsystemComponent, render_summands
 from .toral import TorusCharacter
 
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2}
@@ -174,8 +176,10 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Basis of the centraliser directions {H : a(H) = 0 for all fixed roots a}.
 
-    For any involution in the so(10)+R class the fixed subsystem has corank
-    one, so the result is a single coweight line: the kernel of the 5 x 6
+    An involution of the so(10)+R class fixes 40 roots, and D5 is the only
+    closed subsystem of E6 with 40 roots, so once the class is checked the
+    fixed subsystem has corank one and nothing else is checked.  The result
+    is a single coweight line: the kernel of the 5 x 6
     matrix M of its simple roots' simple_pairings rows, spanned by their
     generalised cross product, entry c = (-1)^c det(M without column c).
     It is primitive on every accepted input, pinned by the T[2] test; with
@@ -184,12 +188,8 @@ def center_of_fixed(theta: TorusCharacter, sys: RootSystem) -> tuple[tuple[int, 
     """
     if classify_involution(theta, sys) is not ConjClass.SIGMA2:
         raise PreconditionError("center_of_fixed expects an involution of the so(10)+R class")
-    comps = sys.decomposition(sys.kernel(theta))
-    corank = reductive_type(comps, sys).center_dim
-    if corank != 1:
-        raise InternalConsistencyError(
-            f"centre of the fixed subalgebra has dimension {corank}, expected 1")
-    rows = [sys.simple_pairings(s) for comp in comps for s in comp.simple]
+    rows = [sys.simple_pairings(s) for comp in sys.decomposition(sys.kernel(theta))
+            for s in comp.simple]
     cross = [(-1) ** c * _det([row[:c] + row[c + 1:] for row in rows])
              for c in range(sys.rank)]
     if next(x for x in reversed(cross) if x) < 0:
@@ -206,5 +206,5 @@ def holomorphic_type_check(sigma: TorusCharacter, theta: TorusCharacter,
     """
     if sigma.order > 2:
         raise PreconditionError("sigma must be an involution or the identity")
-    center_of_fixed(theta, sys)  # validates theta's class and corank
+    center_of_fixed(theta, sys)  # validates theta's class
     return True

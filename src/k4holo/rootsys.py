@@ -17,12 +17,12 @@ value(a) + value(b) is the code of a root.  sums_from is indexed by its
 first root, so a scan over a subset S costs about |S| * 20 pairs in E6
 instead of all 1,440.  Pairings need no table of their own: a root's
 pairings with the simple roots are the Cartan matrix times the root
-(simple_pairings), and for roots of squared length 2, (a, b) is -1 or 1
-exactly when a + b or a - b is a root (Humphreys, Introduction to Lie
-Algebras and Representation Theory, 9.4), which is how subsystems are
-split and their diagrams drawn.  The system also keeps, per character, its
-kernel (the roots it fixes) and, per closed subset, its decomposition, so
-the classification derives each of them once.
+(simple_pairings), and for roots of squared length 2, (a, b) is -1 exactly
+when a + b is a root (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 9.4), which is how subsystems are split and their
+diagrams drawn.  The system also keeps, per character, its kernel (the
+roots it fixes), so the classification derives each kernel once.  It keeps
+no decomposition: each call decomposes its subset afresh.
 
 ReductiveType.render and the real forms of realform spell their sums
 through one renderer, render_summands.
@@ -141,10 +141,6 @@ class RootSystem(NamedTuple("RootSystem", [
     def _kernels(self) -> dict[TorusCharacter, frozenset[Root]]:
         return {}
 
-    @cached_property
-    def _decompositions(self) -> dict[frozenset[Root], tuple[SubsystemComponent, ...]]:
-        return {}
-
     def kernel(self, chi: TorusCharacter) -> frozenset[Root]:
         """Roots fixed by a torus character (where chi.evaluate is 0).
 
@@ -159,12 +155,41 @@ class RootSystem(NamedTuple("RootSystem", [
     def decomposition(self, sset: frozenset[Root]) -> tuple[SubsystemComponent, ...]:
         """Irreducible components of a subset that is closed and
         negation-symmetric by construction, such as an intersection of
-        kernels.  Not validated (decompose_closed_subset validates);
-        computed on first use for each subset and kept."""
-        known = self._decompositions.get(sset)
-        if known is None:
-            known = self._decompositions[sset] = _decompose(sset, self)
-        return known
+        kernels.  Not validated (decompose_closed_subset validates) and
+        not kept.
+
+        One scan of sums_from over the positives of the generic functional
+        splits them: a, b and a + b lie in one irreducible component, and
+        roots of different components are orthogonal, so no sum joins two
+        of them.  The positives that are no sum of two positives of the
+        subset form a simple system; each component's simple roots are
+        stored in diagram order (see _classify_diagram), and its negative
+        roots follow its positive ones.
+        """
+        pos = {r for r in sset if self.value(r) > 0}
+        sums_from = self.sums_from
+        # comp[r] is the set of positives merged with r so far, shared by all
+        # of them.  Each a + b merges a with the sum, and b when the scan
+        # reaches b.
+        comp = {r: {r} for r in pos}
+        decomposable = set()
+        for a in pos:
+            for b, s in sums_from[a]:
+                if b in pos:
+                    decomposable.add(s)
+                    if comp[s] is not comp[a]:
+                        merged = comp[a] | comp[s]
+                        for r in merged:
+                            comp[r] = merged
+        simple = {s for s in pos if s not in decomposable}
+
+        out = []
+        for cpos in {id(c): c for c in comp.values()}.values():  # each component once
+            family, rank, csimple = _classify_diagram([r for r in cpos if r in simple], self)
+            croots = frozenset(cpos | {tuple(-c for c in r) for r in cpos})
+            out.append(SubsystemComponent(family=family, rank=rank, simple=csimple, roots=croots))
+        out.sort(key=lambda c: (_component_sort_key((c.family, c.rank)), min(c.roots)))
+        return tuple(out)
 
     def value(self, root: Sequence[int]) -> int:
         """Generic positivity functional: the coordinates as digits of one int.
@@ -279,11 +304,10 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
     k = len(simple)
     if k == 1:
         return ("A", 1, tuple(simple))
-    # Two roots are joined when they pair to -1 or 1: their sum or their
-    # difference is a root.
-    negs = [tuple(-c for c in r) for r in simple]
+    # Simple roots of a base pair to 0 or -1 (Humphreys 10.1), so two of
+    # them are joined exactly when their sum is a root.
     partners = [{b for b, _ in sys.sums_from[a]} for a in simple]
-    adj = [[j for j in range(k) if simple[j] in ps or negs[j] in ps] for ps in partners]
+    adj = [[j for j in range(k) if simple[j] in ps] for ps in partners]
     degs = [len(ns) for ns in adj]
 
     def walk(prev: int, cur: int) -> list[int]:
@@ -310,48 +334,14 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
 def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
     """Split a closed, negation-symmetric subset into irreducible subsystems.
 
-    One scan of sums_from over the positives of the generic functional
-    splits them: a, b and a + b lie in one irreducible component, and roots
-    of different components are orthogonal, so no sum joins two of them.
-    The positives that are no sum of two positives of the subset form a
-    simple system; each component's simple roots are stored in diagram
-    order (see _classify_diagram), and its negative roots follow its
-    positive ones.
-
-    This is the public boundary: a subset the system has not kept yet is
-    validated first, then decomposed once per system (RootSystem.decomposition);
-    a subset that fails validation is not kept, so it raises on every call.
+    This is the public boundary: every call validates the subset (its
+    members are roots, and it is closed and negation-symmetric), then
+    decomposes it with RootSystem.decomposition.  Nothing is kept, so an
+    invalid subset raises on every call.
     """
     sset = frozenset(subset)
-    if sset not in sys._decompositions:
-        _validate_closed(sset, sys)
+    _validate_closed(sset, sys)
     return sys.decomposition(sset)
-
-
-def _decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
-    pos = {r for r in sset if sys.value(r) > 0}
-    sums_from = sys.sums_from
-    # comp[r] is the set of positives merged with r so far, shared by all of
-    # them.  Each a + b merges a with the sum, and b when the scan reaches b.
-    comp = {r: {r} for r in pos}
-    decomposable = set()
-    for a in pos:
-        for b, s in sums_from[a]:
-            if b in pos:
-                decomposable.add(s)
-                if comp[s] is not comp[a]:
-                    merged = comp[a] | comp[s]
-                    for r in merged:
-                        comp[r] = merged
-    simple = {s for s in pos if s not in decomposable}
-
-    out = []
-    for cpos in {id(c): c for c in comp.values()}.values():  # each component once
-        family, rank, csimple = _classify_diagram([r for r in cpos if r in simple], sys)
-        croots = frozenset(cpos | {tuple(-c for c in r) for r in cpos})
-        out.append(SubsystemComponent(family=family, rank=rank, simple=csimple, roots=croots))
-    out.sort(key=lambda c: (_component_sort_key((c.family, c.rank)), min(c.roots)))
-    return tuple(out)
 
 
 def reductive_type(comps: Iterable[SubsystemComponent], sys: RootSystem) -> ReductiveType:

@@ -270,6 +270,16 @@ def test_roots_huge_rank_rejected_before_building(token, capsys, monkeypatch):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("token, spelled", [
+    ("A33", "A33"), ("a33", "A33"), ("A100", "A100"), ("a0100", "A100"),
+    ("D" + "9" * 50, "D" + "9" * 50)], ids=["A33", "a33", "A100", "a0100", "D99..."])
+def test_roots_rank_bound_is_one_engine_error(token, spelled, capsys):
+    # The digit-count guard and the engine spell the same bound alike.
+    code, out, err = run_cli(["roots", "--type", token], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spelled} is above the largest supported rank 32\n"
+
+
 def test_realform_subcommand(capsys):
     code, out, _ = run_cli(
         ["realform", "--gamma", "x1", "x2", "--theta", "x4"], capsys)

@@ -314,28 +314,30 @@ def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
     assert sorted(len(chars) for chars in seen) == [3] * 24 + [7] * 4
 
 
-def test_classify_all_decomposes_each_distinct_subset_once_unvalidated(monkeypatch):
+def test_classify_all_decomposes_25_subsets_in_28_calls_unvalidated(monkeypatch):
     # Every subset classify_all decomposes is a kernel intersection, closed
     # by construction, so none goes through the public boundary's validation:
-    # the 25 distinct fixed-root sets of its 28 fixed subalgebras.
+    # one call per fixed subalgebra, on the 25 distinct fixed-root sets of
+    # its 28 fixed subalgebras.
     from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
     validated, decomposed = [], []
     original_validate = rootsys._validate_closed
-    original_decompose = rootsys._decompose
+    original_decompose = rootsys.RootSystem.decomposition
 
     def validating(subset, sys):
         validated.append(subset)
         return original_validate(subset, sys)
 
-    def decomposing(subset, sys):
+    def decomposing(sys, subset):
         decomposed.append(subset)
-        return original_decompose(subset, sys)
+        return original_decompose(sys, subset)
 
     monkeypatch.setattr(rootsys, "_validate_closed", validating)
-    monkeypatch.setattr(rootsys, "_decompose", decomposing)
+    monkeypatch.setattr(rootsys.RootSystem, "decomposition", decomposing)
     assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
-    assert len(decomposed) == len(set(decomposed)) == 25
+    assert len(decomposed) == 28
+    assert len(set(decomposed)) == 25
     assert validated == []
 
 
@@ -470,6 +472,31 @@ def test_survey_values_and_coverage():
             own = res.values[gname][theta]
             assert own.render("survey") == "so(10)+so(2)"
     assert seen == set(SURVEY_FORMS)
+
+
+def test_survey_names_each_character_once(monkeypatch):
+    # The four groups' 28 nonidentity elements are 19 distinct characters.
+    from k4holo import pipeline
+    fixed_calls, form_calls = [], []
+
+    def fixing(chars, sys):
+        fixed_calls.append(tuple(chars))
+        return fixed_subalgebra(chars, sys)
+
+    def naming(sub, theta, sys):
+        form_calls.append(sub)
+        return identify_real_form(sub, theta, sys)
+
+    monkeypatch.setattr(pipeline, "fixed_subalgebra", fixing)
+    monkeypatch.setattr(pipeline, "identify_real_form", naming)
+    res = symmetric_pair_survey("y3y4y5:y3", E6)
+    assert len(fixed_calls) == len(set(fixed_calls)) == len(form_calls) == 19
+    theta = GROUPS["y3y4y5"].element("y3")
+    for g in GROUP_NAMES:
+        assert list(res.values[g]) == [label for label, _ in GROUPS[g].nonidentity()]
+        for label, form in res.values[g].items():
+            sigma = GROUPS[g].element(label)
+            assert form == identify_real_form(fixed_subalgebra([sigma], E6), theta, E6)
 
 
 def test_survey_sigma1_values_hit_both_forms_for_every_theta():

@@ -54,10 +54,10 @@ def test_identify_real_form_reuses_the_components(monkeypatch):
     g = GROUPS["y3y4y5"]
     fs = fixed_subalgebra([g.element("y4"), g.element("y5")], fresh)
 
-    def refusing(subset, sys):
+    def refusing(sys, subset):
         raise AssertionError("identify_real_form decomposed a root subset")
 
-    monkeypatch.setattr(rootsys, "_decompose", refusing)
+    monkeypatch.setattr(rootsys.RootSystem, "decomposition", refusing)
     assert identify_real_form(fs, g.element("y3"), fresh).render() == "so(6,2)+2c"
 
 

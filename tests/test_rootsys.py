@@ -191,24 +191,29 @@ def test_invalid_subset_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(PreconditionError):
             decompose_closed_subset(broken, E6)
-    assert broken not in E6._decompositions
 
 
-def test_each_subset_is_decomposed_once(monkeypatch):
+def test_every_call_validates_and_decomposes(monkeypatch):
     from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
-    validated = []
-    original = rootsys._validate_closed
+    validated, decomposed = [], []
+    original_validate = rootsys._validate_closed
+    original_decompose = rootsys.RootSystem.decomposition
 
-    def counting(subset, sys):
+    def validating(subset, sys):
         validated.append(subset)
-        return original(subset, sys)
+        return original_validate(subset, sys)
 
-    monkeypatch.setattr(rootsys, "_validate_closed", counting)
+    def decomposing(sys, subset):
+        decomposed.append(subset)
+        return original_decompose(sys, subset)
+
+    monkeypatch.setattr(rootsys, "_validate_closed", validating)
+    monkeypatch.setattr(rootsys.RootSystem, "decomposition", decomposing)
     subset = [r for r in fresh.roots if r[1] == 0]
     first = decompose_closed_subset(subset, fresh)
-    assert decompose_closed_subset(iter(subset), fresh) is first
-    assert len(validated) == 1
+    assert decompose_closed_subset(iter(subset), fresh) == first
+    assert validated == decomposed == [frozenset(subset)] * 2
 
 
 def test_sums_from_indexes_sums():
@@ -430,20 +435,40 @@ def _kernel_subset(chars, sys=E6):
     return frozenset(r for r in sys.roots if all(chi.evaluate(r) == 0 for chi in chars))
 
 
+def _assert_no_simple_difference_is_a_root(comps, sys=E6):
+    # _classify_diagram joins two simple roots only when their sum is a
+    # root; it relies on their difference never being one (Humphreys 10.1).
+    for c in comps:
+        for a in c.simple:
+            for b in c.simple:
+                assert tuple(x - y for x, y in zip(a, b)) not in sys.roots, (a, b)
+
+
 def test_decomposition_matches_the_reference_on_t2_kernels():
     from k4holo.toral import TorusCharacter
     for n in range(1, 64):
         chi = TorusCharacter(2, tuple(n >> i & 1 for i in range(6)))
         subset = _kernel_subset([chi])
-        assert decompose_closed_subset(subset, E6) == _reference_decompose(subset, E6)
+        comps = decompose_closed_subset(subset, E6)
+        assert comps == _reference_decompose(subset, E6)
+        _assert_no_simple_difference_is_a_root(comps)
 
 
-def test_decomposition_matches_the_reference_on_classify_all_subsets():
+def test_decomposition_matches_the_reference_on_classify_all_subsets(monkeypatch):
+    from k4holo import rootsys
     from k4holo.pipeline import classify_all
     fresh = build_root_system.__wrapped__("E", 6)
+    original = rootsys.RootSystem.decomposition
+    decomposed = {}
+
+    def recording(sys, subset):
+        decomposed[subset] = original(sys, subset)
+        return decomposed[subset]
+
+    monkeypatch.setattr(rootsys.RootSystem, "decomposition", recording)
     classify_all(fresh)
-    assert len(fresh._decompositions) > 1
-    for subset, comps in fresh._decompositions.items():
+    assert len(decomposed) == 25
+    for subset, comps in decomposed.items():
         assert comps == _reference_decompose(subset, fresh)
 
 
@@ -461,12 +486,13 @@ def test_decomposition_matches_the_reference_on_full_systems(family, rank):
                 min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_decomposition_matches_the_reference_on_kernel_intersections(specs):
-    from k4holo import rootsys
     from k4holo.toral import TorusCharacter
     subset = _kernel_subset([TorusCharacter(m, tuple(exps)) for m, exps in specs])
-    # The reference validates the subset and keeps the checks _decompose
-    # dropped, so this also shows kernel intersections are closed and
-    # negation-symmetric, which fixed_subalgebra relies on to skip validation.
+    # The reference validates the subset and keeps the checks the
+    # decomposition dropped, so this also shows kernel intersections are
+    # closed and negation-symmetric, which fixed_subalgebra relies on to
+    # skip validation.
     expected = _reference_decompose(subset, E6)
     assert decompose_closed_subset(subset, E6) == expected
-    assert rootsys._decompose(subset, E6) == expected
+    assert E6.decomposition(subset) == expected
+    _assert_no_simple_difference_is_a_root(expected)
