@@ -431,8 +431,3 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _diagnose(f"error: {exc}")
         return 2
-
-
-if __name__ == "__main__":
-    from .__main__ import run
-    raise SystemExit(run())

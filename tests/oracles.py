@@ -2,14 +2,16 @@
 
 Each function here derives a fact the engine derives another way, or does
 not derive at all because no command needs it: the bilinear form of two
-lattice vectors, the sign of a root, the dimension and the complexification
-of a reductive algebra, and reading and extending the Chevalley bracket
-table.  None of them is engine code; the engine keeps one derivation per
-fact, and the tests own the second.
+lattice vectors, the simple reflections of a lattice vector and of a
+character, the sign of a root, the dimension and the complexification of a
+reductive algebra, and reading and extending the Chevalley bracket table.
+None of them is engine code; the engine keeps one derivation per fact, and
+the tests own the second.
 """
 from operator import mul
 
 from k4holo.rootsys import ReductiveType
+from k4holo.toral import TorusCharacter
 
 # Root counts of the recognisable types (Humphreys, 12.2).
 ROOT_COUNT = {
@@ -23,6 +25,22 @@ def pairing(sys, a, b) -> int:
     """Bilinear form (a, b) = a.A.b of two lattice vectors, for the Cartan
     matrix A of sys; every root has (a, a) = 2."""
     return sum(map(mul, a, [sum(map(mul, row, b)) for row in sys.cartan]))
+
+
+def reflect(sys, v, i) -> tuple[int, ...]:
+    """The simple reflection s_i(v) = v - (v, alpha_i) alpha_i of a lattice
+    vector in simple-root coordinates."""
+    out = list(v)
+    out[i] -= pairing(sys, v, sys.simple_roots[i])
+    return tuple(out)
+
+
+def reflect_character(sys, chi, i) -> TorusCharacter:
+    """The simple reflection s_i on a character, chi composed with s_i: on
+    the exponents, e_j -> e_j - A[i][j] * e_i."""
+    e = chi.exps
+    return TorusCharacter(chi.modulus,
+                          tuple(ej - aij * e[i] for ej, aij in zip(e, sys.cartan[i])))
 
 
 def is_positive(sys, root) -> bool:

@@ -1,4 +1,6 @@
 import random
+import time
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -239,10 +241,13 @@ def test_jacobi_on_opposite_root_triples():
 
 
 def test_jacobi_report_shape():
+    t0 = time.monotonic()
     rep = check_jacobi(SC)
+    elapsed = time.monotonic() - t0
     assert rep.ok
     assert rep.first_violation is None
     assert rep.triples_checked == 78 * 77 * 76 // 6
+    assert elapsed < 60.0, f"jacobi sweep took {elapsed:.1f}s"
 
 
 def _with_rows(sc, rows):
@@ -327,17 +332,62 @@ def test_jacobi_check_fails_on_one_flipped_sign(pair):
         assert not _jacobiator(SC, *triple)
 
 
-def test_jacobi_sweeps_an_ungraded_table_triple_by_triple():
+def _counting_bisections(monkeypatch) -> list:
+    """The list that records each call check_jacobi makes to bisect_right:
+    one per pair i < j on the graded path, none on the full sweep."""
+    from k4holo import chevalley
+    calls = []
+
+    def counting(ks, j):
+        calls.append(j)
+        return bisect_right(ks, j)
+
+    monkeypatch.setattr(chevalley, "bisect_right", counting)
+    return calls
+
+
+def test_jacobi_sweeps_an_ungraded_table_triple_by_triple(monkeypatch):
     # [X_a1, X_a3] = N X_(a1+a3) moved onto X_a1, a basis element of the wrong weight
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
     i, j = SC.index[("x", a1)], SC.index[("x", a3)]
     broken = _with_moved_term(SC, i, j, i)
+    bisections = _counting_bisections(monkeypatch)
     rep = check_jacobi(broken)
+    assert bisections == []
     assert rep.triples_checked == 76076
     assert rep.violations == _reference_jacobi(broken)
     assert len(rep.violations) == 43
     # some violations lie where a graded table's sum would be empty
     assert not all(map(_weight_sum_is_root_or_zero, rep.violations))
+
+
+def _graded_edit(edit):
+    """Copy of SC with one edit that keeps the table graded."""
+    rows = [list(row) for row in SC.btable]
+    if edit == "swap":
+        # two unequal coefficients of [X_theta, X_-theta] = H_theta swapped,
+        # theta the highest root: only triples of weight 0 break
+        theta = E6.highest_root
+        i, j = SC.index[("x", theta)], SC.index[("x", neg(theta))]
+        (p0, c0), (p1, c1), *rest = rows[i][j]
+        assert c0 != c1
+        rows[i][j] = ((p0, c1), (p1, c0), *rest)
+    elif edit == "double":
+        # [h_4, X_r] = -X_r doubled: a factor of -2 in one-int sums
+        i, j = SC.index[("h", 4)], SC.index[("x", (-1, 0, -1, -1, -1, 0))]
+        assert rows[i][j] == ((j, -1),)
+        rows[i][j] = ((j, -2),)
+    return _with_rows(SC, rows)
+
+
+@pytest.mark.parametrize("edit, count", [(None, 0), ("swap", 34), ("double", 29)])
+def test_graded_tables_take_the_graded_sweep(edit, count, monkeypatch):
+    table = _graded_edit(edit)
+    bisections = _counting_bisections(monkeypatch)
+    rep = check_jacobi(table)
+    assert len(bisections) == 78 * 77 // 2
+    assert len(rep.violations) == count
+    assert rep.violations == (_reference_jacobi(table) if edit else ())
 
 
 def test_graded_table_skips_only_triples_of_other_weight():

@@ -57,3 +57,9 @@ def test_toy_module_mutants_and_survivors(tmp_path):
     json.dumps(result)
     # the check ran on copies: the toy module is unchanged
     assert (package / "arith.py").read_text() == TOY
+
+
+def test_every_test_file_the_tool_names_exists():
+    tests = Path(__file__).resolve().parent
+    named = {name for names in _load_tool().TESTS.values() for name in names}
+    assert {name for name in named if not (tests / name).is_file()} == set()

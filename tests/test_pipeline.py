@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
 from k4holo.realform import identify_real_form
 from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra
 from k4holo.rootsys import build_root_system
-from k4holo.toral import TorusCharacter, embed_su6_sp1, identity_character
-from oracles import complexification, reductive_dim
+from k4holo.toral import embed_su6_sp1, identity_character
+from oracles import complexification, reductive_dim, reflect_character
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -201,10 +202,15 @@ def test_candidate_lookup_rejects_an_unknown_label():
 
 
 def test_distinct_pairs_match_golden_list():
-    assert REPORT.verified
-    assert len(REPORT.distinct_pairs) == 8
-    assert set(REPORT.distinct_pairs) == set(GOLDEN_PAIRS)
-    assert REPORT.missing == () and REPORT.unexpected == ()
+    fresh = build_root_system.__wrapped__("E", 6)
+    t0 = time.monotonic()
+    report = classify_all(fresh)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"classification took {elapsed:.2f}s"
+    assert report.verified
+    assert len(report.distinct_pairs) == 8
+    assert set(report.distinct_pairs) == set(GOLDEN_PAIRS)
+    assert report.missing == () and report.unexpected == ()
 
 
 @pytest.mark.parametrize("extra, drop", [(True, False), (False, True)],
@@ -252,14 +258,6 @@ def test_candidates_fall_into_at_least_nine_conjugacy_classes():
         == {"y3y4y5"}
 
 
-def _reflect_character(chi, i):
-    """The simple reflection s_i on a character, chi composed with s_i: on
-    the exponents, e_j -> e_j - A[i][j] * e_i."""
-    e = chi.exps
-    return TorusCharacter(chi.modulus,
-                          tuple(ej - aij * e[i] for ej, aij in zip(e, E6.cartan[i])))
-
-
 @given(st.lists(st.integers(0, 5), max_size=36), st.sampled_from(CANDIDATES))
 @settings(max_examples=25, deadline=None)
 def test_real_form_and_sigma_forms_are_weyl_invariant(word, candidate):
@@ -267,8 +265,8 @@ def test_real_form_and_sigma_forms_are_weyl_invariant(word, candidate):
     theta, gamma = _candidate_chars(group, cand)
     forms = _sigma_forms(theta, gamma)
     for i in word:
-        theta = _reflect_character(theta, i)
-        gamma = [_reflect_character(c, i) for c in gamma]
+        theta = reflect_character(E6, theta, i)
+        gamma = [reflect_character(E6, c, i) for c in gamma]
     assert classify_involution(theta, E6) is ConjClass.SIGMA2
     fs = fixed_subalgebra(gamma, E6)
     assert identify_real_form(fs, theta, E6).render() == cand.real_form.render()
@@ -341,48 +339,22 @@ def test_classify_all_decomposes_25_subsets_in_28_calls_unvalidated(monkeypatch)
     assert validated == []
 
 
-def test_import_loads_no_rational_arithmetic():
-    # importing the package loads nothing, so import every module
-    code = ("import sys, k4holo.cli, k4holo.chevalley; "
-            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_import_loads_no_dataclasses_or_inspect():
-    # dataclasses pulls in inspect, ast, dis and tokenize: about 20 ms a process
-    code = ("import sys, k4holo.cli, k4holo.chevalley; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_theorem24_process_loads_no_dataclasses_or_inspect():
-    # -X importtime lists on stderr every module the whole command imports
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "k4holo", "theorem24"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("verified: true\n")
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:")}
-    assert "k4holo.pipeline" in loaded
-    assert not {"dataclasses", "inspect"} & loaded
-
-
 @pytest.mark.parametrize("command", ["theorem24", "selftest"])
-def test_plain_output_loads_no_json(command):
-    # Only JSON output imports json; -X importtime lists every import.
+def test_command_process_import_footprint(command):
+    # -X importtime lists on stderr every module the whole command imports
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "k4holo", command],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    if command == "theorem24":
+        assert proc.stdout.endswith("verified: true\n")
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
-    assert "k4holo.cli" in loaded
-    assert "json" not in loaded
+    # No rational arithmetic; dataclasses pulls in inspect, ast, dis and
+    # tokenize, about 20 ms a process; only JSON output imports json.
+    assert not {"fractions", "decimal", "numbers", "dataclasses", "inspect", "json"} & loaded
     # perfbench/shim.py rebinds only functions of modules loaded before cli.main runs
-    assert {f"k4holo.{module}" for module, _ in _traced_layers()} <= loaded
+    traced = {f"k4holo.{module}" for module, _ in _traced_layers()}
+    assert {"k4holo.cli", "k4holo.pipeline"} | traced <= loaded
 
 
 def _traced_layers() -> tuple[tuple[str, str], ...]:

@@ -12,7 +12,7 @@ from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
 from k4holo.rootsys import Root, RootSystem, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
-from oracles import complexification, pairing
+from oracles import complexification, pairing, reflect
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -33,10 +33,8 @@ def _w_orbit(v: tuple[int, ...]) -> set[tuple[int, ...]]:
     orbit, frontier = {v}, [v]
     while frontier:
         u = frontier.pop()
-        for i, alpha in enumerate(E6.simple_roots):
-            w = list(u)
-            w[i] -= pairing(E6, u, alpha)
-            if (w := tuple(w)) not in orbit:
+        for i in range(6):
+            if (w := reflect(E6, u, i)) not in orbit:
                 orbit.add(w)
                 frontier.append(w)
     return orbit

@@ -7,7 +7,7 @@ from k4holo.errors import InternalConsistencyError, PreconditionError
 from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
                             build_root_system, decompose_closed_subset, reductive_type,
                             _cartan_matrix, _component_sort_key, _reflect, _validate_closed)
-from oracles import ROOT_COUNT, is_positive, pairing
+from oracles import ROOT_COUNT, is_positive, pairing, reflect
 
 
 E6 = build_root_system("E", 6)
@@ -26,7 +26,7 @@ def subsystem_type(subset):
 def weyl_image(subset, word, sys):
     out = set(subset)
     for i in word:
-        out = {_reflect(sys.cartan, r, i) for r in out}
+        out = {reflect(sys, r, i) for r in out}
     return out
 
 

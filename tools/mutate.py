@@ -46,7 +46,7 @@ TESTS = {
     "realform": _CORE,
     "pipeline": ("test_pipeline.py", "test_golden.py", "test_realform.py", "test_reductive.py",
                  "test_cli.py"),
-    "chevalley": ("test_chevalley.py", "test_acceptance.py", "test_cli.py"),
+    "chevalley": ("test_chevalley.py", "test_cli.py"),
     "cli": ("test_cli.py", "test_readme.py"),
 }
 
