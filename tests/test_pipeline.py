@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import subprocess
 import sys
@@ -339,19 +340,50 @@ def test_classify_all_decomposes_25_subsets_in_28_calls_unvalidated(monkeypatch)
     assert validated == []
 
 
-@pytest.mark.parametrize("command", ["theorem24", "selftest"])
-def test_command_process_import_footprint(command):
-    # -X importtime lists on stderr every module the whole command imports
+@functools.cache
+def _import_footprint(command):
+    """One `python -X importtime -m k4holo COMMAND` process per command,
+    shared by the footprint tests below: the finished process and the set of
+    modules it imported (-X importtime lists each one on stderr)."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "k4holo", command],
                           capture_output=True, text=True)
+    loaded = frozenset(line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                       if line.startswith("import time:"))
+    return proc, loaded
+
+
+def test_import_loads_no_rational_arithmetic():
+    # a command process imports k4holo.cli, k4holo.chevalley and every layer they use
+    for command in ("theorem24", "selftest"):
+        proc, loaded = _import_footprint(command)
+        assert proc.returncode == 0, proc.stderr
+        assert {"k4holo.cli", "k4holo.chevalley"} <= loaded
+        assert not {"fractions", "decimal", "numbers"} & loaded
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 20 ms a process
+    for command in ("theorem24", "selftest"):
+        proc, loaded = _import_footprint(command)
+        assert proc.returncode == 0, proc.stderr
+        assert {"k4holo.cli", "k4holo.chevalley"} <= loaded
+        assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_theorem24_process_loads_no_dataclasses_or_inspect():
+    proc, loaded = _import_footprint("theorem24")
     assert proc.returncode == 0, proc.stderr
-    if command == "theorem24":
-        assert proc.stdout.endswith("verified: true\n")
-    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:")}
-    # No rational arithmetic; dataclasses pulls in inspect, ast, dis and
-    # tokenize, about 20 ms a process; only JSON output imports json.
-    assert not {"fractions", "decimal", "numbers", "dataclasses", "inspect", "json"} & loaded
+    assert proc.stdout.endswith("verified: true\n")
+    assert "k4holo.pipeline" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("command", ["theorem24", "selftest"])
+def test_plain_output_loads_no_json(command):
+    # Only JSON output imports json.
+    proc, loaded = _import_footprint(command)
+    assert proc.returncode == 0, proc.stderr
+    assert "json" not in loaded
     # perfbench/shim.py rebinds only functions of modules loaded before cli.main runs
     traced = {f"k4holo.{module}" for module, _ in _traced_layers()}
     assert {"k4holo.cli", "k4holo.pipeline"} | traced <= loaded
