@@ -49,13 +49,10 @@ from . import chevalley, pipeline
 from .errors import EngineError, PreconditionError, UsageError, VerificationError
 from .reductive import classify_involution, fixed_subalgebra, mu
 from .rootsys import MAX_RANK, build_root_system
-from .toral import TorusCharacter, embed_su6_sp1
+from .toral import TorusCharacter, embed_su6_sp1, from_chain_order
 
 # A whitespace-free word, or one with a bracketed part that may hold spaces.
 _SPEC_TOKEN = r"[^\s\[]*\[[^\]]*\]\S*|\S+"
-
-# The modulus of a character spec that gives no m=M.
-_SPEC_MODULUS = 4
 
 
 def _parse_vector(token: str, expect: int) -> tuple[int, ...]:
@@ -91,7 +88,7 @@ def parse_char_spec(spec: str) -> TorusCharacter:
 
     def modulus() -> int:
         if "m" not in fields:
-            return _SPEC_MODULUS
+            return 4  # M defaults to 4
         try:
             m = int(fields["m"])
         except ValueError:
@@ -104,9 +101,7 @@ def parse_char_spec(spec: str) -> TorusCharacter:
         if len(positional) != 1 or set(fields) - {"m"}:
             raise UsageError(f"malformed chi spec {spec!r}")
         chain = _parse_vector(positional[0], 6)
-        # chain order alpha1,alpha3,alpha4,alpha5,alpha6,alpha2 -> internal order
-        exps = (chain[0], chain[5], chain[1], chain[2], chain[3], chain[4])
-        return TorusCharacter(modulus(), exps)
+        return TorusCharacter(modulus(), from_chain_order(chain))
     if kind == "su6sp1":
         if positional or set(fields) - {"m", "d", "y"}:
             raise UsageError(f"malformed su6sp1 spec {spec!r}")
@@ -181,6 +176,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     sys = build_root_system("E", 6)
     results: list[tuple[str, bool, str]] = []
 
@@ -283,12 +280,12 @@ def _cmd_classify(args) -> int:
 def _cmd_realform(args) -> int:
     sys = build_root_system("E", 6)
     groups = pipeline.builtin_groups()
-    g1name, g1 = pipeline.resolve_label(args.gamma[0], groups, args.group)
-    g2name, g2 = pipeline.resolve_label(args.gamma[1], groups, g1name)
-    tname, t = pipeline.resolve_label(args.theta, groups, g2name)
-    cand = pipeline.enumerate_candidates(groups[tname], sys).find(t, (g1, g2))
+    gname, g1 = pipeline.resolve_label(args.gamma[0], groups, args.group)
+    _, g2 = pipeline.resolve_label(args.gamma[1], groups, gname)
+    _, t = pipeline.resolve_label(args.theta, groups, gname)
+    cand = pipeline.enumerate_candidates(groups[gname], sys).find(t, (g1, g2))
     doc = {
-        "group": tname,
+        "group": gname,
         "gamma": [g1, g2],
         "theta": t,
         "compact_dual": cand.compact_dual.render(),
@@ -361,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="dump a root system")
     p.add_argument("--type", required=True, help="e.g. E6, A5, D4")
-    p.add_argument("-v", "--verbose", action="count", default=0,
+    p.add_argument("-v", "--verbose", action="store_true",
                    help="also list every root in the text output")
     common(p)
     p.set_defaults(func=_cmd_roots)
@@ -410,8 +407,6 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse has written its usage or help
             code = exc.code
         else:
-            if args.command in ("selftest",) and args.jobs < 1:
-                raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
             code = args.func(args)
         if _sys.stdout is None:  # closed at start: print wrote nothing
             return 2

@@ -15,14 +15,11 @@ report's flat candidate list is derived from its groups.  Every candidate
 is of holomorphic type by construction, as the realform module docstring
 argues: theta is chosen by sigma2_elements.
 Deduplication is by real-form type equality, not by conjugacy: all raw
-candidates stay inspectable in the report, and "eight" counts types.  An
-automorphism carrying (theta, Gamma) to (theta', Gamma') carries each g^sigma,
-sigma in Gamma minus 1, onto a g^sigma' with theta onto theta', so it keeps
-the multiset of their real forms under theta.  The 48 candidates carry 9
-distinct (type, multiset) pairs, so they fall into at least nine conjugacy
-classes: y3y4y5's su(4,1)+2c candidates are not all conjugate, as 8 have
-{so(8,2)+so(2), so*(10)+so(2), su(5,1)+sl(2,R)} and 4 have
-{so(8,2)+so(2), so(8,2)+so(2), su(4,2)+su(2)}.
+candidates stay inspectable in the report, and "eight" counts types.  There
+are exactly nine W-orbits of toral pairs (theta, Gamma) in T[2], all met by
+the 48 candidates; su(4,1)+2c alone takes two, which the multiset of the
+real forms of g^sigma under theta, sigma in Gamma minus 1, tells apart
+(tests/test_pipeline.py::test_toral_pairs_fall_into_exactly_nine_weyl_orbits).
 """
 from __future__ import annotations
 
@@ -298,9 +295,7 @@ def report_to_markdown(report: K4Report) -> str:
         else:
             where = "MISSING"
         lines.append(f"| {idx} | {form} | {where} | {len(cands)} |")
-    extra = sorted(set(by_form) - set(GOLDEN_PAIRS))
-    for form in extra:
+    for form in report.unexpected:
         lines.append(f"| ? | {form} | UNEXPECTED | {len(by_form[form])} |")
-    lines.append("")
-    lines.append(f"verified: {str(report.verified).lower()}")
+    lines += ["", f"verified: {str(report.verified).lower()}"]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ ideal's simple roots, taken in diagram order, with its values on them
               node, first fork leaf) into n signs, p >= q -> so(2p, 2q).
 
 q = 0 is the compact form, su(n + 1, 0) or so(2n, 0), spelled su(n + 1)
-and so(2n): a compact ideal has no name of its own.
+and so(2n) by rootsys.compact_name: a compact ideal has no name of its own.
 
 For a D_4 ideal so*(8) and so(6,2) are the same algebra; the so(6,2)
 spelling wins.  E-type ideals raise rather than guessing.  Only equal-rank
@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, PreconditionError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
-from .rootsys import RootSystem, SubsystemComponent, render_summands
+from .rootsys import RootSystem, SubsystemComponent, compact_name, render_summands
 from .toral import TorusCharacter
 
 _KIND_ORDER = {"su": 0, "so": 1, "so_star": 2}
@@ -101,9 +101,9 @@ class RealFormLabel(NamedTuple):
         if self.kind == "su":
             if style == "survey" and (self.a, self.b) == (1, 1):
                 return "sl(2,R)"
-            return f"su({self.a},{self.b})" if self.b else f"su({self.a})"
+            return f"su({self.a},{self.b})" if self.b else compact_name("A", self.a - 1)
         if self.kind == "so":
-            return f"so({2 * self.a},{2 * self.b})" if self.b else f"so({2 * self.a})"
+            return f"so({2 * self.a},{2 * self.b})" if self.b else compact_name("D", self.a)
         return f"so*({2 * self.a})"
 
 

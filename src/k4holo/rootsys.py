@@ -25,7 +25,7 @@ roots it fixes), so the classification derives each kernel once.  It keeps
 no decomposition: each call decomposes its subset afresh.
 
 ReductiveType.render and the real forms of realform spell their sums
-through one renderer, render_summands.
+through render_summands and their compact simple ideals through compact_name.
 
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
@@ -51,13 +51,6 @@ _E6_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6))
 # Largest accepted rank: the reflection closure grows faster than rank**3,
 # and D32 already takes about half a second.
 MAX_RANK = 32
-
-# Compact real form of each recognisable type.
-_COMPACT_NAME = {
-    "A": lambda r: f"su({r + 1})",
-    "D": lambda r: f"so({2 * r})",
-    "E": lambda r: f"e{r}",
-}
 
 
 def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -104,6 +97,15 @@ def render_summands(names: Sequence[str], center: int, center_name: str = "c") -
     return "+".join(parts) or "0"
 
 
+def compact_name(family: str, rank: int) -> str:
+    """The one spelling of a compact simple ideal: su(n + 1), so(2n) or e6."""
+    if family == "A":
+        return f"su({rank + 1})"
+    if family == "D":
+        return f"so({2 * rank})"
+    return f"e{rank}"
+
+
 class RootSystem(NamedTuple("RootSystem", [
         ("family", str), ("rank", int), ("cartan", tuple[tuple[int, ...], ...]),
         ("roots", frozenset[Root]), ("simple_roots", tuple[Root, ...]),
@@ -148,6 +150,8 @@ class RootSystem(NamedTuple("RootSystem", [
         """
         fixed = self._kernels.get(chi)
         if fixed is None:
+            if len(chi.exps) != self.rank:
+                raise PreconditionError(f"the character's exponents do not fit {self.label}")
             fixed = self._kernels[chi] = frozenset(r for r in self.roots
                                                    if chi.evaluate(r) == 0)
         return fixed
@@ -259,7 +263,7 @@ class ReductiveType(NamedTuple):
 
     def render(self) -> str:
         """Canonical compact-form spelling, e.g. 'su(4)+2su(2)+c'."""
-        return render_summands([_COMPACT_NAME[family](rank) for family, rank in self.components],
+        return render_summands([compact_name(family, rank) for family, rank in self.components],
                                self.center_dim)
 
 

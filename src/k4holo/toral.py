@@ -95,6 +95,12 @@ def identity_character() -> TorusCharacter:
     return TorusCharacter(1, (0,) * RANK)
 
 
+def from_chain_order(chain: Sequence[int]) -> tuple[int, ...]:
+    """Exponents given in chain order (alpha_1, alpha_3 .. alpha_6, alpha_2),
+    reordered as alpha_1 .. alpha_6."""
+    return (chain[0], chain[5], chain[1], chain[2], chain[3], chain[4])
+
+
 def embed_su6_sp1(modulus: int, diag: Sequence[int], sp1: int) -> TorusCharacter:
     """Automorphism of e6 induced by a diagonal element of SU(6) x Sp(1).
 
@@ -117,9 +123,8 @@ def embed_su6_sp1(modulus: int, diag: Sequence[int], sp1: int) -> TorusCharacter
             f"determinant violation: diagonal exponents {d} "
             f"do not sum to 0 mod {modulus}")
     chain = [d[i] - d[i + 1] for i in range(5)]
-    a2 = sp1 + d[3] + d[4] + d[5]
-    exps = (chain[0], a2, chain[1], chain[2], chain[3], chain[4])
-    return TorusCharacter(modulus, exps)
+    chain.append(sp1 + d[3] + d[4] + d[5])
+    return TorusCharacter(modulus, from_chain_order(chain))
 
 
 class CharacterGroup(NamedTuple):
@@ -198,7 +203,7 @@ def builtin_groups() -> dict[str, CharacterGroup]:
     m4_p2 = emb((2, 2, 2, 2, 0, 0), 0)      # (diag(-1,-1,-1,-1,1,1), 1)
     m22 = emb((2, 2, 0, 2, 2, 0), 0)        # (diag(-1,-1,1,-1,-1,1), 1)
 
-    groups = {
+    return {
         "x1x2x4": generate_group(
             [("x1", minus_one), ("x2", i3_i3_i), ("x4", m22)], "x1x2x4"),
         "x1x4x5": generate_group(
@@ -209,4 +214,3 @@ def builtin_groups() -> dict[str, CharacterGroup]:
         "y3y4y5": generate_group(
             [("y3", i5_i), ("y4", minus_one * i5_i), ("y5", m4_p2)], "y3y4y5"),
     }
-    return groups

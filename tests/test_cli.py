@@ -63,6 +63,16 @@ def test_theorem24_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in err
 
 
+def test_a_survey_value_outside_the_admissible_list_exits_1(capsys, monkeypatch):
+    # x4's own g^x4 is so(10)+so(2), the form dropped here
+    assert pipeline.SURVEY_FORMS[-1] == "so(10)+so(2)"
+    monkeypatch.setattr(pipeline, "SURVEY_FORMS", pipeline.SURVEY_FORMS[:-1])
+    code, out, err = run_cli(["survey", "--theta", "x4"], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("verification failure: survey value so(10)+so(2) for (x1x2x4, x4) ")
+
+
 def test_classify_x4_spec(capsys):
     code, out, _ = run_cli(
         ["classify", "--char", "su6sp1 m=4 d=[2,2,0,2,2,0] y=0"], capsys)
@@ -652,7 +662,7 @@ def test_module_entry_matches_in_process_main(args, tmp_path, capsys):
 
 
 def test_both_launchers_use_one_entry_function(monkeypatch):
-    import tomllib
+    import re
     from pathlib import Path
     import k4holo.__main__ as entry
     calls = []
@@ -660,6 +670,8 @@ def test_both_launchers_use_one_entry_function(monkeypatch):
     monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 7)
     assert entry.run() == 7
     assert calls == ["freeze", "main"]
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-    assert scripts == {"k4holo": "k4holo.__main__:run"}
+    # Read as text: tomllib is Python 3.11+, and the package supports 3.10.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert [line for line in table.group(1).splitlines() if line.strip()] \
+        == ['k4holo = "k4holo.__main__:run"']

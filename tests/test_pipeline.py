@@ -20,7 +20,7 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
 from k4holo.realform import identify_real_form
 from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra
 from k4holo.rootsys import build_root_system
-from k4holo.toral import embed_su6_sp1, identity_character
+from k4holo.toral import TorusCharacter, embed_su6_sp1, identity_character
 from oracles import complexification, reductive_dim, reflect_character
 
 E6 = build_root_system("E", 6)
@@ -214,9 +214,11 @@ def test_distinct_pairs_match_golden_list():
     assert report.missing == () and report.unexpected == ()
 
 
-@pytest.mark.parametrize("extra, drop", [(True, False), (False, True)],
-                         ids=["only-missing", "only-unexpected"])
-def test_a_report_with_missing_or_unexpected_pairs_alone_is_not_verified(extra, drop,
+@pytest.mark.parametrize("extra, drop, row", [
+    (True, False, "| 9 | su(9) | MISSING | 0 |"),
+    (False, True, "| ? | 2su(2,1)+2c | UNEXPECTED | 4 |"),
+], ids=["only-missing", "only-unexpected"])
+def test_a_report_with_missing_or_unexpected_pairs_alone_is_not_verified(extra, drop, row,
                                                                          monkeypatch):
     from k4holo import pipeline
     golden = GOLDEN_PAIRS[drop:] + ("su(9)",) * extra
@@ -225,6 +227,11 @@ def test_a_report_with_missing_or_unexpected_pairs_alone_is_not_verified(extra, 
     assert report.missing == ("su(9)",) * extra
     assert report.unexpected == GOLDEN_PAIRS[:drop]
     assert report.verified is False
+    # markdown lists each golden pair, then each unexpected one, with its candidate count
+    lines = report_to_markdown(report).splitlines()
+    assert len(lines) == 4 + len(golden) + drop + 2
+    assert [l for l in lines if "MISSING" in l or "UNEXPECTED" in l] == [row]
+    assert lines[-2:] == ["", "verified: false"]
 
 
 def _sigma_forms(theta, gamma):
@@ -244,17 +251,68 @@ def _candidate_chars(group, cand):
 CANDIDATES = [(g.group, c) for g in REPORT.groups for c in g.candidates]
 
 
-def test_candidates_fall_into_at_least_nine_conjugacy_classes():
-    # "eight" counts real-form types; the sigma multiset splits one type
-    classes = Counter((c.real_form.render(), _sigma_forms(*_candidate_chars(group, c)))
-                      for group, c in CANDIDATES)
+def _mask(chi) -> int:
+    """A character of order 1 or 2 as a 6-bit int: bit j is its exponent on
+    simple root j."""
+    return sum(e << j for j, e in enumerate(chi.exps))
+
+
+def _mod2(mask: int) -> TorusCharacter:
+    return TorusCharacter(2, tuple(mask >> j & 1 for j in range(6)))
+
+
+def test_toral_pairs_fall_into_exactly_nine_weyl_orbits():
+    # "eight" counts real-form types; W-orbits of toral pairs split one type
+    reflections = [[_mask(reflect_character(E6, _mod2(m), i)) for m in range(64)]
+                   for i in range(6)]
+    classes = {m: classify_involution(_mod2(m), E6) for m in range(1, 64)}
+    assert Counter(classes.values()) == {ConjClass.SIGMA2: 27, ConjClass.SIGMA1: 36}
+    thetas = [m for m, cls in classes.items() if cls is ConjClass.SIGMA2]
+    gammas = sorted({frozenset((a, b, a ^ b)) for a in range(1, 64) for b in range(a + 1, 64)},
+                    key=sorted)
+    assert len(gammas) == 651
+    pairs = [(theta, gamma) for theta in thetas for gamma in gammas if theta not in gamma]
+    assert len(pairs) == 16740
+
+    orbit_of: dict[tuple[int, frozenset], int] = {}
+    reps = []
+    for start in pairs:
+        if start in orbit_of:
+            continue
+        orbit_of[start] = len(reps)
+        frontier = [start]
+        while frontier:
+            theta, gamma = frontier.pop()
+            for w in reflections:
+                image = (w[theta], frozenset(w[s] for s in gamma))
+                if image not in orbit_of:
+                    orbit_of[image] = len(reps)
+                    frontier.append(image)
+        reps.append(start)
+    sizes = Counter(orbit_of.values())
+    assert sorted(sizes.values()) == [1080] * 4 + [1620] + [2160] * 3 + [4320]
+
+    # each representative as theta and two generators of Gamma
+    rep_chars = [(_mod2(theta), [_mod2(s) for s in sorted(gamma)[:2]]) for theta, gamma in reps]
+    types = [identify_real_form(fixed_subalgebra(gamma, E6), theta, E6).render()
+             for theta, gamma in rep_chars]
+    sigma_forms = [_sigma_forms(theta, gamma) for theta, gamma in rep_chars]
+    assert sorted(types) == sorted(GOLDEN_PAIRS + ("su(4,1)+2c",))
+    assert sorted(sizes[k] for k, t in enumerate(types) if t == "su(4,1)+2c") == [1080, 2160]
+    assert len(set(sigma_forms)) == 9  # the sigma-multiset separates the orbits
+
+    met = Counter()
+    for group, c in CANDIDATES:
+        theta, (a, b) = _candidate_chars(group, c)
+        k = orbit_of[_mask(theta), frozenset(map(_mask, (a, b, a * b)))]
+        assert c.real_form.render() == types[k]
+        met[k] += 1
     assert len(CANDIDATES) == 48
-    assert sorted(classes.values()) == [3, 3, 4, 4, 4, 4, 6, 8, 12]
-    assert {form for form, _ in classes} == set(GOLDEN_PAIRS)
-    assert {forms: count for (form, forms), count in classes.items()
-            if form == "su(4,1)+2c"} == {
-        ("so(8,2)+so(2)", "so*(10)+so(2)", "su(5,1)+sl(2,R)"): 8,
-        ("so(8,2)+so(2)", "so(8,2)+so(2)", "su(4,2)+su(2)"): 4}
+    assert sorted(met.values()) == [3, 3, 4, 4, 4, 4, 6, 8, 12]
+    assert {sigma_forms[k]: (sizes[k], met[k]) for k, t in enumerate(types)
+            if t == "su(4,1)+2c"} == {
+        ("so(8,2)+so(2)", "so*(10)+so(2)", "su(5,1)+sl(2,R)"): (2160, 8),
+        ("so(8,2)+so(2)", "so(8,2)+so(2)", "su(4,2)+su(2)"): (1080, 4)}
     assert {c.group_name for _, c in CANDIDATES if c.real_form.render() == "su(4,1)+2c"} \
         == {"y3y4y5"}
 

@@ -72,6 +72,17 @@ def test_classify_requires_e6():
         classify_involution(sigma1_reference(), build_root_system("A", 5))
 
 
+@pytest.mark.parametrize("family, rank", [("A", 5), ("D", 16)])
+def test_a_character_on_another_rank_is_refused(family, rank):
+    # its six exponents would be zipped with roots of another length
+    sys = build_root_system(family, rank)
+    for _ in range(2):  # nothing is kept: the refusal repeats
+        with pytest.raises(PreconditionError,
+                           match=rf"^the character's exponents do not fit {family}{rank}$"):
+            fixed_subalgebra([sigma2_reference()], sys)
+    assert fixed_subalgebra([], sys).dim == len(sys.roots) + rank
+
+
 def test_mu_values():
     g3, g4 = GROUPS["y1y3y4"], GROUPS["y3y4y5"]
     assert mu(g3.element("y1"), E6) == -1
