@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "chevalley": ("JacobiReport", "StructureConstants", "build_chevalley_basis",
                   "check_jacobi", "export_n_table", "killing_form"),
-    "errors": ("EngineError", "InternalConsistencyError", "PreconditionError",
-               "UsageError", "VerificationError"),
+    "errors": ("EngineError", "PreconditionError", "UsageError", "VerificationError"),
     "pipeline": ("GOLDEN_PAIRS", "SURVEY_FORMS", "GroupCandidates", "K4Candidate",
                  "K4Report", "SurveyResult", "classify_all", "enumerate_candidates",
                  "klein_four_subgroups", "report_to_dict", "report_to_markdown",

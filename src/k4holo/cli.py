@@ -31,10 +31,12 @@ Element labels (x1, x2, x4, x5, y1, y3, y4, y5 and their products) resolve
 inside the first builtin group containing them unless qualified as
 "group:label" or pinned with --group.
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error
-("usage error:" on stderr), input the engine rejects (roots --type E7, a
-refused realform pair) or an engine fault ("error:" on stderr), or stdout
-closed or not writable before the output was complete (no traceback then).
+Exit codes: 0 success/verified, 1 verification mismatch (a golden
+reference or a real-form dimension check), 2 usage error ("usage error:"
+on stderr), input the engine rejects (roots --type E7, a refused realform
+pair, an unwritable --ntable-out; "error:" on stderr), or stdout closed or
+not writable before the output was complete (no traceback then).  Only
+main maps failures to exit codes: each command returns 0 or 1 or raises.
 stdout carries pure data; diagnostics go to stderr, and a closed or
 unwritable stderr loses them without changing the exit code.
 """
@@ -133,17 +135,19 @@ def _emit(doc, fmt: str, text_lines) -> None:
 def _quiet_stream(stream) -> None:
     """Point a stream whose writes fail at the null device, so the
     interpreter's final flush of what is left stays quiet too."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
 
 
-def _diagnose(message: str, end: str = "\n") -> None:
+def _diagnose(message: str) -> None:
     """Write a diagnostic to stderr; a closed or unwritable stderr loses it
     quietly.  A stderr closed at start is None, and print would then write
     to stdout."""
     if _sys.stderr is None:
         return
     try:
-        print(message, end=end, file=_sys.stderr, flush=True)
+        print(message, file=_sys.stderr, flush=True)
     except OSError:
         _quiet_stream(_sys.stderr)
 
@@ -227,8 +231,7 @@ def _cmd_selftest(args) -> int:
             with open(args.ntable_out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _diagnose(f"error: cannot write the N table: {exc}")
-            return 2
+            raise PreconditionError(f"cannot write the N table: {exc}") from exc
         _diagnose(f"wrote N table to {args.ntable_out}")
 
     ok = all(passed for _, passed, _ in results)

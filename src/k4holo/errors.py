@@ -2,8 +2,8 @@
 
 Everything user-facing derives from EngineError so the CLI can map the
 whole family onto exit codes without enumerating causes: a VerificationError
-exits 1, a UsageError exits 2 after "usage error:", and any other
-EngineError exits 2 after "error:".
+exits 1, a UsageError exits 2 after "usage error:", and a PreconditionError
+exits 2 after "error:".
 """
 from __future__ import annotations
 
@@ -18,12 +18,8 @@ class PreconditionError(EngineError):
     ideal with no real-form vocabulary."""
 
 
-class InternalConsistencyError(EngineError):
-    """A condition that must hold for any correct build failed; this is a bug."""
-
-
 class VerificationError(EngineError):
-    """A computed result disagrees with an embedded golden reference."""
+    """A computed result disagrees with its golden reference or a second derivation."""
 
 
 class UsageError(EngineError):

@@ -25,8 +25,9 @@ omits split/quaternionic families.
 Each name is dimension-checked: its compact part must have the dimension
 of theta's fixed roots in the ideal plus the rank.  The name reads theta
 on the n simple roots only and the count reads it on every root of the
-ideal, so the check compares two independent derivations.  The
-complexification is not computed: each name has its ideal's type.
+ideal, so the check compares two independent derivations; a mismatch
+raises VerificationError.  The complexification is not computed: each
+name has its ideal's type.
 
 The centre of the subalgebra is a count of lines, each of them compact
 (spelled c, or so(2) in survey style): toral characters fix the Cartan
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import PreconditionError, VerificationError
 from .reductive import ConjClass, FixedSubalgebra, classify_involution
 from .rootsys import RootSystem, SubsystemComponent, compact_name, render_summands
 from .toral import TorusCharacter
@@ -143,7 +144,8 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
 
     theta-stability is automatic here: all characters share one torus.
     Every identification is dimension-checked (compact part of the label
-    from the paints versus theta's fixed root count plus rank).
+    from the paints versus theta's fixed root count plus rank); a mismatch
+    raises VerificationError.
 
     The complexification is not checked, as it is sub.rtype on any
     FixedSubalgebra the engine builds: _ideal_label names A_n su(p, q) with
@@ -158,7 +160,7 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
         fixed_in = comp.roots & sys.kernel(theta)
         label = _ideal_label(comp, theta)
         if label.compact_part_dim != len(fixed_in) + comp.rank:
-            raise InternalConsistencyError(
+            raise VerificationError(
                 f"{label.render()} bookkeeping: compact dim {label.compact_part_dim} "
                 f"!= {len(fixed_in)} fixed roots + rank {comp.rank}")
         ideals.append(label)

@@ -142,15 +142,33 @@ def test_fixed_with_two_chars(capsys):
     assert doc["fixed_root_count"] + 6 == doc["dim"]
 
 
+# Specs parse_char_spec refuses, at least one per message, with the stderr line each gives.
+_REFUSED_SPECS = [
+    ("chi m=2 1,0,0,0,0,0", "expected a bracketed vector, got '1,0,0,0,0,0'"),
+    ("chi [1,0,0,0,0,0", "expected a bracketed vector, got '[1,0,0,0,0,0'"),
+    ("chi [1,a,0,0,0,0]", "non-integer entry in vector '[1,a,0,0,0,0]'"),
+    ("chi m=4 [1,2]", "expected 6 entries in '[1,2]', got 2"),
+    ("", "empty character spec"),
+    ("chi m=2 m=4 [1,0,0,0,0,0]", "duplicate field 'm=4' in character spec"),
+    ("chi m=x [0,0,0,0,0,0]", "bad modulus token m='x'"),
+    ("chi m=0 [1,0,0,0,0,0]", "modulus must be >= 1, got m=0"),
+    ("chi y=1 [1,0,0,0,0,0]", "malformed chi spec 'chi y=1 [1,0,0,0,0,0]'"),
+    ("su6sp1 [1,0,0,0,0,0]", "malformed su6sp1 spec 'su6sp1 [1,0,0,0,0,0]'"),
+    ("su6sp1 d=[0,0,0,0,0,0]",
+     "su6sp1 spec 'su6sp1 d=[0,0,0,0,0,0]' needs d=[...] and y=N"),
+    ("su6sp1 d=[0,0,0,0,0,0] y=q", "bad sp(1) token y='q'"),
+    ("blah m=4", "unknown character kind 'blah' (want chi or su6sp1)"),
+]
+
+
 def test_malformed_char_spec_is_usage_error(capsys):
-    code, out, err = run_cli(["classify", "--char", "chi m=4 [1,2]"], capsys)
-    assert code == 2
-    assert "[1,2]" in err
-    code, _, err = run_cli(["classify", "--char", "blah m=4"], capsys)
-    assert code == 2
-    assert "blah" in err
-    code, _, err = run_cli(["classify", "--char", "chi m=x [0,0,0,0,0,0]"], capsys)
-    assert code == 2
+    for spec, message in _REFUSED_SPECS:
+        assert run_cli(["classify", "--char", spec], capsys) == (2, "", f"usage error: {message}\n")
+
+
+def test_modulus_one_is_accepted(capsys):
+    # the smallest modulus: every exponent reduces to 0, the identity
+    assert run_cli(["classify", "--char", "chi m=1 [0,0,0,0,0,0]"], capsys) == (0, "identity\n", "")
 
 
 _BLANKS = st.text(" \t", max_size=2)
@@ -253,6 +271,25 @@ def test_higher_order_char_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, option", [
+    ([], "command"), (["roots"], "--type"), (["classify"], "--char"), (["survey"], "--theta"),
+    (["realform", "--theta", "x4"], "--gamma"), (["realform", "--gamma", "x1", "x2"], "--theta")],
+    ids=["command", "roots", "classify", "survey", "realform-gamma", "realform-theta"])
+def test_a_missing_required_option_is_an_argparse_error(args, option, capsys):
+    prog = " ".join(["k4holo", *args[:1]])
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} ")
+    assert err.splitlines()[-1] == f"{prog}: error: the following arguments are required: {option}"
+
+
+def test_roots_verbose_lists_every_root_sorted(capsys):
+    code, out, err = run_cli(["roots", "--type", "A2", "-v"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["type: A2", "rank: 2", "roots: 6", "highest root: [1, 1]",
+                                "[-1, -1]", "[-1, 0]", "[0, -1]", "[0, 1]", "[1, 0]", "[1, 1]"]
+
+
 def test_roots_json(capsys):
     code, out, _ = run_cli(["roots", "--type", "E6", "--format", "json"], capsys)
     doc = json.loads(out)
@@ -262,8 +299,10 @@ def test_roots_json(capsys):
 
 
 def test_roots_bad_type(capsys):
-    code, _, err = run_cli(["roots", "--type", "Q3"], capsys)
-    assert code == 2
+    # U+0663 is a digit to str.isdigit and int(), but not an ASCII one
+    for token in ("Q3", "E6x", "A\u0663"):
+        assert run_cli(["roots", "--type", token], capsys) == (
+            2, "", f"usage error: bad type token {token!r} (want e.g. E6, A5, D4)\n")
     code, _, err = run_cli(["roots", "--type", "E7"], capsys)
     assert code == 2
 
@@ -607,6 +646,20 @@ def test_closed_stderr_keeps_exit_code_2(args):
     proc.stdout.close()
     assert proc.wait(timeout=60) == 2
     assert out == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_quiet_stream_leaves_no_descriptor_open():
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)  # a pipe still written to reads None, not a hang
+    with os.fdopen(read_end, "rb") as reader, os.fdopen(write_end, "w") as stream:
+        before = len(os.listdir("/proc/self/fd"))
+        cli._quiet_stream(stream)
+        assert len(os.listdir("/proc/self/fd")) == before
+        stream.write("lost")
+        stream.flush()
+        # the pipe lost its only writer to the null device: the reader sees EOF
+        assert reader.read() == b""
 
 
 def _run_with_fd(args, fd, how, **pipes):

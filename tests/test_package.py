@@ -18,8 +18,7 @@ from k4holo.toral import TorusCharacter
 EXPORTS = {
     "chevalley": ("JacobiReport", "StructureConstants", "build_chevalley_basis",
                   "check_jacobi", "export_n_table", "killing_form"),
-    "errors": ("EngineError", "InternalConsistencyError", "PreconditionError",
-               "UsageError", "VerificationError"),
+    "errors": ("EngineError", "PreconditionError", "UsageError", "VerificationError"),
     "pipeline": ("GOLDEN_PAIRS", "SURVEY_FORMS", "GroupCandidates", "K4Candidate",
                  "K4Report", "SurveyResult", "classify_all", "enumerate_candidates",
                  "klein_four_subgroups", "report_to_dict", "report_to_markdown",
@@ -35,9 +34,9 @@ EXPORTS = {
 }
 
 
-def test_all_lists_the_49_exports():
+def test_all_lists_the_48_exports():
     names = sorted(name for names in EXPORTS.values() for name in names)
-    assert len(names) == len(set(names)) == 49
+    assert len(names) == len(set(names)) == 48
     assert sorted(k4holo.__all__) == names
 
 
@@ -50,7 +49,7 @@ def _raised_name(node: ast.Raise) -> str | None:
     return exc.id if isinstance(exc, ast.Name) else exc.attr
 
 
-def test_errors_defines_exactly_the_five_classes_and_nothing_raises_another():
+def test_errors_defines_exactly_the_four_classes_and_nothing_raises_another():
     classes = {name for name, value in vars(errors).items()
                if isinstance(value, type) and value.__module__ == errors.__name__}
     assert classes == set(EXPORTS["errors"])

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k4holo.errors import InternalConsistencyError, PreconditionError
+from k4holo.errors import PreconditionError, VerificationError
 from k4holo.pipeline import GROUP_NAMES, builtin_groups, sigma2_elements
 from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
                              holomorphic_type_check, identify_real_form,
@@ -115,6 +115,22 @@ def test_theta_of_higher_order_rejected():
     fs = fixed_subalgebra([sigma1_reference()], E6)
     with pytest.raises(PreconditionError):
         identify_real_form(fs, TorusCharacter(3, (1, 0, 0, 0, 0, 0)), E6)
+
+
+def test_simple_roots_out_of_diagram_order_fail_the_dimension_check():
+    # theta paints only the end root of the A5 ideal: su(5,1) with 20 fixed
+    # roots.  Swapping that root with its neighbour moves the paint inside
+    # the path, where the sign walk reads su(4,2), whose compact part is 19.
+    fs = fixed_subalgebra([TorusCharacter(2, (0, 0, 0, 1, 0, 1))], E6)
+    a5, *others = fs.components
+    theta = TorusCharacter(2, (0, 1, 0, 1, 1, 0))
+    assert [theta.evaluate(s) for s in a5.simple] == [1, 0, 0, 0, 0]
+    assert identify_real_form(fs, theta, E6).render() == "su(5,1)+su(1,1)"
+    first, second, *rest = a5.simple
+    swapped = a5._replace(simple=(second, first, *rest))
+    with pytest.raises(VerificationError) as info:
+        identify_real_form(fs._replace(components=(swapped, *others)), theta, E6)
+    assert str(info.value) == "su(4,2) bookkeeping: compact dim 19 != 20 fixed roots + rank 5"
 
 
 def test_center_of_fixed_reference():

@@ -146,6 +146,11 @@ def test_involution_census_over_all_modulus_2_characters():
     classes = [classify_involution(chi, E6) for chi in chars]
     assert classes.count(ConjClass.SIGMA1) == 36
     assert classes.count(ConjClass.SIGMA2) == 27
+    # classify_involution compares with one reference kernel; the other
+    # class is what is left, so pin both fixed-root counts here
+    fixed = {cls: {len(E6.kernel(chi)) for chi, c in zip(chars, classes) if c is cls}
+             for cls in (ConjClass.SIGMA1, ConjClass.SIGMA2)}
+    assert fixed == {ConjClass.SIGMA1: {32}, ConjClass.SIGMA2: {40}}
 
 
 def _brute_kernel(chi):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k4holo.errors import InternalConsistencyError, PreconditionError
+from k4holo.errors import PreconditionError
 from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
                             build_root_system, decompose_closed_subset, reductive_type,
                             _cartan_matrix, _component_sort_key, _reflect, _validate_closed)
@@ -355,10 +355,10 @@ def _reference_classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[st
     degs = [len(ns) for ns in adj]
     nedges = sum(degs) // 2
     if nedges != k - 1:
-        raise InternalConsistencyError(
+        raise AssertionError(
             f"component diagram has {nedges} edges on {k} nodes (not a tree)")
     if max(degs) > 3:
-        raise InternalConsistencyError("component diagram has a node of degree > 3")
+        raise AssertionError("component diagram has a node of degree > 3")
 
     def walk(prev: int, cur: int) -> list[int]:
         """The leg that leaves prev through cur, out to its end."""
@@ -376,7 +376,7 @@ def _reference_classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[st
         end = degs.index(1)
         return ("A", k, ordered([end] + walk(end, adj[end][0])))
     if len(branches) > 1:
-        raise InternalConsistencyError("component diagram has two branch nodes")
+        raise AssertionError("component diagram has two branch nodes")
     b = branches[0]
     legs = sorted((walk(b, first) for first in adj[b]), key=len)
     lengths = [len(leg) for leg in legs]
@@ -384,7 +384,7 @@ def _reference_classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[st
         return ("D", k, ordered(legs[2][::-1] + [b] + legs[0] + legs[1]))
     if lengths == [1, 2, 2]:
         return ("E", 6, tuple(simple))
-    raise InternalConsistencyError(f"component diagram with legs {lengths} matches no catalog entry")
+    raise AssertionError(f"component diagram with legs {lengths} matches no catalog entry")
 
 
 def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
@@ -398,7 +398,7 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
 
     for a, b in ((x, y) for i, x in enumerate(simple) for y in simple[i + 1:]):
         if pairing(sys, a, b) not in (0, -1):
-            raise InternalConsistencyError(
+            raise AssertionError(
                 f"extracted simple system is not valid: ({a},{b}) = {pairing(sys, a, b)}")
 
     # Connected components of the extracted diagram: each simple root
@@ -415,7 +415,7 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
     for r in sset:
         homes = [c for c in components if any(pairing(sys, r, s) != 0 for s in c[2])]
         if len(homes) != 1:
-            raise InternalConsistencyError(
+            raise AssertionError(
                 f"root {r} pairs with {len(homes)} components of its subsystem")
         homes[0][3].add(r)
 
@@ -423,7 +423,7 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
     for family, rank, csimple, croots in components:
         expected = ROOT_COUNT[family](rank)
         if len(croots) != expected:
-            raise InternalConsistencyError(
+            raise AssertionError(
                 f"{family}{rank} component carries {len(croots)} roots, expected {expected}")
         out.append(SubsystemComponent(family=family, rank=rank, simple=csimple,
                                       roots=frozenset(croots)))
