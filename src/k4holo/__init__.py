@@ -25,8 +25,8 @@ _EXPORTS = {
                  "holomorphic_type_check", "identify_real_form"),
     "reductive": ("ConjClass", "FixedSubalgebra", "classify_involution",
                   "fixed_subalgebra", "mu", "sigma1_reference", "sigma2_reference"),
-    "rootsys": ("ReductiveType", "Root", "RootSystem", "SubsystemComponent",
-                "build_root_system", "decompose_closed_subset"),
+    "rootsys": ("Root", "RootSystem", "SubsystemComponent", "build_root_system",
+                "decompose_closed_subset"),
     "toral": ("GROUP_NAMES", "CharacterGroup", "TorusCharacter", "builtin_groups",
               "embed_su6_sp1", "generate_group", "identity_character"),
 }

@@ -253,11 +253,11 @@ def _cmd_fixed(args) -> int:
     doc = {
         "chars": [_char_view(c) for c in chars],
         "fixed_root_count": len(fs.fixed_roots),
-        "type": fs.rtype.render(),
+        "type": fs.render(),
         "dim": fs.dim,
     }
     _emit(doc, args.format,
-          [f"type: {fs.rtype.render()}", f"dim: {fs.dim}",
+          [f"type: {fs.render()}", f"dim: {fs.dim}",
            f"fixed roots: {len(fs.fixed_roots)}"])
     return 0
 
@@ -274,7 +274,7 @@ def _cmd_classify(args) -> int:
             "class": cls.label,
             "mu": mu(char, sys),
             "fixed_dim": fs.dim,
-            "fixed_type": fs.rtype.render(),
+            "fixed_type": fs.render(),
         }
     _emit(doc, args.format, [cls.label])
     return 0

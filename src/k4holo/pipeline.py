@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .errors import PreconditionError, VerificationError
 from .realform import RealFormType, identify_real_form
 from .reductive import ConjClass, FixedSubalgebra, classify_involution, fixed_subalgebra
-from .rootsys import ReductiveType, RootSystem
+from .rootsys import RootSystem
 from .toral import GROUP_NAMES, CharacterGroup, TorusCharacter, builtin_groups
 
 # Golden list of the eight pairs; the exact spelling is part of the contract.
@@ -84,11 +84,12 @@ def klein_four_subgroups(group: CharacterGroup) -> tuple[KleinSubgroup, ...]:
 
 
 class K4Candidate(NamedTuple):
-    """One pair (theta, Gamma) of a group; Gamma is generated by gamma_labels."""
+    """One pair (theta, Gamma) of a group; Gamma is generated by gamma_labels,
+    and compact_dual is Gamma's fixed subalgebra."""
     group_name: str
     theta_label: str
     gamma_labels: tuple[str, str]
-    compact_dual: ReductiveType
+    compact_dual: FixedSubalgebra
     real_form: RealFormType
 
 
@@ -123,9 +124,13 @@ class GroupCandidates(NamedTuple):
 class K4Report(NamedTuple):
     groups: tuple[GroupCandidates, ...]
     distinct_pairs: tuple[str, ...]
-    verified: bool
     missing: tuple[str, ...]
     unexpected: tuple[str, ...]
+
+    @property
+    def verified(self) -> bool:
+        """No golden pair missing and no unexpected one."""
+        return not self.missing and not self.unexpected
 
     @property
     def candidates(self) -> tuple[K4Candidate, ...]:
@@ -161,7 +166,7 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
                 group_name=group.name,
                 theta_label=theta_label,
                 gamma_labels=sub.labels,
-                compact_dual=fixed_gamma.rtype,
+                compact_dual=fixed_gamma,
                 real_form=identify_real_form(fixed_gamma, theta, sys),
             ))
     return GroupCandidates(group=group, sigma2_labels=tuple(l for l, _ in thetas),
@@ -178,7 +183,6 @@ def classify_all(sys: RootSystem) -> K4Report:
     missing = tuple(sorted(golden - set(distinct)))
     unexpected = tuple(sorted(set(distinct) - golden))
     return K4Report(groups=found, distinct_pairs=distinct,
-                    verified=not missing and not unexpected,
                     missing=missing, unexpected=unexpected)
 
 
@@ -252,7 +256,7 @@ def report_to_dict(report: K4Report) -> dict:
             "order": g.group.order,
             "elements": list(g.group.labels),
             "sigma2_elements": list(g.sigma2_labels),
-            "fixed_subalgebra": g.fixed.rtype.render(),
+            "fixed_subalgebra": g.fixed.render(),
             "fixed_dim": g.fixed.dim,
             "candidates": len(g.candidates),
         }
@@ -267,7 +271,7 @@ def report_to_dict(report: K4Report) -> dict:
                 "gamma": list(c.gamma_labels),
                 "compact_dual": c.compact_dual.render(),
                 "real_form": c.real_form.render(),
-                "maximal_compact": g.fixed.rtype.render(),
+                "maximal_compact": g.fixed.render(),
             }
             for g in report.groups for c in g.candidates
         ],

@@ -32,7 +32,7 @@ name has its ideal's type.
 The centre of the subalgebra is a count of lines, each of them compact
 (spelled c, or so(2) in survey style): toral characters fix the Cartan
 subalgebra pointwise.  Ideals and centre are spelled by the summand
-renderer that ReductiveType.render uses too, rootsys.render_summands.
+renderer that FixedSubalgebra.render uses too, rootsys.render_summands.
 
 identify_real_form decomposes nothing: it reads the components the
 FixedSubalgebra carries, and theta's kernel, which the root system keeps.
@@ -147,10 +147,10 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
     from the paints versus theta's fixed root count plus rank); a mismatch
     raises VerificationError.
 
-    The complexification is not checked, as it is sub.rtype on any
+    The complexification is not checked, as it is sub's type on any
     FixedSubalgebra the engine builds: _ideal_label names A_n su(p, q) with
     p + q = n + 1 and D_n so(2p, 2q), so*(2n) or so(6,2), of complex rank
-    n; the centre is sub.rtype's; both sides sort by (-rank, family).  The
+    n; the centre is sub.center; both sides sort by (-rank, family).  The
     tests recompute it from the labels (tests/oracles.py) on every candidate.
     """
     if theta.order > 2:
@@ -164,7 +164,7 @@ def identify_real_form(sub: FixedSubalgebra, theta: TorusCharacter,
                 f"{label.render()} bookkeeping: compact dim {label.compact_part_dim} "
                 f"!= {len(fixed_in)} fixed roots + rank {comp.rank}")
         ideals.append(label)
-    return RealFormType(ideals=tuple(ideals), center=sub.rtype.center_dim)
+    return RealFormType(ideals=tuple(ideals), center=sub.center)
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import PreconditionError
-from .rootsys import ReductiveType, Root, RootSystem, SubsystemComponent, reductive_type
+from .rootsys import Root, RootSystem, SubsystemComponent, compact_name, render_summands
 from .toral import TorusCharacter
 
 
@@ -39,26 +39,39 @@ def sigma2_reference() -> TorusCharacter:
 
 
 class FixedSubalgebra(NamedTuple):
+    """A fixed subalgebra: its roots, their irreducible components in
+    (-rank, family) order, and the number of centre lines."""
     fixed_roots: frozenset[Root]
     components: tuple[SubsystemComponent, ...]
-    rtype: ReductiveType
-    dim: int
+    center: int
+
+    @property
+    def dim(self) -> int:
+        """Roots plus rank, the rank being the components' ranks plus the centre."""
+        return len(self.fixed_roots) + sum(c.rank for c in self.components) + self.center
+
+    def render(self) -> str:
+        """Canonical compact-form spelling, e.g. 'su(4)+2su(2)+c'."""
+        return render_summands([compact_name(c.family, c.rank) for c in self.components],
+                               self.center)
 
 
 def fixed_subalgebra(chars: Iterable[TorusCharacter], sys: RootSystem) -> FixedSubalgebra:
     """Joint fixed-point subalgebra of a set of toral characters.
 
     The Cartan subalgebra is always fixed (toral characters act trivially
-    on it), so the dimension is the fixed root count plus the rank.  The
-    fixed roots are the intersection of the characters' kernels, closed
-    (chi(a) = chi(b) = 0 gives chi(a + b) = 0) and negation-symmetric by
-    construction, so they are decomposed here once, unvalidated; callers
-    read the components.
+    on it), so the centre is the directions of it that the components'
+    coroots do not span: the rank minus the components' ranks, never
+    negative as a subsystem's simple roots are linearly independent
+    (Humphreys 10.1).  The fixed roots are the intersection of the
+    characters' kernels, closed (chi(a) = chi(b) = 0 gives chi(a + b) = 0)
+    and negation-symmetric by construction, so they are decomposed here
+    once, unvalidated; callers read the components.
     """
     fixed = sys.roots.intersection(*(sys.kernel(c) for c in chars))
     comps = sys.decomposition(fixed)
     return FixedSubalgebra(fixed_roots=fixed, components=comps,
-                           rtype=reductive_type(comps, sys), dim=len(fixed) + sys.rank)
+                           center=sys.rank - sum(c.rank for c in comps))
 
 
 def classify_involution(chi: TorusCharacter, sys: RootSystem) -> ConjClass:

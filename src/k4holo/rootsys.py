@@ -24,8 +24,9 @@ diagrams drawn.  The system also keeps, per character, its kernel (the
 roots it fixes), so the classification derives each kernel once.  It keeps
 no decomposition: each call decomposes its subset afresh.
 
-ReductiveType.render and the real forms of realform spell their sums
-through render_summands and their compact simple ideals through compact_name.
+reductive.FixedSubalgebra.render and the real forms of realform spell their
+sums through render_summands and their compact simple ideals through
+compact_name.
 
 Node numbering is fixed once and for all: the E6 diagram is the chain
 1-3-4-5-6 with node 2 attached to node 4, which makes the diagram flip
@@ -109,8 +110,7 @@ def compact_name(family: str, rank: int) -> str:
 class RootSystem(NamedTuple("RootSystem", [
         ("family", str), ("rank", int), ("cartan", tuple[tuple[int, ...], ...]),
         ("roots", frozenset[Root]), ("simple_roots", tuple[Root, ...]),
-        ("positive_roots", tuple[Root, ...]), ("highest_root", Root),
-        ("weights", tuple[int, ...])])):
+        ("positive_roots", tuple[Root, ...]), ("weights", tuple[int, ...])])):
     """A root system with read-only fields; positive_roots is in (height,
     value) order.  Unlike the plain records it has an instance __dict__,
     which holds the tables below once built."""
@@ -118,6 +118,12 @@ class RootSystem(NamedTuple("RootSystem", [
     @property
     def label(self) -> str:
         return f"{self.family}{self.rank}"
+
+    @property
+    def highest_root(self) -> Root:
+        """The only root of greatest height (Humphreys 10.4, Lemma A), so the
+        last positive root in (height, value) order."""
+        return self.positive_roots[-1]
 
     def simple_pairings(self, root: Sequence[int]) -> tuple[int, ...]:
         """(root, alpha_i) for each simple root alpha_i: the simple roots are
@@ -189,10 +195,10 @@ class RootSystem(NamedTuple("RootSystem", [
 
         out = []
         for cpos in {id(c): c for c in comp.values()}.values():  # each component once
-            family, rank, csimple = _classify_diagram([r for r in cpos if r in simple], self)
+            family, csimple = _classify_diagram([r for r in cpos if r in simple], self)
             croots = frozenset(cpos | {tuple(-c for c in r) for r in cpos})
-            out.append(SubsystemComponent(family=family, rank=rank, simple=csimple, roots=croots))
-        out.sort(key=lambda c: (_component_sort_key((c.family, c.rank)), min(c.roots)))
+            out.append(SubsystemComponent(family=family, simple=csimple, roots=croots))
+        out.sort(key=lambda c: (-c.rank, c.family, min(c.roots)))
         return tuple(out)
 
     def value(self, root: Sequence[int]) -> int:
@@ -214,9 +220,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     under all simple reflections.  Nothing is re-checked, as nothing can
     fail (Humphreys): every root is W-conjugate to a simple one (10.3), so
     every root is reached, each of squared length 2 as W keeps the form;
-    roots are sign-coherent (10.1); the highest root is the only root of
-    greatest height (10.4, Lemma A), so it is the last positive root in
-    (height, value) order.  selftest and the tests certify the result.
+    roots are sign-coherent (10.1).  selftest and the tests certify the
+    result.
     """
     cartan = _cartan_matrix(family, rank)
     simple = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
@@ -236,12 +241,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     weights = tuple(base ** i for i in range(rank))
     positive = tuple(sorted((r for r in roots if sum(c * w for c, w in zip(r, weights)) > 0),
                             key=lambda r: (sum(r), sum(c * w for c, w in zip(r, weights)))))
-    # The highest root is the only root of greatest height, so it comes last.
-    highest = positive[-1]
     return RootSystem(family=family, rank=rank, cartan=cartan,
                       roots=frozenset(roots), simple_roots=simple,
-                      positive_roots=positive, highest_root=highest,
-                      weights=weights)
+                      positive_roots=positive, weights=weights)
 
 
 class SubsystemComponent(NamedTuple):
@@ -251,25 +253,12 @@ class SubsystemComponent(NamedTuple):
     _cartan_matrix(family, rank).
     """
     family: str
-    rank: int
     simple: tuple[Root, ...]
     roots: frozenset[Root]
 
-
-class ReductiveType(NamedTuple):
-    """Isomorphism type of a reductive subalgebra: simple parts + centre."""
-    components: tuple[tuple[str, int], ...]
-    center_dim: int
-
-    def render(self) -> str:
-        """Canonical compact-form spelling, e.g. 'su(4)+2su(2)+c'."""
-        return render_summands([compact_name(family, rank) for family, rank in self.components],
-                               self.center_dim)
-
-
-def _component_sort_key(comp: tuple[str, int]) -> tuple:
-    family, rank = comp
-    return (-rank, family)
+    @property
+    def rank(self) -> int:
+        return len(self.simple)
 
 
 def _validate_closed(subset: frozenset[Root], sys: RootSystem) -> None:
@@ -287,8 +276,9 @@ def _validate_closed(subset: frozenset[Root], sys: RootSystem) -> None:
                     f"subset is not closed: {a} + {b} = {s} is a root outside it")
 
 
-def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tuple[Root, ...]]:
-    """Match the diagram of a connected simple system against A/D/E6.
+def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, tuple[Root, ...]]:
+    """Match the diagram of a connected simple system against A/D/E6: its
+    family, whose rank is the number of simple roots.
 
     Also returns the simple roots in diagram order, the node order of
     _cartan_matrix(family, rank): an A path from its smaller end; for D the
@@ -307,7 +297,7 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
     simple = sorted(simple)
     k = len(simple)
     if k == 1:
-        return ("A", 1, tuple(simple))
+        return ("A", tuple(simple))
     # Simple roots of a base pair to 0 or -1 (Humphreys 10.1), so two of
     # them are joined exactly when their sum is a root.
     partners = [{b for b, _ in sys.sums_from[a]} for a in simple]
@@ -327,12 +317,12 @@ def _classify_diagram(simple: list[Root], sys: RootSystem) -> tuple[str, int, tu
 
     if 3 not in degs:
         end = degs.index(1)
-        return ("A", k, ordered([end] + walk(end, adj[end][0])))
+        return ("A", ordered([end] + walk(end, adj[end][0])))
     b = degs.index(3)
     legs = sorted((walk(b, first) for first in adj[b]), key=len)
     if len(legs[1]) == 1:
-        return ("D", k, ordered(legs[2][::-1] + [b] + legs[0] + legs[1]))
-    return ("E", 6, tuple(simple))
+        return ("D", ordered(legs[2][::-1] + [b] + legs[0] + legs[1]))
+    return ("E", tuple(simple))
 
 
 def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[SubsystemComponent, ...]:
@@ -347,15 +337,3 @@ def decompose_closed_subset(subset: Iterable[Root], sys: RootSystem) -> tuple[Su
     _validate_closed(sset, sys)
     return sys.decomposition(sset)
 
-
-def reductive_type(comps: Iterable[SubsystemComponent], sys: RootSystem) -> ReductiveType:
-    """Reductive type of a subsystem given by its irreducible components.
-
-    The centre dimension is the ambient rank minus the sum of component
-    ranks, i.e. the directions of the Cartan subalgebra not spanned by
-    the subsystem's coroots.  It is never negative: the simple roots of a
-    subsystem are linearly independent (Humphreys 10.1).
-    """
-    labels = sorted(((c.family, c.rank) for c in comps), key=_component_sort_key)
-    center = sys.rank - sum(rank for _, rank in labels)
-    return ReductiveType(components=tuple(labels), center_dim=center)

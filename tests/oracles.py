@@ -3,14 +3,13 @@
 Each function here derives a fact the engine derives another way, or does
 not derive at all because no command needs it: the bilinear form of two
 lattice vectors, the simple reflections of a lattice vector and of a
-character, the sign of a root, the dimension and the complexification of a
-reductive algebra, and reading and extending the Chevalley bracket table.
+character, the sign of a root, the type, dimension and complexification of
+a reductive algebra, and reading and extending the Chevalley bracket table.
 None of them is engine code; the engine keeps one derivation per fact, and
 the tests own the second.
 """
 from operator import mul
 
-from k4holo.rootsys import ReductiveType
 from k4holo.toral import TorusCharacter
 
 # Root counts of the recognisable types (Humphreys, 12.2).
@@ -50,11 +49,17 @@ def is_positive(sys, root) -> bool:
     return next(c for c in reversed(root) if c) > 0
 
 
-def reductive_dim(rtype: ReductiveType) -> int:
-    """Dimension of a reductive algebra: roots plus rank per simple ideal,
-    plus the centre."""
-    return rtype.center_dim + sum(ROOT_COUNT[family](rank) + rank
-                                  for family, rank in rtype.components)
+def compact_type(sub) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Type of a fixed subalgebra: its components' (family, rank), in its
+    order, and its centre lines."""
+    return tuple((c.family, c.rank) for c in sub.components), sub.center
+
+
+def reductive_dim(sub) -> int:
+    """Dimension of a fixed subalgebra from its type: roots plus rank per
+    simple ideal, plus the centre."""
+    comps, center = compact_type(sub)
+    return center + sum(ROOT_COUNT[family](rank) + rank for family, rank in comps)
 
 
 def complex_type(label) -> tuple[str, int]:
@@ -67,11 +72,11 @@ def complex_type(label) -> tuple[str, int]:
     return ("D", label.a)
 
 
-def complexification(form) -> ReductiveType:
-    """Complex reductive type of a real form: its ideals' types, sorted as
-    ReductiveType sorts them, and its centre lines."""
+def complexification(form) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Complex reductive type of a real form, spelled as compact_type: its
+    ideals' types in (-rank, family) order, and its centre lines."""
     comps = sorted(map(complex_type, form.ideals), key=lambda c: (-c[1], c[0]))
-    return ReductiveType(components=tuple(comps), center_dim=form.center)
+    return tuple(comps), form.center
 
 
 def n(sc, a, b) -> int:

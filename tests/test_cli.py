@@ -55,7 +55,7 @@ def test_theorem24_markdown(capsys):
 
 
 def test_theorem24_mismatch_exit_code(capsys, monkeypatch):
-    broken = pipeline.K4Report(groups=(), distinct_pairs=("bogus",), verified=False,
+    broken = pipeline.K4Report(groups=(), distinct_pairs=("bogus",),
                                missing=("2su(2,1)+2c",), unexpected=("bogus",))
     monkeypatch.setattr(pipeline, "classify_all", lambda *a, **k: broken)
     code, out, err = run_cli(["theorem24"], capsys)
@@ -471,10 +471,14 @@ _A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("name, line", [
-    # the highest root replaced by the sum of the simple roots, a lower root
+    # the last positive root, the highest, replaced by the sum of the
+    # simple roots, a lower root, beside the true bracket table
     ("root_system", "check root_system: FAIL (72 roots, highest [1, 1, 1, 1, 1, 1])"),
     # [h_1, X_a1] = 2 X_a1 becomes 4 X_a1: the trace of ad(h_1)^2 gains 16 - 4
     ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 60, root-sum 48)"),
+    # the Cartan matrix doubled beside the true bracket table: each root's
+    # pairing with alpha_1 doubles, so the root sum is 4 * 48 and the trace stays
+    ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 48, root-sum 192)"),
     # [X_a1, X_-a1] = h_1 becomes 2 h_1
     ("killing_root_pair", "check killing_root_pair: FAIL (kappa(X,X-) = 26)"),
     # x1x2x4 (one sigma2 element) replaced by x1x4x5 (three)
@@ -485,8 +489,11 @@ _A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
 ])
 def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
     if name == "root_system":
-        wrong = build_root_system.__wrapped__("E", 6)._replace(highest_root=(1,) * 6)
+        true_table = chevalley.build_chevalley_basis(build_root_system("E", 6))
+        wrong = build_root_system.__wrapped__("E", 6)
+        wrong = wrong._replace(positive_roots=wrong.positive_roots[:-1] + ((1,) * 6,))
         monkeypatch.setattr(cli, "build_root_system", lambda family, rank: wrong)
+        monkeypatch.setattr(chevalley, "build_chevalley_basis", lambda sys: true_table)
     elif name == "involution_census":
         groups = pipeline.builtin_groups()
         groups["x1x2x4"] = groups["x1x4x5"]
@@ -496,6 +503,12 @@ def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
         wrong = build_root_system.__wrapped__("E", 6)
         row = wrong.sums_from[wrong.simple_roots[0]]
         row[0] = (row[0][0], row[0][0])
+        monkeypatch.setattr(cli, "build_root_system", lambda family, rank: wrong)
+        monkeypatch.setattr(chevalley, "build_chevalley_basis", lambda sys: true_table)
+    elif line.endswith("root-sum 192)"):
+        true_table = chevalley.build_chevalley_basis(build_root_system("E", 6))
+        right = build_root_system.__wrapped__("E", 6)
+        wrong = right._replace(cartan=tuple(tuple(2 * x for x in row) for row in right.cartan))
         monkeypatch.setattr(cli, "build_root_system", lambda family, rank: wrong)
         monkeypatch.setattr(chevalley, "build_chevalley_basis", lambda sys: true_table)
     else:
@@ -526,6 +539,28 @@ def _reference_homomorphism(sys):
 _E6 = build_root_system("E", 6)
 _TRUE_TABLE = chevalley.build_chevalley_basis(_E6)
 _ROOTS = sorted(_E6.roots)
+
+
+def test_selftest_samples_20_characters_mod_12_from_seed_0(capsys, monkeypatch):
+    built = []
+
+    def recording(modulus, exps):
+        built.append(TorusCharacter(modulus, exps))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "TorusCharacter", recording)
+    code, _, _ = run_cli(["selftest"], capsys)
+    assert code == 0
+    assert built[:3] == [TorusCharacter(12, (6, 6, 0, 4, 8, 7)),
+                         TorusCharacter(12, (6, 4, 7, 5, 9, 3)),
+                         TorusCharacter(12, (8, 2, 4, 2, 1, 9))]
+    rng = random.Random(0)
+    assert built == [TorusCharacter(12, tuple(rng.randrange(12) for _ in range(6)))
+                     for _ in range(20)]
+    # The first three already tell the 72 roots apart, so a sum recorded as
+    # any wrong root fails on one of them.
+    assert len({tuple(chi.evaluate(r) for chi in built[:3]) for r in _E6.roots}) == 72
+    assert len({tuple(chi.evaluate(r) for chi in built[:2]) for r in _E6.roots}) < 72
 
 
 # Each example runs one selftest on a fresh system (about 30 ms).

@@ -21,7 +21,7 @@ from k4holo.realform import identify_real_form
 from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter, embed_su6_sp1, identity_character
-from oracles import complexification, reductive_dim, reflect_character
+from oracles import compact_type, complexification, reductive_dim, reflect_character
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -84,7 +84,7 @@ def test_rank3_fixed_types():
     for name, (render, dim) in expected.items():
         chars = [c for _, c in GROUPS[name].nonidentity()]
         fs = fixed_subalgebra(chars, E6)
-        assert (fs.rtype.render(), fs.dim) == (render, dim)
+        assert (fs.render(), fs.dim) == (render, dim)
 
 
 RANK2_DUALS = {
@@ -104,7 +104,7 @@ def test_rank2_compact_duals_with_stated_groupings():
     for (gname, labels), expected in RANK2_DUALS.items():
         g = GROUPS[gname]
         fs = fixed_subalgebra([g.element(l) for l in labels], E6)
-        assert fs.rtype.render() == expected, (gname, labels)
+        assert fs.render() == expected, (gname, labels)
 
 
 def test_group_without_sigma2_elements():
@@ -139,14 +139,14 @@ def test_named_candidate_from_y1y3y4():
     cand = match[0]
     assert cand.compact_dual.render() == "su(4)+2su(2)+c"
     assert cand.real_form.render() == "su(3,1)+su(1,1)+su(2)+c"
-    assert group.fixed.rtype.render() == "su(3)+su(2)+3c"
+    assert group.fixed.render() == "su(3)+su(2)+3c"
 
 
 def test_candidate_invariants():
     for g in REPORT.groups:
         assert g.group == GROUPS[g.group.name]
         for c in g.candidates:
-            assert complexification(c.real_form) == c.compact_dual
+            assert complexification(c.real_form) == compact_type(c.compact_dual)
             a, b = (g.group.element(label) for label in c.gamma_labels)
             gamma = {identity_character(), a, b, a * b}
             assert len(gamma) == 4
@@ -154,7 +154,7 @@ def test_candidate_invariants():
             # maximal compact dimension equals the compact parts of the form
             compact = sum(l.compact_part_dim for l in c.real_form.ideals)
             compact += c.real_form.center
-            assert reductive_dim(g.fixed.rtype) == compact
+            assert reductive_dim(g.fixed) == compact
 
 
 def test_report_candidates_are_the_groups_candidates_in_order():

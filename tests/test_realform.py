@@ -12,7 +12,7 @@ from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
 from k4holo.rootsys import Root, RootSystem, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
-from oracles import complexification, pairing, reflect
+from oracles import compact_type, complexification, pairing, reflect
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -61,13 +61,13 @@ def test_identify_real_form_reuses_the_components(monkeypatch):
 
 def test_two_su21_pair():
     fs, form = forms_of("x1x2x4", ("x1", "x2"), "x4")
-    assert fs.rtype.render() == "2su(3)+2c"
+    assert fs.render() == "2su(3)+2c"
     assert form.render() == "2su(2,1)+2c"
 
 
 def test_so62_pair():
     fs, form = forms_of("y3y4y5", ("y4", "y5"), "y3")
-    assert fs.rtype.render() == "so(8)+2c"
+    assert fs.render() == "so(8)+2c"
     assert form.render() == "so(6,2)+2c"
 
 
@@ -96,13 +96,13 @@ def test_compact_real_forms_spell_like_their_complex_types(monkeypatch):
     assert len(subs) == len(built) + 63 and built
     for fs in subs:
         form = identify_real_form(fs, identity_character(), E6)
-        assert form.render() == fs.rtype.render()
-        assert form.center == fs.rtype.center_dim
+        assert form.render() == fs.render()
+        assert form.center == fs.center
 
 
 def test_complexification_matches_compact_dual():
     fs, form = forms_of("y1y3y4", ("y1", "y4"), "y3")
-    assert complexification(form) == fs.rtype
+    assert complexification(form) == compact_type(fs)
 
 
 def test_exceptional_ideal_is_unmapped():
@@ -148,9 +148,9 @@ def test_center_of_fixed_reference():
                                          for label in sigma2_elements(GROUPS[name], E6)])
 def test_center_of_fixed_for_builtin_thetas(group, label):
     theta = GROUPS[group].element(label)
-    rtype = fixed_subalgebra([theta], E6).rtype
-    assert rtype.components == (("D", 5),)
-    assert rtype.center_dim == 1
+    fs = fixed_subalgebra([theta], E6)
+    assert [(c.family, c.rank) for c in fs.components] == [("D", 5)]
+    assert fs.center == 1
     basis = center_of_fixed(theta, E6)
     assert len(basis) == 1
     fixed = [r for r in E6.roots if theta.evaluate(r) == 0]
@@ -305,7 +305,7 @@ _T2 = st.integers(0, 63).map(_t2)
 @settings(max_examples=50, deadline=None)
 def test_identify_real_form_passes_its_bookkeeping_on_t2(gamma, theta):
     fs = fixed_subalgebra(gamma, E6)
-    assert complexification(identify_real_form(fs, theta, E6)) == fs.rtype
+    assert complexification(identify_real_form(fs, theta, E6)) == compact_type(fs)
 
 
 def _d_shape(k: int) -> tuple[tuple[tuple[str, int], ...], int]:

@@ -1,5 +1,5 @@
 """The contract of the record types: constructor fields, read-only fields,
-equality, hashing and reprs."""
+derived values, equality, hashing and reprs."""
 import copy
 import inspect
 import pickle
@@ -7,8 +7,8 @@ import pickle
 import pytest
 
 from k4holo import (CharacterGroup, FixedSubalgebra, GroupCandidates, JacobiReport,
-                    K4Candidate, K4Report, RealFormLabel, RealFormType, ReductiveType,
-                    RootSystem, StructureConstants, SubsystemComponent, SurveyResult,
+                    K4Candidate, K4Report, RealFormLabel, RealFormType, RootSystem,
+                    StructureConstants, SubsystemComponent, SurveyResult,
                     TorusCharacter, build_chevalley_basis,
                     build_root_system, classify_all, symmetric_pair_survey)
 from k4holo.errors import PreconditionError
@@ -22,10 +22,9 @@ CANDIDATE = GROUP.candidates[0]
 # One record of each type whose fields cannot be assigned, with its fields in order.
 FROZEN = [
     (E6, ("family", "rank", "cartan", "roots", "simple_roots", "positive_roots",
-          "highest_root", "weights")),
-    (GROUP.fixed.components[0], ("family", "rank", "simple", "roots")),
-    (CANDIDATE.compact_dual, ("components", "center_dim")),
-    (GROUP.fixed, ("fixed_roots", "components", "rtype", "dim")),
+          "weights")),
+    (GROUP.fixed.components[0], ("family", "simple", "roots")),
+    (GROUP.fixed, ("fixed_roots", "components", "center")),
     (CANDIDATE.real_form.ideals[0], ("kind", "a", "b")),
     (CANDIDATE.real_form, ("ideals", "center")),
     (GROUP.group.labels["x1"], ("modulus", "exps")),
@@ -34,12 +33,12 @@ FROZEN = [
     (CANDIDATE, ("group_name", "theta_label", "gamma_labels", "compact_dual",
                  "real_form")),
     (GROUP, ("group", "sigma2_labels", "fixed", "candidates")),
-    (REPORT, ("groups", "distinct_pairs", "verified", "missing", "unexpected")),
+    (REPORT, ("groups", "distinct_pairs", "missing", "unexpected")),
     (symmetric_pair_survey("x4", E6), ("theta_group", "theta_label", "values")),
     (JacobiReport(76076, ()), ("triples_checked", "violations")),
     (build_chevalley_basis(E6), ("sys", "basis", "index", "btable")),
 ]
-TYPES = (RootSystem, SubsystemComponent, ReductiveType, FixedSubalgebra, RealFormLabel,
+TYPES = (RootSystem, SubsystemComponent, FixedSubalgebra, RealFormLabel,
          RealFormType, TorusCharacter, CharacterGroup, KleinSubgroup,
          K4Candidate, GroupCandidates, K4Report, SurveyResult, JacobiReport,
          StructureConstants)
@@ -49,6 +48,27 @@ UNHASHABLE = (CharacterGroup, GroupCandidates, K4Report, SurveyResult, Structure
 
 def test_every_frozen_type_is_listed():
     assert tuple(type(record) for record, _ in FROZEN) == TYPES
+
+
+# Values a record's fields determine: read-only properties, not fields, so
+# no record can be built whose field disagrees with them.
+DERIVED = [
+    (E6, "highest_root", E6.positive_roots[-1]),
+    (GROUP.fixed.components[0], "rank", len(GROUP.fixed.components[0].simple)),
+    (GROUP.fixed, "dim", len(GROUP.fixed.fixed_roots) + E6.rank),
+    (REPORT, "verified", True),
+    (REPORT, "candidates", tuple(c for g in REPORT.groups for c in g.candidates)),
+]
+
+
+@pytest.mark.parametrize("record, name, value", DERIVED,
+                         ids=[f"{type(r).__name__}.{n}" for r, n, _ in DERIVED])
+def test_derived_values_are_read_only_properties(record, name, value):
+    assert name not in type(record)._fields
+    assert isinstance(getattr(type(record), name), property)
+    assert getattr(record, name) == value
+    with pytest.raises(AttributeError):
+        setattr(record, name, value)
 
 
 @pytest.mark.parametrize("record, fields", FROZEN, ids=[t.__name__ for t in TYPES])

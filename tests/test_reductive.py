@@ -17,27 +17,27 @@ GROUPS = builtin_groups()
 def test_fixed_of_nothing_is_whole_algebra():
     fs = fixed_subalgebra([], E6)
     assert fs.dim == 78
-    assert fs.rtype.components == (("E", 6),)
+    assert [(c.family, c.rank) for c in fs.components] == [("E", 6)]
 
 
 def test_fixed_of_sigma2_reference():
     fs = fixed_subalgebra([sigma2_reference()], E6)
     assert fs.dim == 46
-    assert fs.rtype.components == (("D", 5),)
-    assert fs.rtype.center_dim == 1
+    assert [(c.family, c.rank) for c in fs.components] == [("D", 5)]
+    assert fs.center == 1
 
 
 def test_fixed_of_sigma1_reference():
     fs = fixed_subalgebra([sigma1_reference()], E6)
     assert fs.dim == 38
-    assert fs.rtype.components == (("A", 5), ("A", 1))
+    assert [(c.family, c.rank) for c in fs.components] == [("A", 5), ("A", 1)]
 
 
 def test_fixed_of_x1x2x4_group():
     chars = [c for _, c in GROUPS["x1x2x4"].nonidentity()]
     fs = fixed_subalgebra(chars, E6)
     assert fs.dim == 10
-    assert fs.rtype.render() == "2su(2)+4c"
+    assert fs.render() == "2su(2)+4c"
 
 
 def test_dim_bookkeeping():

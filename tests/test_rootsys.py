@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k4holo.errors import PreconditionError
+from k4holo.reductive import FixedSubalgebra
 from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
-                            build_root_system, decompose_closed_subset, reductive_type,
-                            _cartan_matrix, _component_sort_key, _reflect, _validate_closed)
-from oracles import ROOT_COUNT, is_positive, pairing, reflect
+                            build_root_system, decompose_closed_subset,
+                            _cartan_matrix, _reflect, _validate_closed)
+from oracles import ROOT_COUNT, compact_type, is_positive, pairing, reflect
 
 
 E6 = build_root_system("E", 6)
@@ -18,9 +19,11 @@ def negate(r):
 
 
 def subsystem_type(subset):
-    """Reductive type of a closed subset of E6, decomposed through the
-    validating public boundary."""
-    return reductive_type(decompose_closed_subset(subset, E6), E6)
+    """The reductive subalgebra of E6 a closed subset spans with the Cartan
+    subalgebra, decomposed through the validating public boundary; its
+    centre is the rank its components leave."""
+    comps = decompose_closed_subset(subset, E6)
+    return FixedSubalgebra(frozenset(subset), comps, E6.rank - sum(c.rank for c in comps))
 
 
 def weyl_image(subset, word, sys):
@@ -143,35 +146,30 @@ def test_value_is_injective_and_signed_on_sums_of_three_roots(family, rank):
 
 def test_identify_whole_system():
     t = subsystem_type(E6.roots)
-    assert t.components == (("E", 6),)
-    assert t.center_dim == 0
+    assert compact_type(t) == ((("E", 6),), 0)
 
 
 def test_identify_alpha2_kernel_is_a5():
     subset = {r for r in E6.roots if r[1] == 0}
     t = subsystem_type(subset)
-    assert t.components == (("A", 5),)
-    assert t.center_dim == 1
+    assert compact_type(t) == ((("A", 5),), 1)
 
 
 def test_identify_alpha6_kernel_is_d5():
     subset = {r for r in E6.roots if r[5] == 0}
     t = subsystem_type(subset)
-    assert t.components == (("D", 5),)
-    assert t.center_dim == 1
+    assert compact_type(t) == ((("D", 5),), 1)
 
 
 def test_identify_alpha4_kernel():
     subset = {r for r in E6.roots if r[3] == 0}
     t = subsystem_type(subset)
-    assert t.components == (("A", 2), ("A", 2), ("A", 1))
-    assert t.center_dim == 1
+    assert compact_type(t) == ((("A", 2), ("A", 2), ("A", 1)), 1)
 
 
 def test_identify_empty_subset():
     t = subsystem_type(set())
-    assert t.components == ()
-    assert t.center_dim == 6
+    assert compact_type(t) == ((), 6)
 
 
 def test_closure_violations_rejected():
@@ -255,19 +253,19 @@ def test_identify_weyl_invariance_100_random_closed_subsets():
         t = subsystem_type(subset)
         word = [rng.randrange(6) for _ in range(rng.randrange(1, 12))]
         image = weyl_image(subset, word, E6)
-        assert subsystem_type(image) == t
+        assert compact_type(subsystem_type(image)) == compact_type(t)
 
 
 def test_identify_negation_invariance():
     for subset in closed_subsets_for_tests(20, seed=3):
         t = subsystem_type(subset)
-        assert subsystem_type({negate(r) for r in subset}) == t
+        assert compact_type(subsystem_type({negate(r) for r in subset})) == compact_type(t)
 
 
 def test_subset_size_forced_by_type():
     for subset in closed_subsets_for_tests(30, seed=5):
         t = subsystem_type(subset)
-        assert len(subset) == sum(ROOT_COUNT[f](r) for f, r in t.components)
+        assert len(subset) == sum(ROOT_COUNT[f](r) for f, r in compact_type(t)[0])
 
 
 def test_reductive_type_render():
@@ -425,9 +423,10 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
         if len(croots) != expected:
             raise AssertionError(
                 f"{family}{rank} component carries {len(croots)} roots, expected {expected}")
-        out.append(SubsystemComponent(family=family, rank=rank, simple=csimple,
-                                      roots=frozenset(croots)))
-    out.sort(key=lambda c: (_component_sort_key((c.family, c.rank)), min(c.roots)))
+        if len(csimple) != rank:
+            raise AssertionError(f"{family}{rank} component has {len(csimple)} simple roots")
+        out.append(SubsystemComponent(family=family, simple=csimple, roots=frozenset(croots)))
+    out.sort(key=lambda c: (-c.rank, c.family, min(c.roots)))
     return tuple(out)
 
 
