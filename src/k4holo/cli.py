@@ -25,6 +25,8 @@ Character grammar (one shell argument per character):
       diagonal special-unitary exponents plus the sp(1) exponent.
 
 A bracketed vector is one token even when it contains spaces.
+Every integer (M, Y and each vector entry) is ASCII decimal with an
+optional leading '-'.
 
 M defaults to 4.
 Element labels (x1, x2, x4, x5, y1, y3, y4, y5 and their products) resolve
@@ -57,13 +59,22 @@ from .toral import TorusCharacter, embed_su6_sp1, from_chain_order
 _SPEC_TOKEN = r"[^\s\[]*\[[^\]]*\]\S*|\S+"
 
 
+def _spec_int(text: str) -> int:
+    """An ASCII decimal integer with an optional leading '-'; int() alone
+    would also take other scripts' digits, underscores and a '+'."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_vector(token: str, expect: int) -> tuple[int, ...]:
     if not (token.startswith("[") and token.endswith("]")):
         raise UsageError(f"expected a bracketed vector, got {token!r}")
     body = token[1:-1].strip()
     parts = [p.strip() for p in body.split(",")] if body else []
     try:
-        values = tuple(int(p) for p in parts)
+        values = tuple(_spec_int(p) for p in parts)
     except ValueError:
         raise UsageError(f"non-integer entry in vector {token!r}")
     if len(values) != expect:
@@ -92,7 +103,7 @@ def parse_char_spec(spec: str) -> TorusCharacter:
         if "m" not in fields:
             return 4  # M defaults to 4
         try:
-            m = int(fields["m"])
+            m = _spec_int(fields["m"])
         except ValueError:
             raise UsageError(f"bad modulus token m={fields['m']!r}")
         if m < 1:
@@ -112,7 +123,7 @@ def parse_char_spec(spec: str) -> TorusCharacter:
         m = modulus()
         diag = _parse_vector(fields["d"], 6)
         try:
-            y = int(fields["y"])
+            y = _spec_int(fields["y"])
         except ValueError:
             raise UsageError(f"bad sp(1) token y={fields['y']!r}")
         return embed_su6_sp1(m, diag, y)
@@ -301,16 +312,17 @@ def _cmd_realform(args) -> int:
 def _cmd_theorem24(args) -> int:
     sys = build_root_system("E", 6)
     report = pipeline.classify_all(sys)
+    verified = report.verified
     doc, lines = None, ()
     if args.format == "json":
         doc = pipeline.report_to_dict(report)
     elif args.format == "markdown":
         lines = pipeline.report_to_markdown(report).splitlines()
     else:
-        lines = [*report.distinct_pairs, f"distinct pairs: {len(report.distinct_pairs)}",
-                 f"verified: {str(report.verified).lower()}"]
+        pairs = report.distinct_pairs
+        lines = [*pairs, f"distinct pairs: {len(pairs)}", f"verified: {str(verified).lower()}"]
     _emit(doc, args.format, lines)
-    if not report.verified:
+    if not verified:
         _diagnose(f"MISMATCH missing={list(report.missing)} "
                   f"unexpected={list(report.unexpected)}")
         return 1

@@ -11,7 +11,8 @@ subgroup and per group, and the survey names each character's form once.
 The report holds each fact once: a candidate keeps its group's name and
 its own labels and types, its maximal compact subalgebra (the group's
 fixed subalgebra) is read from the GroupCandidates that holds it, and the
-report's flat candidate list is derived from its groups.  Every candidate
+report stores only its groups: its flat candidate list, its distinct pairs
+and its verdict against the golden list are read off them.  Every candidate
 is of holomorphic type by construction, as the realform module docstring
 argues: theta is chosen by sigma2_elements.
 Deduplication is by real-form type equality, not by conjugacy: all raw
@@ -122,20 +123,35 @@ class GroupCandidates(NamedTuple):
 
 
 class K4Report(NamedTuple):
+    """The classification: its groups, with the verdict read off their
+    candidates against GOLDEN_PAIRS."""
     groups: tuple[GroupCandidates, ...]
-    distinct_pairs: tuple[str, ...]
-    missing: tuple[str, ...]
-    unexpected: tuple[str, ...]
-
-    @property
-    def verified(self) -> bool:
-        """No golden pair missing and no unexpected one."""
-        return not self.missing and not self.unexpected
 
     @property
     def candidates(self) -> tuple[K4Candidate, ...]:
         """Every group's candidates, in group order."""
         return tuple(c for g in self.groups for c in g.candidates)
+
+    @property
+    def distinct_pairs(self) -> tuple[str, ...]:
+        """The candidates' real forms, each spelled once, sorted."""
+        return tuple(sorted({c.real_form.render() for c in self.candidates}))
+
+    @property
+    def missing(self) -> tuple[str, ...]:
+        """Golden pairs no candidate has, sorted."""
+        return tuple(sorted(set(GOLDEN_PAIRS) - set(self.distinct_pairs)))
+
+    @property
+    def unexpected(self) -> tuple[str, ...]:
+        """Candidates' real forms outside the golden list, sorted."""
+        return tuple(sorted(set(self.distinct_pairs) - set(GOLDEN_PAIRS)))
+
+    @property
+    def verified(self) -> bool:
+        """No golden pair missing and no unexpected one: the candidates'
+        real forms are exactly the golden pairs."""
+        return set(self.distinct_pairs) == set(GOLDEN_PAIRS)
 
 
 def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandidates:
@@ -174,16 +190,10 @@ def enumerate_candidates(group: CharacterGroup, sys: RootSystem) -> GroupCandida
 
 
 def classify_all(sys: RootSystem) -> K4Report:
-    """Run the whole classification on the E6 root system sys and verify it
-    against the golden list."""
+    """Run the whole classification on the E6 root system sys; the report
+    checks it against the golden list."""
     groups = builtin_groups()
-    found = tuple(enumerate_candidates(groups[name], sys) for name in GROUP_NAMES)
-    distinct = tuple(sorted({c.real_form.render() for g in found for c in g.candidates}))
-    golden = set(GOLDEN_PAIRS)
-    missing = tuple(sorted(golden - set(distinct)))
-    unexpected = tuple(sorted(set(distinct) - golden))
-    return K4Report(groups=found, distinct_pairs=distinct,
-                    missing=missing, unexpected=unexpected)
+    return K4Report(tuple(enumerate_candidates(groups[name], sys) for name in GROUP_NAMES))
 
 
 class SurveyResult(NamedTuple):

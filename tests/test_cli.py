@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from k4holo import chevalley, cli, pipeline
 from k4holo.errors import EngineError
+from k4holo.realform import RealFormLabel, RealFormType
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter
 
@@ -55,12 +56,23 @@ def test_theorem24_markdown(capsys):
 
 
 def test_theorem24_mismatch_exit_code(capsys, monkeypatch):
-    broken = pipeline.K4Report(groups=(), distinct_pairs=("bogus",),
-                               missing=("2su(2,1)+2c",), unexpected=("bogus",))
-    monkeypatch.setattr(pipeline, "classify_all", lambda *a, **k: broken)
-    code, out, err = run_cli(["theorem24"], capsys)
-    assert code == 1
-    assert "MISMATCH" in err
+    # two reports built from real data: one with no candidates, so every
+    # golden pair is missing, and one whose first candidate's real form is
+    # replaced by one outside the golden list
+    first, *rest = pipeline.classify_all(build_root_system("E", 6)).groups
+    odd = first.candidates[0]._replace(real_form=RealFormType((RealFormLabel("su", 2, 1),), 2))
+    one_odd = pipeline.K4Report((first._replace(candidates=(odd, *first.candidates[1:])), *rest))
+    for broken, mismatch in [
+        (pipeline.K4Report(groups=()),
+         "MISMATCH missing=['2su(1,1)+su(4)+c', '2su(2,1)+2c', 'so(6,2)+2c', "
+         "'su(2,1)+su(3)+2c', 'su(2,2)+2su(2)+c', 'su(3,1)+su(1,1)+su(2)+c', "
+         "'su(3,2)+2c', 'su(4,1)+2c'] unexpected=[]"),
+        (one_odd, "MISMATCH missing=[] unexpected=['su(2,1)+2c']"),
+    ]:
+        monkeypatch.setattr(pipeline, "classify_all", lambda sys: broken)
+        code, out, err = run_cli(["theorem24"], capsys)
+        assert (code, err) == (1, mismatch + "\n")
+        assert out.endswith("\nverified: false\n")
 
 
 def test_a_survey_value_outside_the_admissible_list_exits_1(capsys, monkeypatch):
@@ -157,6 +169,17 @@ _REFUSED_SPECS = [
     ("su6sp1 d=[0,0,0,0,0,0]",
      "su6sp1 spec 'su6sp1 d=[0,0,0,0,0,0]' needs d=[...] and y=N"),
     ("su6sp1 d=[0,0,0,0,0,0] y=q", "bad sp(1) token y='q'"),
+    # spec integers are ASCII decimal with an optional '-': int() alone
+    # would read other scripts' digits, underscores and a '+'
+    ("chi m=٣ [1,0,0,0,0,0]", "bad modulus token m='٣'"),
+    ("chi m=1_2 [1,0,0,0,0,0]", "bad modulus token m='1_2'"),
+    ("chi m=+3 [1,0,0,0,0,0]", "bad modulus token m='+3'"),
+    ("chi m=2 [١,0,0,0,0,0]", "non-integer entry in vector '[١,0,0,0,0,0]'"),
+    ("chi [1_0,0,0,0,0,0]", "non-integer entry in vector '[1_0,0,0,0,0,0]'"),
+    ("chi [+1,0,0,0,0,0]", "non-integer entry in vector '[+1,0,0,0,0,0]'"),
+    ("su6sp1 d=[0,0,0,0,0,0] y=٣", "bad sp(1) token y='٣'"),
+    ("su6sp1 d=[0,0,0,0,0,0] y=1_2", "bad sp(1) token y='1_2'"),
+    ("su6sp1 d=[0,0,0,0,0,0] y=+3", "bad sp(1) token y='+3'"),
     ("blah m=4", "unknown character kind 'blah' (want chi or su6sp1)"),
 ]
 
