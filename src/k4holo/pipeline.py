@@ -17,9 +17,13 @@ is of holomorphic type by construction, as the realform module docstring
 argues: theta is chosen by sigma2_elements.
 Deduplication is by real-form type equality, not by conjugacy: all raw
 candidates stay inspectable in the report, and "eight" counts types.  There
-are exactly nine W-orbits of toral pairs (theta, Gamma) in T[2], all met by
-the 48 candidates; su(4,1)+2c alone takes two, which the multiset of the
-real forms of g^sigma under theta, sigma in Gamma minus 1, tells apart
+are exactly nine conjugacy classes of pairs (theta, Gamma).  Every pair is
+toral, because C(theta) and each C(theta, x) are connected
+(tests/test_pipeline.py::test_every_pair_is_toral_by_connected_centralisers;
+README's design notes give the argument and the one step it cites).  The
+toral pairs fall into nine W-orbits in T[2], all met by the 48 candidates;
+su(4,1)+2c alone takes two, which the multiset of the real forms of
+g^sigma under theta, sigma in Gamma minus 1, tells apart
 (tests/test_pipeline.py::test_toral_pairs_fall_into_exactly_nine_weyl_orbits).
 """
 from __future__ import annotations

@@ -39,16 +39,20 @@ def sigma2_reference() -> TorusCharacter:
 
 
 class FixedSubalgebra(NamedTuple):
-    """A fixed subalgebra: its roots, their irreducible components in
+    """A fixed subalgebra: the irreducible components of its roots in
     (-rank, family) order, and the number of centre lines."""
-    fixed_roots: frozenset[Root]
     components: tuple[SubsystemComponent, ...]
     center: int
 
     @property
+    def fixed_roots(self) -> frozenset[Root]:
+        """The fixed roots, the union of the components' roots."""
+        return frozenset().union(*(c.roots for c in self.components))
+
+    @property
     def dim(self) -> int:
-        """Roots plus rank, the rank being the components' ranks plus the centre."""
-        return len(self.fixed_roots) + sum(c.rank for c in self.components) + self.center
+        """Roots plus rank, per component, plus the centre."""
+        return sum(len(c.roots) + c.rank for c in self.components) + self.center
 
     def render(self) -> str:
         """Canonical compact-form spelling, e.g. 'su(4)+2su(2)+c'."""
@@ -70,8 +74,7 @@ def fixed_subalgebra(chars: Iterable[TorusCharacter], sys: RootSystem) -> FixedS
     """
     fixed = sys.roots.intersection(*(sys.kernel(c) for c in chars))
     comps = sys.decomposition(fixed)
-    return FixedSubalgebra(fixed_roots=fixed, components=comps,
-                           center=sys.rank - sum(c.rank for c in comps))
+    return FixedSubalgebra(components=comps, center=sys.rank - sum(c.rank for c in comps))
 
 
 def classify_involution(chi: TorusCharacter, sys: RootSystem) -> ConjClass:

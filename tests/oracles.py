@@ -1,13 +1,16 @@
 """Independent references the tests check the engine against.
 
 Each function here derives a fact the engine derives another way, or does
-not derive at all because no command needs it: the bilinear form of two
-lattice vectors, the simple reflections of a lattice vector and of a
-character, the sign of a root, the type, dimension and complexification of
-a reductive algebra, and reading and extending the Chevalley bracket table.
-None of them is engine code; the engine keeps one derivation per fact, and
-the tests own the second.
+not derive at all because no command needs it: sums and negatives of
+lattice vectors and their bilinear form, the simple reflections of a
+lattice vector and of a character, the roots a set of characters fixes,
+the 64 elements of T[2] (the 2-torsion of the torus) and the Weyl group's
+action on them, orbits under a set of moves, the sign of a root, the type,
+dimension and complexification of a reductive algebra, and reading and
+extending the Chevalley bracket table.  None of them is engine code; the
+engine keeps one derivation per fact, and the tests own the second.
 """
+from math import factorial
 from operator import mul
 
 from k4holo.toral import TorusCharacter
@@ -18,6 +21,26 @@ ROOT_COUNT = {
     "D": lambda r: 2 * r * (r - 1),
     "E": lambda r: 72,
 }
+
+# Weyl group orders of the same types (Bourbaki, Lie Groups and Lie Algebras,
+# ch. VI, Plates I, IV and V).
+WEYL_ORDER = {
+    "A": lambda r: factorial(r + 1),
+    "D": lambda r: 2 ** (r - 1) * factorial(r),
+    "E": lambda r: 51840,
+}
+
+
+def add(a, b) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def sub(a, b) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def negate(v) -> tuple[int, ...]:
+    return tuple(-x for x in v)
 
 
 def pairing(sys, a, b) -> int:
@@ -40,6 +63,49 @@ def reflect_character(sys, chi, i) -> TorusCharacter:
     e = chi.exps
     return TorusCharacter(chi.modulus,
                           tuple(ej - aij * e[i] for ej, aij in zip(e, sys.cartan[i])))
+
+
+def fixed_by(sys, chars) -> frozenset:
+    """The roots of sys that every character in chars sends to 0, read off
+    evaluate root by root, without the engine's kernels."""
+    return frozenset(r for r in sys.roots if all(chi.evaluate(r) == 0 for chi in chars))
+
+
+def t2(mask: int) -> TorusCharacter:
+    """The element of T[2] whose exponent on simple root j is bit j of mask."""
+    return TorusCharacter(2, tuple(mask >> j & 1 for j in range(6)))
+
+
+# The 64 elements of T[2], indexed by their masks: T2[0] is the identity.
+T2 = tuple(map(t2, range(64)))
+
+
+def t2_mask(chi) -> int:
+    """The mask of an element of T[2]: its exponents as the bits of an int."""
+    return sum(e << j for j, e in enumerate(chi.exps))
+
+
+def t2_reflections(sys) -> tuple[tuple[int, ...], ...]:
+    """The simple reflections of sys on the masks of T[2], each a
+    permutation of the 2 ** rank masks: reflect_character mod 2.  There
+    e_j -> e_j - A[i][j] * e_i, so when bit i is set s_i flips the bits of
+    i's diagram neighbours (odd A[i][j]); the diagonal 2 vanishes mod 2."""
+    flips = [sum(1 << j for j, a in enumerate(row) if a % 2) for row in sys.cartan]
+    return tuple(tuple(m ^ flip if m >> i & 1 else m for m in range(1 << sys.rank))
+                 for i, flip in enumerate(flips))
+
+
+def orbit(start, moves) -> set:
+    """The orbit of start under the group the moves generate: a
+    breadth-first search that applies every move to every point found."""
+    found, seen = [start], {start}
+    for point in found:
+        for move in moves:
+            image = move(point)
+            if image not in seen:
+                seen.add(image)
+                found.append(image)
+    return seen
 
 
 def is_positive(sys, root) -> bool:
@@ -82,7 +148,7 @@ def complexification(form) -> tuple[tuple[tuple[str, int], ...], int]:
 def n(sc, a, b) -> int:
     """N(a, b): the coefficient of X_(a+b) in [X_a, X_b], or 0 when a + b
     is not a root (so N(a, -a) is 0).  Repeated terms add."""
-    target = sc.index.get(("x", tuple(x + y for x, y in zip(a, b))))
+    target = sc.index.get(("x", add(a, b)))
     return sum(c for p, c in sc.btable[sc.index["x", a]][sc.index["x", b]] if p == target)
 
 

@@ -10,22 +10,10 @@ from k4holo.chevalley import (_cocycle, build_chevalley_basis, check_antisymmetr
                               export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter
-from oracles import bracket, n, pairing
+from oracles import add, bracket, fixed_by, n, negate, pairing, sub
 
 E6 = build_root_system("E", 6)
 SC = build_chevalley_basis(E6)
-
-
-def neg(r):
-    return tuple(-c for c in r)
-
-
-def add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def n_map(sc):
@@ -44,7 +32,7 @@ def bracket_keys(sc, k1, k2):
 def test_coroot_normalisation():
     # [X_a, X_-a] = H_a in coroot coordinates, for every root
     for r in E6.roots:
-        h = bracket_keys(SC, ("x", r), ("x", neg(r)))
+        h = bracket_keys(SC, ("x", r), ("x", negate(r)))
         assert h == {("h", i): c for i, c in enumerate(r) if c}
 
 
@@ -62,7 +50,7 @@ def test_adjacent_simple_constant_is_unit():
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
     assert abs(n(SC, a1, a3)) == 1
     # a3 - a1 is not a root, so the root string forces |N| = p + 1 = 1
-    assert add(a3, neg(a1)) not in E6.roots
+    assert add(a3, negate(a1)) not in E6.roots
 
 
 def test_all_constants_are_units():
@@ -74,7 +62,7 @@ def test_all_constants_are_units():
 def test_n_is_zero_off_the_root_sums():
     roots = sorted(E6.roots)
     for a in roots:
-        assert n(SC, a, neg(a)) == 0
+        assert n(SC, a, negate(a)) == 0
         for b in roots:
             if add(a, b) not in E6.roots:
                 assert n(SC, a, b) == 0
@@ -146,13 +134,13 @@ def _reference_n_table(sys):
         if apos and bpos:
             return npos[(a, b)]
         if not apos and not bpos:
-            return -n_any(neg(a), neg(b))
+            return -n_any(negate(a), negate(b))
         if not apos:
             return -n_any(b, a)
         c = add(a, b)
         if c in posset:
-            return -npos[(neg(b), c)]
-        return npos[(neg(c), a)]
+            return -npos[(negate(b), c)]
+        return npos[(negate(c), a)]
 
     return {(a, b): n_any(a, b) for a, pairs in sys.sums_from.items() for b, _ in pairs}
 
@@ -174,7 +162,7 @@ def test_n_table_matches_the_recursive_rule(family, rank):
     for (a, b), v in n_table.items():
         assert v in (1, -1)
         assert n_table[(b, a)] == -v
-        minus_c = neg(add(a, b))
+        minus_c = negate(add(a, b))
         assert v == n_table[(b, minus_c)] == n_table[(minus_c, a)]
 
 
@@ -197,7 +185,7 @@ def test_cocycle_identities(family, rank):
 
 def test_opposite_pair_rule():
     for (a, b), v in N_E6.items():
-        assert N_E6[(neg(a), neg(b))] == -v
+        assert N_E6[(negate(a), negate(b))] == -v
 
 
 def test_cartan_acts_diagonally():
@@ -229,7 +217,7 @@ def test_jacobi_on_opposite_root_triples():
     for _ in range(200):
         a = rng.choice(roots)
         b = rng.choice(roots)
-        x, y, z = {("x", a): 1}, {("x", neg(a)): 1}, {("x", b): 1}
+        x, y, z = {("x", a): 1}, {("x", negate(a)): 1}, {("x", b): 1}
         s1 = bracket(SC, bracket(SC, x, y), z)
         s2 = bracket(SC, bracket(SC, y, z), x)
         s3 = bracket(SC, bracket(SC, z, x), y)
@@ -368,7 +356,7 @@ def _graded_edit(edit):
         # two unequal coefficients of [X_theta, X_-theta] = H_theta swapped,
         # theta the highest root: only triples of weight 0 break
         theta = E6.highest_root
-        i, j = SC.index[("x", theta)], SC.index[("x", neg(theta))]
+        i, j = SC.index[("x", theta)], SC.index[("x", negate(theta))]
         (p0, c0), (p1, c1), *rest = rows[i][j]
         assert c0 != c1
         rows[i][j] = ((p0, c1), (p1, c0), *rest)
@@ -480,7 +468,7 @@ def test_killing_cartan_value():
 
 def test_killing_root_pairs():
     for r in sorted(E6.roots)[:12]:
-        assert killing_form(SC, ("x", r), ("x", neg(r))) == 24
+        assert killing_form(SC, ("x", r), ("x", negate(r))) == 24
 
 
 def test_killing_vanishes_off_weight_zero():
@@ -545,8 +533,7 @@ def test_fixed_sets_are_bracket_closed():
         m = rng.choice((2, 3, 4, 6))
         chars = [TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
             for _ in range(rng.randrange(1, 4))]
-        fixed = {r for r in E6.roots
-                 if all(c.evaluate(r) == 0 for c in chars)}
+        fixed = fixed_by(E6, chars)
         span = {("h", i) for i in range(6)} | {("x", r) for r in fixed}
         for a in fixed:
             for b in fixed:

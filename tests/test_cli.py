@@ -564,16 +564,11 @@ _TRUE_TABLE = chevalley.build_chevalley_basis(_E6)
 _ROOTS = sorted(_E6.roots)
 
 
-def test_selftest_samples_20_characters_mod_12_from_seed_0(capsys, monkeypatch):
-    built = []
-
-    def recording(modulus, exps):
-        built.append(TorusCharacter(modulus, exps))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "TorusCharacter", recording)
+def test_selftest_samples_20_characters_mod_12_from_seed_0(capsys, spy):
+    calls = spy(cli, "TorusCharacter")
     code, _, _ = run_cli(["selftest"], capsys)
     assert code == 0
+    built = [chi for _, chi in calls]
     assert built[:3] == [TorusCharacter(12, (6, 6, 0, 4, 8, 7)),
                          TorusCharacter(12, (6, 4, 7, 5, 9, 3)),
                          TorusCharacter(12, (8, 2, 4, 2, 1, 9))]

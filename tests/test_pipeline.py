@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,9 @@ from k4holo.pipeline import (GOLDEN_PAIRS, GROUP_NAMES, SURVEY_FORMS,
 from k4holo.realform import identify_real_form
 from k4holo.reductive import ConjClass, classify_involution, fixed_subalgebra
 from k4holo.rootsys import build_root_system
-from k4holo.toral import TorusCharacter, embed_su6_sp1, identity_character
-from oracles import compact_type, complexification, reductive_dim, reflect_character
+from k4holo.toral import embed_su6_sp1, identity_character
+from oracles import (T2, WEYL_ORDER, compact_type, complexification, orbit, reductive_dim,
+                     reflect_character, t2_mask, t2_reflections)
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -251,21 +253,17 @@ def _candidate_chars(group, cand):
 CANDIDATES = [(g.group, c) for g in REPORT.groups for c in g.candidates]
 
 
-def _mask(chi) -> int:
-    """A character of order 1 or 2 as a 6-bit int: bit j is its exponent on
-    simple root j."""
-    return sum(e << j for j, e in enumerate(chi.exps))
+W_T2 = t2_reflections(E6)
 
 
-def _mod2(mask: int) -> TorusCharacter:
-    return TorusCharacter(2, tuple(mask >> j & 1 for j in range(6)))
+def test_t2_reflections_are_reflect_character_mod_2():
+    for i, w in enumerate(W_T2):
+        assert w == tuple(t2_mask(reflect_character(E6, chi, i)) for chi in T2)
 
 
 def test_toral_pairs_fall_into_exactly_nine_weyl_orbits():
     # "eight" counts real-form types; W-orbits of toral pairs split one type
-    reflections = [[_mask(reflect_character(E6, _mod2(m), i)) for m in range(64)]
-                   for i in range(6)]
-    classes = {m: classify_involution(_mod2(m), E6) for m in range(1, 64)}
+    classes = {m: classify_involution(T2[m], E6) for m in range(1, 64)}
     assert Counter(classes.values()) == {ConjClass.SIGMA2: 27, ConjClass.SIGMA1: 36}
     thetas = [m for m, cls in classes.items() if cls is ConjClass.SIGMA2]
     gammas = sorted({frozenset((a, b, a ^ b)) for a in range(1, 64) for b in range(a + 1, 64)},
@@ -274,26 +272,18 @@ def test_toral_pairs_fall_into_exactly_nine_weyl_orbits():
     pairs = [(theta, gamma) for theta in thetas for gamma in gammas if theta not in gamma]
     assert len(pairs) == 16740
 
+    moves = [lambda pair, w=w: (w[pair[0]], frozenset(w[s] for s in pair[1])) for w in W_T2]
     orbit_of: dict[tuple[int, frozenset], int] = {}
     reps = []
     for start in pairs:
-        if start in orbit_of:
-            continue
-        orbit_of[start] = len(reps)
-        frontier = [start]
-        while frontier:
-            theta, gamma = frontier.pop()
-            for w in reflections:
-                image = (w[theta], frozenset(w[s] for s in gamma))
-                if image not in orbit_of:
-                    orbit_of[image] = len(reps)
-                    frontier.append(image)
-        reps.append(start)
+        if start not in orbit_of:
+            orbit_of.update(dict.fromkeys(orbit(start, moves), len(reps)))
+            reps.append(start)
     sizes = Counter(orbit_of.values())
     assert sorted(sizes.values()) == [1080] * 4 + [1620] + [2160] * 3 + [4320]
 
     # each representative as theta and two generators of Gamma
-    rep_chars = [(_mod2(theta), [_mod2(s) for s in sorted(gamma)[:2]]) for theta, gamma in reps]
+    rep_chars = [(T2[theta], [T2[s] for s in sorted(gamma)[:2]]) for theta, gamma in reps]
     types = [identify_real_form(fixed_subalgebra(gamma, E6), theta, E6).render()
              for theta, gamma in rep_chars]
     sigma_forms = [_sigma_forms(theta, gamma) for theta, gamma in rep_chars]
@@ -304,7 +294,7 @@ def test_toral_pairs_fall_into_exactly_nine_weyl_orbits():
     met = Counter()
     for group, c in CANDIDATES:
         theta, (a, b) = _candidate_chars(group, c)
-        k = orbit_of[_mask(theta), frozenset(map(_mask, (a, b, a * b)))]
+        k = orbit_of[t2_mask(theta), frozenset(map(t2_mask, (a, b, a * b)))]
         assert c.real_form.render() == types[k]
         met[k] += 1
     assert len(CANDIDATES) == 48
@@ -315,6 +305,45 @@ def test_toral_pairs_fall_into_exactly_nine_weyl_orbits():
         ("so(8,2)+so(2)", "so(8,2)+so(2)", "su(4,2)+su(2)"): (1080, 4)}
     assert {c.group_name for _, c in CANDIDATES if c.real_form.render() == "su(4,1)+2c"} \
         == {"y3y4y5"}
+
+
+ON_TUPLES = [lambda s, w=w: tuple(w[x] for x in s) for w in W_T2]
+
+
+def _component_group(masks):
+    """The W-orbit of an ordered S in T[2], and its row: |W.S|,
+    |Stab_W(S)| = |W| / |W.S|, the order of the Weyl group W(Phi_S) of the
+    roots trivial on S, and the type of S's fixed subalgebra.  pi0(C(S)) is
+    Stab_W(S) / W(Phi_S) (Humphreys, Conjugacy Classes in Semisimple
+    Algebraic Groups, ch. 2).  S is a tuple, so that its stabiliser fixes
+    each point of S."""
+    found = orbit(masks, ON_TUPLES)
+    fs = fixed_subalgebra([T2[m] for m in masks], E6)
+    w_phi = prod(WEYL_ORDER[c.family](c.rank) for c in fs.components)
+    return found, (len(found), WEYL_ORDER["E"](6) // len(found), w_phi, fs.render())
+
+
+def test_every_pair_is_toral_by_connected_centralisers():
+    # C(theta) and C(theta, x) are connected for every x in T[2]: each
+    # stabiliser equals its W(Phi_S).  So x lies in a torus with theta, and
+    # the third generator of Gamma in one with both: every (theta, Gamma)
+    # is toral.
+    theta = t2_mask(GROUPS["x1x2x4"].element("x4"))
+    assert _component_group((theta,))[1] == (27, 1920, 1920, "so(10)+c")
+    rows, covered = [], {0, theta}
+    for x in range(64):
+        if x not in covered:
+            found, row = _component_group((theta, x))
+            covered |= {y for t, y in found if t == theta}
+            rows.append(row)
+    assert len(covered) == 64
+    assert sorted(rows) == [(270, 192, 192, "so(8)+2c"), (432, 120, 120, "su(5)+2c"),
+                            (432, 120, 120, "su(5)+2c"), (540, 96, 96, "su(4)+2su(2)+c")]
+    # The check can fail: Gamma = {1, x1, x2, x1x2} of three su(6)+sp(1)
+    # elements has a stabiliser twice its W(Phi_S), so pi0(C(Gamma)) = Z/2.
+    a, b = (GROUPS["x1x2x4"].element(label) for label in ("x1", "x2"))
+    assert {classify_involution(c, E6) for c in (a, b, a * b)} == {ConjClass.SIGMA1}
+    assert _component_group((t2_mask(a), t2_mask(b)))[1] == (720, 72, 36, "2su(3)+2c")
 
 
 @given(st.lists(st.integers(0, 5), max_size=36), st.sampled_from(CANDIDATES))
@@ -355,46 +384,27 @@ def test_classify_all_and_realform_never_compute_the_centre(monkeypatch, capsys)
     assert seen == []
 
 
-def test_classify_all_computes_each_fixed_subalgebra_once(monkeypatch):
+def test_classify_all_computes_each_fixed_subalgebra_once(spy):
     from k4holo import pipeline
-    seen = []
-
-    def counting(chars, sys):
-        chars = tuple(chars)
-        seen.append(frozenset(chars))
-        return fixed_subalgebra(chars, sys)
-
-    monkeypatch.setattr(pipeline, "fixed_subalgebra", counting)
+    calls = spy(pipeline, "fixed_subalgebra")
     assert classify_all(E6).distinct_pairs == REPORT.distinct_pairs
     # 24 Klein four subgroups that avoid some theta, plus the 4 whole groups
-    assert len(seen) == 28
-    assert sorted(len(chars) for chars in seen) == [3] * 24 + [7] * 4
+    assert len(calls) == 28
+    assert sorted(len(frozenset(chars)) for (chars, _), _ in calls) == [3] * 24 + [7] * 4
 
 
-def test_classify_all_decomposes_25_subsets_in_28_calls_unvalidated(monkeypatch):
+def test_classify_all_decomposes_25_subsets_in_28_calls_unvalidated(spy):
     # Every subset classify_all decomposes is a kernel intersection, closed
     # by construction, so none goes through the public boundary's validation:
     # one call per fixed subalgebra, on the 25 distinct fixed-root sets of
     # its 28 fixed subalgebras.
     from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
-    validated, decomposed = [], []
-    original_validate = rootsys._validate_closed
-    original_decompose = rootsys.RootSystem.decomposition
-
-    def validating(subset, sys):
-        validated.append(subset)
-        return original_validate(subset, sys)
-
-    def decomposing(sys, subset):
-        decomposed.append(subset)
-        return original_decompose(sys, subset)
-
-    monkeypatch.setattr(rootsys, "_validate_closed", validating)
-    monkeypatch.setattr(rootsys.RootSystem, "decomposition", decomposing)
+    validated = spy(rootsys, "_validate_closed")
+    decomposed = spy(rootsys.RootSystem, "decomposition")
     assert classify_all(fresh).distinct_pairs == REPORT.distinct_pairs
     assert len(decomposed) == 28
-    assert len(set(decomposed)) == 25
+    assert len({subset for (_, subset), _ in decomposed}) == 25
     assert validated == []
 
 
@@ -536,23 +546,14 @@ def test_survey_values_and_coverage():
     assert seen == set(SURVEY_FORMS)
 
 
-def test_survey_names_each_character_once(monkeypatch):
+def test_survey_names_each_character_once(spy):
     # The four groups' 28 nonidentity elements are 19 distinct characters.
     from k4holo import pipeline
-    fixed_calls, form_calls = [], []
-
-    def fixing(chars, sys):
-        fixed_calls.append(tuple(chars))
-        return fixed_subalgebra(chars, sys)
-
-    def naming(sub, theta, sys):
-        form_calls.append(sub)
-        return identify_real_form(sub, theta, sys)
-
-    monkeypatch.setattr(pipeline, "fixed_subalgebra", fixing)
-    monkeypatch.setattr(pipeline, "identify_real_form", naming)
+    fixing = spy(pipeline, "fixed_subalgebra")
+    naming = spy(pipeline, "identify_real_form")
     res = symmetric_pair_survey("y3y4y5:y3", E6)
-    assert len(fixed_calls) == len(set(fixed_calls)) == len(form_calls) == 19
+    fixed_calls = [tuple(chars) for (chars, _), _ in fixing]
+    assert len(fixed_calls) == len(set(fixed_calls)) == len(naming) == 19
     theta = GROUPS["y3y4y5"].element("y3")
     for g in GROUP_NAMES:
         assert list(res.values[g]) == [label for label, _ in GROUPS[g].nonidentity()]

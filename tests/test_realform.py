@@ -12,32 +12,17 @@ from k4holo.realform import (RealFormLabel, RealFormType, center_of_fixed,
 from k4holo.reductive import fixed_subalgebra, sigma1_reference, sigma2_reference
 from k4holo.rootsys import Root, RootSystem, build_root_system, decompose_closed_subset
 from k4holo.toral import TorusCharacter, identity_character
-from oracles import compact_type, complexification, pairing, reflect
+from oracles import (T2, compact_type, complexification, fixed_by, negate, orbit, pairing,
+                     reflect)
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
 
 
-def _t2(n: int) -> TorusCharacter:
-    """The element of T[2] whose exponents on the six simple roots are the bits of n."""
-    return TorusCharacter(2, tuple(n >> i & 1 for i in range(6)))
-
-
 # The 27 sigma2 elements of T[2], told by their 40 fixed roots with evaluate alone.
-SIGMA2_T2 = [t for t in map(_t2, range(64)) if sum(t.evaluate(r) == 0 for r in E6.roots) == 40]
-
-
-def _w_orbit(v: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """W-orbit of a vector in simple-root coordinates, closed under the
-    simple reflections v -> v - (v, alpha_i) alpha_i."""
-    orbit, frontier = {v}, [v]
-    while frontier:
-        u = frontier.pop()
-        for i in range(6):
-            if (w := reflect(E6, u, i)) not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit
+SIGMA2_T2 = [t for t in T2 if len(fixed_by(E6, [t])) == 40]
+# The simple reflections v -> v - (v, alpha_i) alpha_i on simple-root coordinates.
+ON_VECTORS = [lambda v, i=i: reflect(E6, v, i) for i in range(6)]
 
 
 def forms_of(group_name, gamma_labels, theta_label):
@@ -79,20 +64,14 @@ def test_identity_theta_gives_all_compact():
     assert form.render() == "2su(3)+2c"
 
 
-def test_compact_real_forms_spell_like_their_complex_types(monkeypatch):
+def test_compact_real_forms_spell_like_their_complex_types(spy):
     # Under the identity every ideal is compact and every centre line a c,
     # so the real form and the compact type go through one renderer alike.
     from k4holo import pipeline
-    built = []
-
-    def recording(chars, sys):
-        built.append(fixed_subalgebra(chars, sys))
-        return built[-1]
-
-    monkeypatch.setattr(pipeline, "fixed_subalgebra", recording)
+    calls = spy(pipeline, "fixed_subalgebra")
     pipeline.classify_all(E6)
-    t2 = [TorusCharacter(2, tuple(n >> i & 1 for i in range(6))) for n in range(1, 64)]
-    subs = built + [fixed_subalgebra([chi], E6) for chi in t2]
+    built = [fs for _, fs in calls]
+    subs = built + [fixed_subalgebra([chi], E6) for chi in T2[1:]]
     assert len(subs) == len(built) + 63 and built
     for fs in subs:
         form = identify_real_form(fs, identity_character(), E6)
@@ -137,8 +116,7 @@ def test_center_of_fixed_reference():
     basis = center_of_fixed(sigma2_reference(), E6)
     assert len(basis) == 1
     z = basis[0]
-    fixed = [r for r in E6.roots if sigma2_reference().evaluate(r) == 0]
-    assert all(pairing(E6, r, z) == 0 for r in fixed)
+    assert all(pairing(E6, r, z) == 0 for r in fixed_by(E6, [sigma2_reference()]))
     assert any(pairing(E6, r, z) != 0 for r in E6.roots)
 
 
@@ -153,8 +131,7 @@ def test_center_of_fixed_for_builtin_thetas(group, label):
     assert fs.center == 1
     basis = center_of_fixed(theta, E6)
     assert len(basis) == 1
-    fixed = [r for r in E6.roots if theta.evaluate(r) == 0]
-    assert all(pairing(E6, r, basis[0]) == 0 for r in fixed)
+    assert all(pairing(E6, r, basis[0]) == 0 for r in fixed_by(E6, [theta]))
 
 
 def test_center_of_fixed_rejects_sigma1():
@@ -178,9 +155,9 @@ def test_centre_coweight_orbit_has_27_elements_without_its_negative():
     # subalgebra to -H0.  Automorphisms of the E6 root system are W x {+-1},
     # so every one that fixes H0 lies in W.
     h0 = center_of_fixed(sigma2_reference(), E6)[0]
-    orbit = _w_orbit(h0)
-    assert len(orbit) == 27
-    assert tuple(-c for c in h0) not in orbit
+    h0_orbit = orbit(h0, ON_VECTORS)
+    assert len(h0_orbit) == 27
+    assert negate(h0) not in h0_orbit
 
 
 def test_centres_grade_the_roots_and_are_one_orbit_up_to_sign():
@@ -195,11 +172,11 @@ def test_centres_grade_the_roots_and_are_one_orbit_up_to_sign():
         for r in E6.roots:
             assert pairing(E6, r, z) in (-3, 0, 3)
             assert (pairing(E6, r, z) == 0) == (theta.evaluate(r) == 0)
-        centres |= {z, tuple(-c for c in z)}
+        centres |= {z, negate(z)}
     z0 = center_of_fixed(sigma2_reference(), E6)[0]
-    orbit = _w_orbit(z0)
-    assert len(orbit) == 27
-    assert centres == orbit | _w_orbit(tuple(-c for c in z0))
+    z0_orbit = orbit(z0, ON_VECTORS)
+    assert len(z0_orbit) == 27
+    assert centres == z0_orbit | orbit(negate(z0), ON_VECTORS)
     assert len(centres) == 54
 
 
@@ -293,12 +270,12 @@ def test_center_of_fixed_matches_rational_elimination_on_t2():
     # The reference eliminates all 40 fixed-root rows; the engine reads
     # only the five simple roots' rows.
     for theta in SIGMA2_T2:
-        fixed = sorted(r for r in E6.roots if theta.evaluate(r) == 0)
+        fixed = sorted(fixed_by(E6, [theta]))
         rows = [tuple(pairing(E6, r, s) for s in E6.simple_roots) for r in fixed]
         assert center_of_fixed(theta, E6) == _fraction_nullspace(rows, 6)
 
 
-_T2 = st.integers(0, 63).map(_t2)
+_T2 = st.sampled_from(T2)
 
 
 @given(st.lists(_T2.filter(lambda c: c.order == 2), min_size=1, max_size=2), _T2)
@@ -370,8 +347,7 @@ def test_sign_rule_matches_the_pattern_lookup_on_every_t2_ideal():
     # of T[2], against every theta in T[2].  A fresh system keeps the
     # reference's decompositions out of the shared one.
     sys = build_root_system.__wrapped__("E", 6)
-    t2 = [TorusCharacter(2, tuple(n >> i & 1 for i in range(6))) for n in range(64)]
-    gammas = [[a] for a in t2[1:]] + [[a, b] for i, a in enumerate(t2[1:], 1) for b in t2[i + 1:]]
+    gammas = [[a] for a in T2[1:]] + [[a, b] for i, a in enumerate(T2[1:], 1) for b in T2[i + 1:]]
     comps = {c.roots: c for g in gammas for c in fixed_subalgebra(g, sys).components}
     assert len(comps) == 750
     assert {(c.family, c.rank) for c in comps.values()} == {
@@ -380,7 +356,7 @@ def test_sign_rule_matches_the_pattern_lookup_on_every_t2_ideal():
         # Both rules read theta only through the roots of comp it fixes, so
         # thetas fixing the same roots of comp are compared once.
         seen = set()
-        for theta in t2:
+        for theta in T2:
             fixed_in = comp.roots & sys.kernel(theta)
             if fixed_in not in seen:
                 seen.add(fixed_in)

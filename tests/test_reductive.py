@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +7,7 @@ from k4holo.reductive import (ConjClass, classify_involution, fixed_subalgebra,
                               mu, sigma1_reference, sigma2_reference)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter, identity_character
+from oracles import T2, fixed_by
 
 E6 = build_root_system("E", 6)
 GROUPS = builtin_groups()
@@ -115,34 +114,24 @@ def test_fixed_set_is_intersection_of_single_fixed_sets():
     assert joint == frozenset(inter)
 
 
+def _sigma2_labels(name):
+    return {l for l, c in GROUPS[name].nonidentity()
+            if classify_involution(c, E6) is ConjClass.SIGMA2}
+
+
 def test_sigma2_membership_in_x_groups():
     # exactly one Cartan-involution representative in x1x2x4, three in x1x4x5
-    sys = E6
-    g1 = GROUPS["x1x2x4"]
-    s2 = {l for l, c in g1.nonidentity()
-          if classify_involution(c, sys) is ConjClass.SIGMA2}
-    assert s2 == {"x4"}
-    g2 = GROUPS["x1x4x5"]
-    s2 = {l for l, c in g2.nonidentity()
-          if classify_involution(c, sys) is ConjClass.SIGMA2}
-    assert s2 == {"x4", "x5", "x4x5"}
+    assert _sigma2_labels("x1x2x4") == {"x4"}
+    assert _sigma2_labels("x1x4x5") == {"x4", "x5", "x4x5"}
 
 
 def test_sigma2_membership_in_y_groups():
-    sys = E6
-    g3 = GROUPS["y1y3y4"]
-    s2 = {l for l, c in g3.nonidentity()
-          if classify_involution(c, sys) is ConjClass.SIGMA2}
-    assert s2 == {"y3", "y4", "y1y3y4"}
-    g4 = GROUPS["y3y4y5"]
-    s2 = {l for l, c in g4.nonidentity()
-          if classify_involution(c, sys) is ConjClass.SIGMA2}
-    assert s2 == {"y3", "y4", "y5", "y3y5", "y4y5"}
+    assert _sigma2_labels("y1y3y4") == {"y3", "y4", "y1y3y4"}
+    assert _sigma2_labels("y3y4y5") == {"y3", "y4", "y5", "y3y5", "y4y5"}
 
 
 def test_involution_census_over_all_modulus_2_characters():
-    chars = [TorusCharacter(2, tuple(exps))
-             for exps in product((0, 1), repeat=6) if any(exps)]
+    chars = T2[1:]
     classes = [classify_involution(chi, E6) for chi in chars]
     assert classes.count(ConjClass.SIGMA1) == 36
     assert classes.count(ConjClass.SIGMA2) == 27
@@ -153,16 +142,11 @@ def test_involution_census_over_all_modulus_2_characters():
     assert fixed == {ConjClass.SIGMA1: {32}, ConjClass.SIGMA2: {40}}
 
 
-def _brute_kernel(chi):
-    return frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
-
-
 def test_kernel_of_every_modulus_2_character():
-    chars = [TorusCharacter(2, tuple(exps))
-             for exps in product((0, 1), repeat=6) if any(exps)]
+    chars = T2[1:]
     assert len(chars) == 63
     for chi in chars:
-        assert E6.kernel(chi) == _brute_kernel(chi)
+        assert E6.kernel(chi) == fixed_by(E6, [chi])
         assert E6.kernel(chi) is E6.kernel(chi)
 
 
@@ -170,24 +154,17 @@ def test_kernel_of_every_modulus_2_character():
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_brute_force(exps, m):
     chi = TorusCharacter(m, tuple(exps))
-    assert E6.kernel(chi) == _brute_kernel(chi)
+    assert E6.kernel(chi) == fixed_by(E6, [chi])
 
 
-def test_kernel_is_computed_once_per_character(monkeypatch):
+def test_kernel_is_computed_once_per_character(spy):
     from k4holo import toral
     fresh = build_root_system.__wrapped__("E", 6)
     classify_involution(sigma2_reference(), E6)  # E6's reference kernels
-    calls = []
-    original = toral.TorusCharacter.evaluate
-
-    def counting(self, root):
-        calls.append(self)
-        return original(self, root)
-
-    monkeypatch.setattr(toral.TorusCharacter, "evaluate", counting)
+    calls = spy(toral.TorusCharacter, "evaluate")
     chi = sigma2_reference()
     assert fixed_subalgebra([chi], fresh).dim == 46
     assert classify_involution(chi, fresh) is ConjClass.SIGMA2
     assert fixed_subalgebra([chi, sigma1_reference()], fresh).fixed_roots \
         == fresh.kernel(chi) & fresh.kernel(sigma1_reference())
-    assert calls.count(chi) == 72
+    assert [self for (self, _), _ in calls].count(chi) == 72

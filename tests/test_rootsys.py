@@ -8,14 +8,11 @@ from k4holo.reductive import FixedSubalgebra
 from k4holo.rootsys import (MAX_RANK, Root, RootSystem, SubsystemComponent,
                             build_root_system, decompose_closed_subset,
                             _cartan_matrix, _reflect, _validate_closed)
-from oracles import ROOT_COUNT, compact_type, is_positive, pairing, reflect
+from oracles import (ROOT_COUNT, T2, add, compact_type, fixed_by, is_positive, negate, pairing,
+                     reflect, sub)
 
 
 E6 = build_root_system("E", 6)
-
-
-def negate(r):
-    return tuple(-c for c in r)
 
 
 def subsystem_type(subset):
@@ -23,7 +20,7 @@ def subsystem_type(subset):
     subalgebra, decomposed through the validating public boundary; its
     centre is the rank its components leave."""
     comps = decompose_closed_subset(subset, E6)
-    return FixedSubalgebra(frozenset(subset), comps, E6.rank - sum(c.rank for c in comps))
+    return FixedSubalgebra(comps, E6.rank - sum(c.rank for c in comps))
 
 
 def weyl_image(subset, word, sys):
@@ -191,26 +188,16 @@ def test_invalid_subset_raises_on_every_call():
             decompose_closed_subset(broken, E6)
 
 
-def test_every_call_validates_and_decomposes(monkeypatch):
+def test_every_call_validates_and_decomposes(spy):
     from k4holo import rootsys
     fresh = build_root_system.__wrapped__("E", 6)
-    validated, decomposed = [], []
-    original_validate = rootsys._validate_closed
-    original_decompose = rootsys.RootSystem.decomposition
-
-    def validating(subset, sys):
-        validated.append(subset)
-        return original_validate(subset, sys)
-
-    def decomposing(sys, subset):
-        decomposed.append(subset)
-        return original_decompose(sys, subset)
-
-    monkeypatch.setattr(rootsys, "_validate_closed", validating)
-    monkeypatch.setattr(rootsys.RootSystem, "decomposition", decomposing)
+    validating = spy(rootsys, "_validate_closed")
+    decomposing = spy(rootsys.RootSystem, "decomposition")
     subset = [r for r in fresh.roots if r[1] == 0]
     first = decompose_closed_subset(subset, fresh)
     assert decompose_closed_subset(iter(subset), fresh) == first
+    validated = [s for (s, _), _ in validating]
+    decomposed = [s for (_, s), _ in decomposing]
     assert validated == decomposed == [frozenset(subset)] * 2
 
 
@@ -219,7 +206,7 @@ def test_sums_from_indexes_sums():
     assert set(E6.sums_from) == E6.roots
     assert all(len(pairs) == 20 for pairs in E6.sums_from.values())
     for a, pairs in E6.sums_from.items():
-        assert all(s == tuple(x + y for x, y in zip(a, b)) for b, s in pairs)
+        assert all(s == add(a, b) for b, s in pairs)
         assert len({b for b, _ in pairs}) == len(pairs)
 
 
@@ -241,9 +228,7 @@ def closed_subsets_for_tests(count, seed=0):
         m = rng.choice((2, 2, 3, 4, 6))
         chars = [TorusCharacter(m, tuple(rng.randrange(m) for _ in range(6)))
             for _ in range(rng.randrange(1, 3))]
-        subset = frozenset(r for r in E6.roots
-                           if all(c.evaluate(r) == 0 for c in chars))
-        subsets.append(subset)
+        subsets.append(fixed_by(E6, chars))
     return subsets
 
 
@@ -299,7 +284,7 @@ def test_root_tables_match_brute_force():
         brute = {}
         for a in sys.roots:
             for b in sys.roots:
-                s = tuple(x + y for x, y in zip(a, b))
+                s = add(a, b)
                 if s in sys.roots:
                     brute[(a, b)] = s
         assert family != "E" or len(brute) == 1440
@@ -312,13 +297,13 @@ def test_root_tables_match_brute_force():
 def test_extracted_simple_system_is_the_indecomposable_positives(exps, m):
     from k4holo.toral import TorusCharacter
     chi = TorusCharacter(m, tuple(exps))
-    subset = frozenset(r for r in E6.roots if chi.evaluate(r) == 0)
+    subset = fixed_by(E6, [chi])
     # Reference: a positive root of the subset is simple when it is not the
     # sum of two positive roots of the subset.
     pos = [r for r in subset if is_positive(E6, r)]
     posset = set(pos)
     expected = {s for s in pos
-                if not any(tuple(x - y for x, y in zip(s, a)) in posset for a in pos)}
+                if not any(sub(s, a) in posset for a in pos)}
     comps = decompose_closed_subset(subset, E6)
     extracted = [r for c in comps for r in c.simple]
     assert len(extracted) == len(set(extracted))
@@ -430,42 +415,30 @@ def _reference_decompose(sset: frozenset[Root], sys: RootSystem) -> tuple[Subsys
     return tuple(out)
 
 
-def _kernel_subset(chars, sys=E6):
-    return frozenset(r for r in sys.roots if all(chi.evaluate(r) == 0 for chi in chars))
-
-
 def _assert_no_simple_difference_is_a_root(comps, sys=E6):
     # _classify_diagram joins two simple roots only when their sum is a
     # root; it relies on their difference never being one (Humphreys 10.1).
     for c in comps:
         for a in c.simple:
             for b in c.simple:
-                assert tuple(x - y for x, y in zip(a, b)) not in sys.roots, (a, b)
+                assert sub(a, b) not in sys.roots, (a, b)
 
 
 def test_decomposition_matches_the_reference_on_t2_kernels():
-    from k4holo.toral import TorusCharacter
-    for n in range(1, 64):
-        chi = TorusCharacter(2, tuple(n >> i & 1 for i in range(6)))
-        subset = _kernel_subset([chi])
+    for chi in T2[1:]:
+        subset = fixed_by(E6, [chi])
         comps = decompose_closed_subset(subset, E6)
         assert comps == _reference_decompose(subset, E6)
         _assert_no_simple_difference_is_a_root(comps)
 
 
-def test_decomposition_matches_the_reference_on_classify_all_subsets(monkeypatch):
+def test_decomposition_matches_the_reference_on_classify_all_subsets(spy):
     from k4holo import rootsys
     from k4holo.pipeline import classify_all
     fresh = build_root_system.__wrapped__("E", 6)
-    original = rootsys.RootSystem.decomposition
-    decomposed = {}
-
-    def recording(sys, subset):
-        decomposed[subset] = original(sys, subset)
-        return decomposed[subset]
-
-    monkeypatch.setattr(rootsys.RootSystem, "decomposition", recording)
+    calls = spy(rootsys.RootSystem, "decomposition")
     classify_all(fresh)
+    decomposed = {subset: comps for (_, subset), comps in calls}
     assert len(decomposed) == 25
     for subset, comps in decomposed.items():
         assert comps == _reference_decompose(subset, fresh)
@@ -486,7 +459,7 @@ def test_decomposition_matches_the_reference_on_full_systems(family, rank):
 @settings(max_examples=100, deadline=None)
 def test_decomposition_matches_the_reference_on_kernel_intersections(specs):
     from k4holo.toral import TorusCharacter
-    subset = _kernel_subset([TorusCharacter(m, tuple(exps)) for m, exps in specs])
+    subset = fixed_by(E6, [TorusCharacter(m, tuple(exps)) for m, exps in specs])
     # The reference validates the subset and keeps the checks the
     # decomposition dropped, so this also shows kernel intersections are
     # closed and negation-symmetric, which fixed_subalgebra relies on to
