@@ -6,9 +6,10 @@ lattice vectors and their bilinear form, the simple reflections of a
 lattice vector and of a character, the roots a set of characters fixes,
 the 64 elements of T[2] (the 2-torsion of the torus) and the Weyl group's
 action on them, orbits under a set of moves, the sign of a root, the type,
-dimension and complexification of a reductive algebra, and reading and
-extending the Chevalley bracket table.  None of them is engine code; the
-engine keeps one derivation per fact, and the tests own the second.
+dimension and complexification of a reductive algebra, and reading,
+extending and editing the Chevalley bracket table.  None of them is engine
+code; the engine keeps one derivation per fact, and the tests own the
+second.
 """
 from math import factorial
 from operator import mul
@@ -161,3 +162,10 @@ def bracket(sc, v1: dict, v2: dict) -> dict:
                 key = sc.basis[i]
                 acc[key] = acc.get(key, 0) + ca * cb * c
     return {k: c for k, c in acc.items() if c != 0}
+
+
+def with_brackets(sc, edits: dict):
+    """Copy of sc whose bracket table holds edits[i, j], a tuple of
+    (index, coefficient) terms, as [b_i, b_j] for each (i, j) in edits."""
+    return sc._replace(btable=tuple(tuple(edits.get((i, j), terms) for j, terms in enumerate(row))
+                                    for i, row in enumerate(sc.btable)))

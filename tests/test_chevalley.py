@@ -10,7 +10,7 @@ from k4holo.chevalley import (_cocycle, build_chevalley_basis, check_antisymmetr
                               export_n_table, killing_form)
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter
-from oracles import add, bracket, fixed_by, n, negate, pairing, sub
+from oracles import add, bracket, fixed_by, n, negate, pairing, sub, with_brackets
 
 E6 = build_root_system("E", 6)
 SC = build_chevalley_basis(E6)
@@ -238,26 +238,20 @@ def test_jacobi_report_shape():
     assert elapsed < 60.0, f"jacobi sweep took {elapsed:.1f}s"
 
 
-def _with_rows(sc, rows):
-    """Copy of sc with the given bracket rows, frozen to tuples."""
-    return sc._replace(btable=tuple(map(tuple, rows)))
+def _negated(terms):
+    return tuple((p, -c) for p, c in terms)
 
 
 def _with_flipped_sign(sc, a, b):
     """Copy of sc with N(a, b) and N(b, a) negated in its bracket table."""
-    rows = [list(row) for row in sc.btable]
-    for x, y in ((a, b), (b, a)):
-        i, j = sc.index[("x", x)], sc.index[("x", y)]
-        rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
-    return _with_rows(sc, rows)
+    at = [(sc.index[("x", x)], sc.index[("x", y)]) for x, y in ((a, b), (b, a))]
+    return with_brackets(sc, {(i, j): _negated(sc.btable[i][j]) for i, j in at})
 
 
-def _with_moved_term(sc, i, j, p):
-    """Copy of sc whose [b_i, b_j] has its first term moved onto b_p (one order only)."""
-    rows = [list(row) for row in sc.btable]
-    (_, c), *rest = rows[i][j]
-    rows[i][j] = ((p, c), *rest)
-    return _with_rows(sc, rows)
+def _moved_term(terms, p):
+    """terms with its first term moved onto b_p."""
+    (_, c), *rest = terms
+    return ((p, c), *rest)
 
 
 def _reference_jacobi(sc):
@@ -338,7 +332,7 @@ def test_jacobi_sweeps_an_ungraded_table_triple_by_triple(monkeypatch):
     # [X_a1, X_a3] = N X_(a1+a3) moved onto X_a1, a basis element of the wrong weight
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
     i, j = SC.index[("x", a1)], SC.index[("x", a3)]
-    broken = _with_moved_term(SC, i, j, i)
+    broken = with_brackets(SC, {(i, j): _moved_term(SC.btable[i][j], i)})
     bisections = _counting_bisections(monkeypatch)
     rep = check_jacobi(broken)
     assert bisections == []
@@ -351,21 +345,20 @@ def test_jacobi_sweeps_an_ungraded_table_triple_by_triple(monkeypatch):
 
 def _graded_edit(edit):
     """Copy of SC with one edit that keeps the table graded."""
-    rows = [list(row) for row in SC.btable]
     if edit == "swap":
         # two unequal coefficients of [X_theta, X_-theta] = H_theta swapped,
         # theta the highest root: only triples of weight 0 break
         theta = E6.highest_root
         i, j = SC.index[("x", theta)], SC.index[("x", negate(theta))]
-        (p0, c0), (p1, c1), *rest = rows[i][j]
+        (p0, c0), (p1, c1), *rest = SC.btable[i][j]
         assert c0 != c1
-        rows[i][j] = ((p0, c1), (p1, c0), *rest)
-    elif edit == "double":
+        return with_brackets(SC, {(i, j): ((p0, c1), (p1, c0), *rest)})
+    if edit == "double":
         # [h_4, X_r] = -X_r doubled: a factor of -2 in one-int sums
         i, j = SC.index[("h", 4)], SC.index[("x", (-1, 0, -1, -1, -1, 0))]
-        assert rows[i][j] == ((j, -1),)
-        rows[i][j] = ((j, -2),)
-    return _with_rows(SC, rows)
+        assert SC.btable[i][j] == ((j, -1),)
+        return with_brackets(SC, {(i, j): ((j, -2),)})
+    return SC
 
 
 @pytest.mark.parametrize("edit, count", [(None, 0), ("swap", 34), ("double", 29)])
@@ -418,16 +411,16 @@ _A1_A3 = (SC.index[("x", E6.simple_roots[0])], SC.index[("x", E6.simple_roots[2]
 @given(st.lists(_EDIT, min_size=1, max_size=3))
 @example([("repeat", _A1_A3)])
 def test_jacobi_matches_the_full_sweep_on_corrupted_tables(edits):
-    rows = [list(row) for row in SC.btable]
+    entries = {}
     for kind, (i, j), *p in edits:
+        terms = entries.get((i, j), SC.btable[i][j])
         if kind == "flip":
-            rows[i][j] = tuple((q, -c) for q, c in rows[i][j])
+            entries[i, j] = _negated(terms)
         elif kind == "repeat":
-            rows[i][j] = rows[i][j] + rows[i][j][:1]
+            entries[i, j] = terms + terms[:1]
         else:
-            (_, c), *rest = rows[i][j]
-            rows[i][j] = ((p[0], c), *rest)
-    broken = _with_rows(SC, rows)
+            entries[i, j] = _moved_term(terms, p[0])
+    broken = with_brackets(SC, entries)
     rep = check_jacobi(broken)
     assert rep.triples_checked == 76076
     assert rep.violations == _reference_jacobi(broken)
@@ -438,23 +431,18 @@ def test_antisymmetry_check_fails_on_one_entry(corrupt):
     assert check_antisymmetry(SC)
     a1, a3 = E6.simple_roots[0], E6.simple_roots[2]
     i, j = SC.index[("x", a1)], SC.index[("x", a3)]
-    rows = [list(row) for row in SC.btable]
-    if corrupt == "flip":
-        rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
-    elif corrupt == "move":
-        rows[j][i] = ((i, rows[j][i][0][1]),)
-    elif corrupt == "drop":
-        rows[i][j] = ()
-    elif corrupt == "repeat":
+    h = SC.index[("h", 2)]
+    broken = with_brackets(SC, {
+        "flip": {(i, j): _negated(SC.btable[i][j])},
+        "move": {(j, i): ((i, SC.btable[j][i][0][1]),)},
+        "drop": {(i, j): ()},
         # the one term of [X_a1, X_a3] listed twice, which every reader adds
-        rows[i][j] = rows[i][j] * 2
-        assert n(_with_rows(SC, rows), a1, a3) == 2 * n(SC, a1, a3)
-    elif corrupt == "repeat_back":
-        rows[j][i] = rows[j][i] * 2
-    else:
-        h = SC.index[("h", 2)]
-        rows[h][i] = tuple((p, 2 * c) for p, c in rows[h][i])
-    broken = _with_rows(SC, rows)
+        "repeat": {(i, j): SC.btable[i][j] * 2},
+        "repeat_back": {(j, i): SC.btable[j][i] * 2},
+        "cartan": {(h, i): tuple((p, 2 * c) for p, c in SC.btable[h][i])},
+    }[corrupt])
+    if corrupt == "repeat":
+        assert n(broken, a1, a3) == 2 * n(SC, a1, a3)
     assert sum(e != f for r, s in zip(broken.btable, SC.btable) for e, f in zip(r, s)) == 1
     assert not check_antisymmetry(broken)
 

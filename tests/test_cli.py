@@ -17,20 +17,13 @@ from k4holo.errors import EngineError
 from k4holo.realform import RealFormLabel, RealFormType
 from k4holo.rootsys import build_root_system
 from k4holo.toral import TorusCharacter
+from oracles import with_brackets
 
 
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_theorem24_json(capsys):
-    code, out, err = run_cli(["theorem24", "--format", "json"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["verified_against_theorem24"] is True
-    assert len(doc["distinct_pairs"]) == 8
 
 
 @pytest.mark.parametrize("args", [
@@ -46,13 +39,6 @@ def test_json_roundtrips_byte_identical(args, capsys):
     code, out, _ = run_cli([*args, "--format", "json"], capsys)
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
-
-
-def test_theorem24_markdown(capsys):
-    code, out, _ = run_cli(["theorem24", "--format", "markdown"], capsys)
-    assert code == 0
-    assert out.startswith("# Klein four symmetric pairs")
-    assert "verified: true" in out
 
 
 def test_theorem24_mismatch_exit_code(capsys, monkeypatch):
@@ -83,13 +69,6 @@ def test_a_survey_value_outside_the_admissible_list_exits_1(capsys, monkeypatch)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("verification failure: survey value so(10)+so(2) for (x1x2x4, x4) ")
-
-
-def test_classify_x4_spec(capsys):
-    code, out, _ = run_cli(
-        ["classify", "--char", "su6sp1 m=4 d=[2,2,0,2,2,0] y=0"], capsys)
-    assert code == 0
-    assert out.strip() == "sigma2"
 
 
 def test_classify_json_fields(capsys):
@@ -125,16 +104,6 @@ def test_classify_text_computes_only_the_class(fmt, capsys, monkeypatch):
 def test_markdown_only_on_theorem24(args):
     # argparse rejects the choice before any computation
     assert _run_in_process([*args, "--format", "markdown"]) == (2, "")
-
-
-def test_classify_chi_chain_order(capsys):
-    # chain-order vector [a1,a3,a4,a5,a6,a2]; the last slot is alpha2
-    code, out, _ = run_cli(
-        ["classify", "--char", "chi m=2 [0,0,0,0,0,1]"], capsys)
-    assert code == 0
-    assert out.strip() == "sigma1"
-    chi = cli.parse_char_spec("chi m=2 [0,0,0,0,0,1]")
-    assert chi == TorusCharacter(2, (0, 1, 0, 0, 0, 0))
 
 
 def test_fixed_without_chars_is_whole_algebra(capsys):
@@ -359,16 +328,6 @@ def test_realform_subcommand(capsys):
     assert out.strip() == "2su(2,1)+2c"
 
 
-def test_realform_group_resolution(capsys):
-    code, out, _ = run_cli(
-        ["realform", "--gamma", "y4", "y5", "--theta", "y3",
-         "--group", "y3y4y5", "--format", "json"], capsys)
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["real_form"] == "so(6,2)+2c"
-    assert doc["group"] == "y3y4y5"
-
-
 @pytest.mark.parametrize("gamma, theta", [
     (("x1", "x1"), "x4"),    # Gamma is not a Klein four group
     (("x1", "1"), "x4"),     # one generator is the identity
@@ -414,21 +373,6 @@ def test_survey_rejects_sigma1_theta(capsys):
     assert code == 2
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run_cli(["selftest"], capsys)
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("check ")]
-    assert lines and all(": PASS" in l for l in lines)
-
-
-def test_selftest_ntable_export(tmp_path, capsys):
-    target = tmp_path / "ntable.txt"
-    code, _, _ = run_cli(["selftest", "--ntable-out", str(target)], capsys)
-    assert code == 0
-    text = target.read_text()
-    assert text.splitlines()[0].count(" ") == 2
-
-
 @pytest.mark.parametrize("target", ["missing_parent", "directory", "empty"])
 def test_selftest_unwritable_ntable_out_exits_2(target, tmp_path, capsys):
     path = {"missing_parent": tmp_path / "no" / "such" / "dir" / "x",
@@ -440,78 +384,60 @@ def test_selftest_unwritable_ntable_out_exits_2(target, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_selftest_reports_a_failing_jacobi_check(capsys, monkeypatch):
-    triple = (("x", (1, 0, 0, 0, 0, 0)), ("x", (0, 0, 1, 0, 0, 0)), ("x", (0, 0, 0, 1, 0, 0)))
-    failed = chevalley.JacobiReport(triples_checked=76076, violations=(triple,))
-    monkeypatch.setattr(chevalley, "check_jacobi", lambda sc: failed)
-    code, out, _ = run_cli(["selftest"], capsys)
-    assert code == 1
-    assert f"check jacobi: FAIL (76076 triples, first violation {triple})" in out.splitlines()
-    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
-    doc = json.loads(out)
-    assert code == 1
-    assert doc["passed"] is False
-    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["jacobi"]
-
-
-def test_selftest_reports_a_failing_antisymmetry_check(capsys, monkeypatch):
-    build = chevalley.build_chevalley_basis
-
-    def broken(sys):
-        # [X_a1, X_a3] negated in one order only
-        sc = build(sys)
-        rows = [list(row) for row in sc.btable]
-        i, j = sc.index[("x", sys.simple_roots[0])], sc.index[("x", sys.simple_roots[2])]
-        rows[i][j] = tuple((p, -c) for p, c in rows[i][j])
-        return sc._replace(btable=tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(chevalley, "build_chevalley_basis", broken)
-    code, out, _ = run_cli(["selftest"], capsys)
-    assert code == 1
-    assert "check antisymmetry: FAIL (1440 ordered pairs)" in out.splitlines()
-    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
-    doc = json.loads(out)
-    assert code == 1
-    assert doc["passed"] is False
-    assert {"name": "antisymmetry", "passed": False, "detail": "1440 ordered pairs"} in doc["checks"]
-
-
-def _with_doubled_bracket(k1, k2):
-    """build_chevalley_basis with the terms of [k1, k2] doubled, in that order only."""
+def _with_scaled_bracket(k1, k2, factor):
+    """build_chevalley_basis with the terms of [k1, k2] times factor, in that order only."""
     build = chevalley.build_chevalley_basis
 
     def broken(sys):
         sc = build(sys)
-        rows = [list(row) for row in sc.btable]
         i, j = sc.index[k1], sc.index[k2]
-        rows[i][j] = tuple((p, 2 * c) for p, c in rows[i][j])
-        return sc._replace(btable=tuple(map(tuple, rows)))
+        return with_brackets(sc, {(i, j): tuple((p, factor * c) for p, c in sc.btable[i][j])})
 
     return broken
 
 
-_A1, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
+_A1, _A3, _MINUS_A1 = ("x", (1, 0, 0, 0, 0, 0)), ("x", (0, 0, 1, 0, 0, 0)), ("x", (-1, 0, 0, 0, 0, 0))
+_VIOLATION = (_A1, _A3, ("x", (0, 0, 0, 1, 0, 0)))
+# The bracket corruptions: which entry is scaled, and by what.
+_SCALED = {"antisymmetry": (_A1, _A3, -1), "killing_cartan": (("h", 0), _A1, 2),
+           "killing_root_pair": (_A1, _MINUS_A1, 2)}
 
-
-@pytest.mark.parametrize("name, line", [
+# Each corruption: the check it targets, that check's plain line, and every check that fails.
+_FAILING_CHECKS = [
+    # check_jacobi's report replaced by one with a violation
+    ("jacobi", f"check jacobi: FAIL (76076 triples, first violation {_VIOLATION})", ["jacobi"]),
+    # [X_a1, X_a3] negated in one order only
+    ("antisymmetry", "check antisymmetry: FAIL (1440 ordered pairs)",
+     ["antisymmetry", "jacobi", "killing_root_pair"]),
     # the last positive root, the highest, replaced by the sum of the
     # simple roots, a lower root, beside the true bracket table
-    ("root_system", "check root_system: FAIL (72 roots, highest [1, 1, 1, 1, 1, 1])"),
+    ("root_system", "check root_system: FAIL (72 roots, highest [1, 1, 1, 1, 1, 1])",
+     ["root_system"]),
     # [h_1, X_a1] = 2 X_a1 becomes 4 X_a1: the trace of ad(h_1)^2 gains 16 - 4
-    ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 60, root-sum 48)"),
+    ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 60, root-sum 48)",
+     ["antisymmetry", "jacobi", "killing_cartan"]),
     # the Cartan matrix doubled beside the true bracket table: each root's
     # pairing with alpha_1 doubles, so the root sum is 4 * 48 and the trace stays
-    ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 48, root-sum 192)"),
+    ("killing_cartan", "check killing_cartan: FAIL (adjoint trace 48, root-sum 192)",
+     ["killing_cartan"]),
     # [X_a1, X_-a1] = h_1 becomes 2 h_1
-    ("killing_root_pair", "check killing_root_pair: FAIL (kappa(X,X-) = 26)"),
+    ("killing_root_pair", "check killing_root_pair: FAIL (kappa(X,X-) = 26)",
+     ["antisymmetry", "jacobi", "killing_root_pair"]),
     # x1x2x4 (one sigma2 element) replaced by x1x4x5 (three)
-    ("involution_census", "check involution_census: FAIL ((3, 3, 3, 5))"),
+    ("involution_census", "check involution_census: FAIL ((3, 3, 3, 5))", ["involution_census"]),
     # one sum a1 + b recorded as b, beside the true bracket table
     ("character_homomorphism",
-     "check character_homomorphism: FAIL (20 sampled characters)"),
-])
-def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
-    if name == "root_system":
+     "check character_homomorphism: FAIL (20 sampled characters)", ["character_homomorphism"]),
+]
+
+
+@pytest.mark.parametrize("name, line, failing", _FAILING_CHECKS,
+                         ids=[f"{name}-{line}" for name, line, _ in _FAILING_CHECKS])
+def test_selftest_reports_a_failing_check(name, line, failing, capsys, monkeypatch):
+    if name == "jacobi":
+        failed = chevalley.JacobiReport(triples_checked=76076, violations=(_VIOLATION,))
+        monkeypatch.setattr(chevalley, "check_jacobi", lambda sc: failed)
+    elif name == "root_system":
         true_table = chevalley.build_chevalley_basis(build_root_system("E", 6))
         wrong = build_root_system.__wrapped__("E", 6)
         wrong = wrong._replace(positive_roots=wrong.positive_roots[:-1] + ((1,) * 6,))
@@ -535,16 +461,17 @@ def test_selftest_reports_a_failing_check(name, line, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_root_system", lambda family, rank: wrong)
         monkeypatch.setattr(chevalley, "build_chevalley_basis", lambda sys: true_table)
     else:
-        pair = ((("h", 0), _A1) if name == "killing_cartan" else (_A1, _MINUS_A1))
-        monkeypatch.setattr(chevalley, "build_chevalley_basis", _with_doubled_bracket(*pair))
+        monkeypatch.setattr(chevalley, "build_chevalley_basis", _with_scaled_bracket(*_SCALED[name]))
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 1
     assert line in out.splitlines()
-    code, out, _ = run_cli(["selftest", "--format", "json"], capsys)
-    doc = json.loads(out)
+    code, json_out, _ = run_cli(["selftest", "--format", "json"], capsys)
+    doc = json.loads(json_out)
     assert code == 1
     assert doc["passed"] is False
-    assert name in [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == failing
+    assert out.splitlines() == [f"check {c['name']}: {'PASS' if c['passed'] else 'FAIL'} "
+                                f"({c['detail']})" for c in doc["checks"]]
 
 
 def _reference_homomorphism(sys):
@@ -742,15 +669,6 @@ def test_closed_or_unwritable_stdout_exits_2_without_traceback(args, how):
     # each once ended in an AttributeError or OSError traceback, exit 1
     proc = _run_with_fd(args, 1, how, stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == (2, b"")
-
-
-def test_module_invocation_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "k4holo", "classify", "--char",
-         "su6sp1 m=4 d=[2,2,0,2,2,0] y=0"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "sigma2"
 
 
 @pytest.mark.parametrize("args", [["theorem24", "--format", fmt] for fmt in ("plain", "json", "markdown")]

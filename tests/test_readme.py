@@ -5,9 +5,10 @@ Each subcommand's synopsis line states the ``--format`` values the parser
 accepts.  Each ``k4holo ...`` line of the ``Examples:`` block runs
 in-process, and every comma-separated part of its trailing comment
 ("-> sigma2", "so(10)+c, dim 46") must appear in stdout; "dim 46" is
-printed "dim: 46".  The criteria table and CI's criteria step name the
-same tests, each of which exists.  Each source line the mutation-survivor
-list cites still holds the code it argues about.
+printed "dim: 46".  The criteria table, which CI's criteria step reads,
+names 16 distinct tests, each of which exists.  Each piece of code the
+mutation-survivor list cites occurs exactly once in its module, and the
+list cites exactly the modules the score table shows with survivors.
 """
 import argparse
 import ast
@@ -27,34 +28,14 @@ USAGE = re.search(r"^## Command-line usage\n\n```sh\n(.*?)^```", README, re.M | 
 SYNOPSES = {line.split()[1]: line for line in USAGE.splitlines() if line.startswith("k4holo ")}
 CRITERIA = re.search(r"^\| criterion \| owning tests \|\n\|---\|---\|\n((?:\|.*\n)+)",
                      README, re.M).group(1)
-# CI has no YAML parser, so the step is read as text: from its name to the next step.
-WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-CI_STEP = re.search(r"- name: paper criteria.*?(?=\n\s*- |\Z)", WORKFLOW, re.S).group(0)
 NODE_ID = re.compile(r"tests/test_\w+\.py::test_\w+")
-SURVIVORS = re.search(r"^Every survivor is equivalent:\n(.*?)^The tool", README,
+SCORES = re.search(r"^\| module \| mutants \| killed \| survived \|\n\|---.*\n((?:\|.*\n)+)",
+                   README, re.M).group(1)
+SURVIVORS = re.search(r"^Every survivor is equivalent\..*?\n\n(.*?)^The tool", README,
                       re.M | re.S).group(1)
-SURVIVOR_CITE = re.compile(r"^- `(\w+)` lines? (\d+)(?: and (\d+))?", re.M)
-# Each line the survivor list cites, by module and line number, with a piece
-# of its source: a line that moves fails here until the README follows it.
-SURVIVOR_LINES = [
-    ("realform", 63, '"so_star": 2'),
-    ("realform", 98, "1 if self.is_compact else 0"),
-    ("realform", 133, "signs = [False]"),
-    ("realform", 197, "if next(x for x in reversed(cross) if x) < 0"),
-    ("reductive", 33, "TorusCharacter(2, (0, 1, 0, 0, 0, 0))"),
-    ("reductive", 38, "TorusCharacter(2, (1, 0, 0, 0, 0, 1))"),
-    ("toral", 95, "TorusCharacter(1, (0,) * RANK)"),
-    ("toral", 174, "range(1 << k)"),
-    ("rootsys", 240, "base = 6 * maxc + 1"),
-    ("chevalley", 57, "1 << i"),
-    ("chevalley", 60, "x + sum(r[j] for j in up)"),
-    ("chevalley", 90, "eps(a, b) * c[a] * c[b]"),
-    ("chevalley", 111, "eps(a, b) * c[a] * c[b] * c[s]"),
-    ("chevalley", 219, "acc.get(p, 0) + c * c2"),
-    ("cli", 161, "flush=True"),
-    ("cli", 212, "sys.simple_pairings(r)[0] ** 2"),
-    ("cli", 382, '"--jobs", type=int, default=1'),
-]
+# A survivor bullet opens with its module and the code it mutates:
+# "- `module` at `piece`, ..." or "- `module` at `piece` and `piece`, ...".
+SURVIVOR_CITE = re.compile(r"^- `(\w+)` at (`[^`]+`(?: and\s+`[^`]+`)*),", re.M)
 
 
 def test_synopsis_states_each_subcommands_format_choices():
@@ -82,11 +63,10 @@ def test_readme_example_prints_what_its_comment_says(line, capsys):
         assert expected in out
 
 
-def test_criteria_table_and_ci_step_name_the_same_existing_tests():
+def test_criteria_table_names_16_distinct_existing_tests():
     assert len(CRITERIA.splitlines()) == 8
     table = NODE_ID.findall(CRITERIA)
     assert len(table) == len(set(table)) == 16
-    assert NODE_ID.findall(CI_STEP) == table
     for node in table:
         path, _, name = node.partition("::")
         tree = ast.parse((ROOT / path).read_text())
@@ -94,9 +74,12 @@ def test_criteria_table_and_ci_step_name_the_same_existing_tests():
 
 
 def test_mutation_survivors_cite_the_lines_that_hold_them():
-    cited = [(module, int(line)) for module, *lines in SURVIVOR_CITE.findall(SURVIVORS)
-             for line in lines if line]
-    assert cited == [(module, line) for module, line, _ in SURVIVOR_LINES]
-    for module, line, piece in SURVIVOR_LINES:
-        source = (ROOT / "src" / "k4holo" / f"{module}.py").read_text().splitlines()
-        assert piece in source[line - 1], (module, line)
+    cites = SURVIVOR_CITE.findall(SURVIVORS)
+    assert len(cites) == len(re.findall(r"^- ", SURVIVORS, re.M))
+    cited = [(module, piece) for module, pieces in cites
+             for piece in re.findall(r"`([^`]+)`", pieces)]
+    for module, piece in cited:
+        source = (ROOT / "src" / "k4holo" / f"{module}.py").read_text()
+        assert source.count(piece) == 1, (module, piece)
+    survived = {row.split("`")[1] for row in SCORES.splitlines() if row.split("|")[4].strip() != "0"}
+    assert {module for module, _ in cited} == survived

@@ -47,7 +47,7 @@ TESTS = {
     "pipeline": ("test_pipeline.py", "test_golden.py", "test_realform.py", "test_reductive.py",
                  "test_cli.py"),
     "chevalley": ("test_chevalley.py", "test_cli.py"),
-    "cli": ("test_cli.py", "test_readme.py"),
+    "cli": ("test_cli.py", "test_readme.py", "test_golden.py"),
 }
 
 _COMPARE = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
