@@ -245,11 +245,15 @@ def export_n_table(sc: StructureConstants) -> str:
     space-separated.
     """
     text = {r: ",".join(map(str, r)) for r in sc.sys.roots}
+    at = {r: sc.index["x", r] for r in sc.sys.roots}
     lines = []
     for a, sums in sorted(sc.sys.sums_from.items()):
-        row = sc.btable[sc.index["x", a]]
+        row = sc.btable[at[a]]
         for b, s in sorted(sums):
-            target = sc.index["x", s]
-            n = sum(c for p, c in row[sc.index["x", b]] if p == target)
+            target = at[s]
+            n = 0
+            for p, c in row[at[b]]:
+                if p == target:
+                    n += c
             lines.append(f"{text[a]} {text[b]} {n}")
     return "\n".join(lines) + "\n"

@@ -672,28 +672,79 @@ def test_closed_or_unwritable_stdout_exits_2_without_traceback(args, how):
 
 
 @pytest.mark.parametrize("args", [["theorem24", "--format", fmt] for fmt in ("plain", "json", "markdown")]
-                         + [["selftest", "--ntable-out", "{dump}"]])
+                         + [["selftest", "--format", "json", "--ntable-out", "{dump}"]])
 def test_module_entry_matches_in_process_main(args, tmp_path, capsys):
+    # The child runs without PYTHONUNBUFFERED, so its piped stdout is
+    # block-buffered: output still in the buffer would be lost unless it is
+    # flushed before the entry point's os._exit.
     in_process, module = tmp_path / "in_process.txt", tmp_path / "module.txt"
     before = gc.get_freeze_count()
     code, out, _ = run_cli([a.format(dump=in_process) for a in args], capsys)
     assert gc.get_freeze_count() == before  # only the entry point freezes
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run([sys.executable, "-m", "k4holo", *(a.format(dump=module) for a in args)],
-                          capture_output=True)
+                          capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, out.encode())
     if args[0] == "selftest":
         assert module.read_bytes() == in_process.read_bytes()
+        assert proc.stderr == f"wrote N table to {module}\n".encode()
+
+
+def test_commands_register_no_exit_handler():
+    # run() ends the process with os._exit, which would skip any handler
+    code = (
+        "import atexit\n"
+        "registered = []\n"
+        "atexit.register = lambda func, *args, **kwargs: registered.append(func) or func\n"
+        "import contextlib, io\n"
+        "from k4holo import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['selftest']), cli.main(['theorem24', '--format', 'json'])]\n"
+        "print(codes, registered)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"
 
 
 def test_both_launchers_use_one_entry_function(monkeypatch):
     import re
     from pathlib import Path
+    from types import SimpleNamespace
     import k4holo.__main__ as entry
     calls = []
+
+    def stream(name):
+        return SimpleNamespace(flush=lambda: calls.append(f"{name} flush"))
+
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 7)
-    assert entry.run() == 7
-    assert calls == ["freeze", "main"]
+    monkeypatch.setattr(entry, "sys",
+                        SimpleNamespace(stdout=stream("stdout"), stderr=stream("stderr")))
+    monkeypatch.setattr(entry, "os",
+                        SimpleNamespace(_exit=lambda code: calls.append(f"_exit({code})")))
+    entry.run()
+    assert calls == ["freeze", "main", "stdout flush", "stderr flush", "_exit(7)"]
+    # a stream closed at start (None) is skipped, and a failed flush is ignored
+    calls.clear()
+
+    def failing_flush():
+        calls.append("stderr flush")
+        raise BrokenPipeError
+
+    monkeypatch.setattr(entry, "sys",
+                        SimpleNamespace(stdout=None, stderr=SimpleNamespace(flush=failing_flush)))
+    entry.run()
+    assert calls == ["freeze", "main", "stderr flush", "_exit(7)"]
+    # an exception that escapes main takes the normal exit path: no flush, no _exit
+    calls.clear()
+
+    def broken():
+        raise KeyError("escaped")
+
+    monkeypatch.setattr(entry, "main", broken)
+    with pytest.raises(KeyError, match="escaped"):
+        entry.run()
+    assert calls == ["freeze"]
     # Read as text: tomllib is Python 3.11+, and the package supports 3.10.
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
